@@ -9,6 +9,7 @@ from .core import (
     TokenId,
     TokenSequence,
     log_prob_ratio,
+    log_ratio,
     normalize,
     sample,
 )
@@ -16,7 +17,7 @@ from .decoder import (
     DecodeMetrics,
     DegenerateResidual,
     JacobiWindow,
-    Neighborhood,
+    LibraryVocabMismatch,
     NonTermination,
     VerifyConfig,
     build_neighborhood,

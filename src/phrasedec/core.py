@@ -1,7 +1,8 @@
 """Shared primitives: token ids, categorical distributions, log-space helpers.
 
-All probability math in the package goes through these types.  Distributions
-are plain normalized float64 vectors; log-ratio arithmetic is floored at
+Validated ``CategoricalDistribution`` objects are the type at file and API
+boundaries; the decoder's hot loop works on raw float64 rows through
+``sample`` and ``log_ratio``.  Log-ratio arithmetic is floored at
 ``LOG_FLOOR`` so that "impossible" outcomes stay representable without NaNs.
 """
 
@@ -103,27 +104,39 @@ def normalize(weights) -> CategoricalDistribution:
     return CategoricalDistribution(out)
 
 
-def log_prob_ratio(
-    p: CategoricalDistribution, q: CategoricalDistribution, v: TokenId
-) -> float:
-    """log p(v) - log q(v), floored at LOG_FLOOR.
+def log_ratio(pv: float, qv: float) -> float:
+    """log pv - log qv, floored at LOG_FLOOR.
 
-    Raises DrafterZeroProb when q(v) = 0; returns the floor sentinel when
-    p(v) = 0 so downstream acceptance probability is exactly 0.
+    Raises DrafterZeroProb when qv = 0; returns the floor sentinel when
+    pv = 0 so downstream acceptance probability is exactly 0.
     """
-    if p.vocab_size != q.vocab_size:
-        raise ValueError("p and q must share a vocabulary size")
-    qv = q.prob(v)
     if qv == 0.0:
-        raise DrafterZeroProb(f"drafted token {v} has zero drafter probability")
-    pv = p.prob(v)
+        raise DrafterZeroProb("drafted token has zero drafter probability")
     if pv == 0.0:
         return LOG_FLOOR
     return max(math.log(pv) - math.log(qv), LOG_FLOOR)
 
 
-def sample(dist: CategoricalDistribution, rng: np.random.Generator) -> TokenId:
-    """Draw one token; deterministic given the generator state."""
-    cdf = np.cumsum(dist.probs)
-    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return min(idx, dist.vocab_size - 1)
+def log_prob_ratio(
+    p: CategoricalDistribution, q: CategoricalDistribution, v: TokenId
+) -> float:
+    """log p(v) - log q(v), floored at LOG_FLOOR (see ``log_ratio``)."""
+    if p.vocab_size != q.vocab_size:
+        raise ValueError("p and q must share a vocabulary size")
+    return log_ratio(p.prob(v), q.prob(v))
+
+
+def sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draw of one token per row of the array ``probs`` (shape ``(..., V)``).
+
+    Each row consumes one uniform, in row order, so a ``(W, V)`` batch leaves
+    the generator exactly where W one-row draws would.  The draw is
+    ``min(#{v : cdf[v] <= u * cdf[-1]}, V - 1)``; rows must be non-negative.
+    """
+    cdf = probs.cumsum(axis=-1)
+    u = rng.random(cdf.shape[:-1])
+    above = cdf > (u * cdf[..., -1])[..., None]
+    # cdf is sorted, so the first True is the count of entries <= u * total;
+    # forcing the last entry clamps a u that rounds up to the total to V - 1
+    above[..., -1] = True
+    return above.argmax(axis=-1)

@@ -5,6 +5,10 @@ One decode iteration costs exactly one target-model window evaluation (one
 NFE).  In ``sjd_pv`` mode the scan first tries to commit a whole library
 phrase whose tokens all fall inside their adaptive neighborhoods; on any
 failure it falls back to the standard token-wise accept-resample test.
+
+The hot loop works on dense ``(W, V)`` arrays and plain indices: one row
+gather per window, one boolean neighborhood mask, accept tests on plain
+floats and one vectorised inverse-CDF refill.
 """
 
 from __future__ import annotations
@@ -16,15 +20,14 @@ import numpy as np
 
 from .core import (
     LOG_FLOOR,
-    CategoricalDistribution,
+    PROB_SUM_TOL,
     DrafterZeroProb,
     TokenId,
     TokenSequence,
-    log_prob_ratio,
-    normalize,
+    log_ratio,
     sample,
 )
-from .models import ConditionalModel, batched_conditionals
+from .models import MarkovModel, batched_conditionals
 from .phrase_lib import Phrase, PhraseLibrary, match_prefix
 
 MODES = ("jacobi", "sjd", "sjd_pv")
@@ -38,33 +41,27 @@ class NonTermination(RuntimeError):
     """Decode exceeded the iteration guard without committing enough tokens."""
 
 
+class LibraryVocabMismatch(ValueError):
+    """The phrase library's vocabulary is larger than the target model's."""
+
+
 @dataclass(frozen=True)
 class JacobiWindow:
-    """Draft buffer: W candidate tokens plus the distributions they were drawn from."""
+    """Draft buffer: W candidate tokens plus the ``(W, V)`` drafter rows they
+    were drawn from."""
 
     drafts: TokenSequence
-    drafter_dists: tuple[CategoricalDistribution, ...]
+    drafter_rows: np.ndarray
     window_start: int
 
     def __post_init__(self) -> None:
-        if len(self.drafts) != len(self.drafter_dists):
-            raise ValueError("drafts and drafter_dists must have equal length")
-        for tok, dist in zip(self.drafts, self.drafter_dists):
-            if dist.prob(tok) <= 0.0:
-                raise ValueError(f"draft token {tok} has zero drafter probability")
+        if len(self.drafts) != len(self.drafter_rows):
+            raise ValueError("drafts and drafter_rows must have equal length")
+        if not (self.drafter_rows[np.arange(len(self.drafts)), self.drafts] > 0.0).all():
+            raise ValueError("a draft token has zero drafter probability")
 
     def __len__(self) -> int:
         return len(self.drafts)
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """Tokens whose verifier probability is within tau of the drafted token's."""
-
-    members: frozenset[TokenId]
-
-    def __contains__(self, v: TokenId) -> bool:
-        return v in self.members
 
 
 @dataclass(frozen=True)
@@ -82,6 +79,8 @@ class VerifyConfig:
             raise ValueError("window_size must be >= 1")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must be in (0, 1)")
+        if self.max_phrase_len < 2:
+            raise ValueError("max_phrase_len must be >= 2")
 
 
 @dataclass
@@ -108,25 +107,21 @@ class DecodeMetrics:
         return len(self.tokens_per_iteration)
 
 
-def build_neighborhood(
-    p: CategoricalDistribution, drafted: TokenId, tau: float
-) -> Neighborhood:
-    """All tokens v with |p(v) - p(drafted)| strictly below tau."""
+def build_neighborhood(p: np.ndarray, drafts: TokenSequence, tau: float) -> np.ndarray:
+    """Neighborhood mask of a ``(W, V)`` window: entry (j, v) is set iff
+    |p[j, v] - p[j, drafts[j]]| is strictly below tau."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must be in (0, 1)")
-    diffs = np.abs(p.probs - p.probs[drafted])
-    return Neighborhood(frozenset(int(v) for v in np.nonzero(diffs < tau)[0]))
+    return np.abs(p - p[np.arange(len(p)), drafts, None]) < tau
 
 
-def phrase_acceptance_score(
-    verifier_dists, drafter_dists, phrase: Phrase
-) -> float:
+def phrase_acceptance_score(verifier_rows, drafter_rows, phrase: Phrase) -> float:
     """Joint log acceptance score: sum of per-position log p/q over the phrase."""
-    if not len(verifier_dists) == len(drafter_dists) == len(phrase):
-        raise ValueError("distribution lists and phrase must have equal length")
+    if not len(verifier_rows) == len(drafter_rows) == len(phrase):
+        raise ValueError("row stacks and phrase must have equal length")
     score = 0.0
-    for p, q, v in zip(verifier_dists, drafter_dists, phrase.tokens):
-        score += log_prob_ratio(p, q, v)
+    for p, q, v in zip(verifier_rows, drafter_rows, phrase.tokens):
+        score += log_ratio(float(p[v]), float(q[v]))
     return max(score, LOG_FLOOR)
 
 
@@ -138,85 +133,87 @@ def verify_phrase(score: float, rng: np.random.Generator) -> bool:
 
 
 def verify_token(
-    p: CategoricalDistribution,
-    q: CategoricalDistribution,
-    drafted: TokenId,
-    rng: np.random.Generator,
+    p: np.ndarray, q: np.ndarray, drafted: TokenId, rng: np.random.Generator
 ) -> tuple[bool, TokenId]:
-    """Accept-resample test: keep the draft with probability min(1, p/q),
-    otherwise emit a token from the residual normalize(max(0, p - q))."""
-    qd = q.prob(drafted)
+    """Accept-resample test on verifier row p and drafter row q: keep the
+    draft with probability min(1, p/q), otherwise emit a token from the
+    residual normalize(max(0, p - q))."""
+    qd = float(q[drafted])
     if qd == 0.0:
         raise DrafterZeroProb(f"drafted token {drafted} has zero drafter probability")
-    if rng.random() < p.prob(drafted) / qd:
+    if rng.random() < float(p[drafted]) / qd:
         return True, drafted
-    residual = np.maximum(p.probs - q.probs, 0.0)
-    if residual.sum() == 0.0:
+    residual = np.maximum(p - q, 0.0)
+    total = float(residual.sum())
+    if total == 0.0:
         raise DegenerateResidual("rejection with p == q; arithmetic fault")
-    return False, sample(normalize(residual), rng)
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        residual = residual / total
+    return False, int(sample(residual, rng))
 
 
 def _find_phrase(
     lib: PhraseLibrary,
     drafts: TokenSequence,
     t: int,
-    neighborhoods: list[Neighborhood],
+    neighborhoods: np.ndarray,
     cfg: VerifyConfig,
 ) -> Phrase | None:
     remaining = len(drafts) - t
     for phrase in match_prefix(lib, drafts[t]):
-        n = len(phrase)
+        tokens = phrase.tokens
+        n = len(tokens)
         if n > remaining or n > cfg.max_phrase_len:
             continue
-        if all(phrase.tokens[k] in neighborhoods[t + k] for k in range(n)):
+        # tokens[0] is drafts[t], always inside its own neighborhood
+        if all(neighborhoods[t + k, tokens[k]] for k in range(1, n)):
             return phrase
     return None
 
 
-def _draw(dist: CategoricalDistribution, greedy: bool, rng: np.random.Generator) -> TokenId:
+def _draw(rows: np.ndarray, greedy: bool, rng: np.random.Generator) -> np.ndarray:
+    """One token per row: the argmax in greedy mode, else an inverse-CDF draw."""
     if greedy:
-        return int(np.argmax(dist.probs))
-    return sample(dist, rng)
+        return rows.argmax(axis=-1)
+    return sample(rows, rng)
 
 
 def verify_window(
     prefix: TokenSequence,
     window: JacobiWindow,
-    target: ConditionalModel,
+    target: MarkovModel,
     lib: PhraseLibrary | None,
     cfg: VerifyConfig,
     rng: np.random.Generator,
 ) -> tuple[TokenSequence, JacobiWindow, DecodeMetrics]:
     """Run one verification iteration over the window.
 
-    Returns the committed tokens, the refilled next window, and a metrics
-    delta with nfe = 1.  Token-wise scanning stops at the first rejection;
-    a committed phrase jumps the scan forward by its length.
+    Only the last ``target.order`` tokens of prefix are read.  Returns the
+    committed tokens, the refilled next window, and a metrics delta with
+    nfe = 1.  Token-wise scanning stops at the first rejection; a committed
+    phrase jumps the scan forward by its length.
     """
     if cfg.mode == "sjd_pv" and lib is None:
         raise ValueError("sjd_pv mode requires a phrase library")
-    W = len(window)
-    verifier = batched_conditionals(target, prefix, window.drafts)
+    drafts, drafter = window.drafts, window.drafter_rows
+    W = len(drafts)
+    verifier = batched_conditionals(target, prefix, drafts)
     metrics = DecodeMetrics(nfe=1)
 
-    neighborhoods: list[Neighborhood] | None = None
     if cfg.mode == "sjd_pv":
-        neighborhoods = [
-            build_neighborhood(verifier[j], window.drafts[j], cfg.tau)
-            for j in range(W)
-        ]
+        neighborhoods = build_neighborhood(verifier, drafts, cfg.tau)
 
     committed: list[TokenId] = []
     t = 0
     while t < W:
         if cfg.mode == "sjd_pv":
-            phrase = _find_phrase(lib, window.drafts, t, neighborhoods, cfg)
+            phrase = _find_phrase(lib, drafts, t, neighborhoods, cfg)
             if phrase is not None:
                 metrics.phrase_attempts += 1
                 n = len(phrase)
                 try:
                     score = phrase_acceptance_score(
-                        verifier[t : t + n], window.drafter_dists[t : t + n], phrase
+                        verifier[t : t + n], drafter[t : t + n], phrase
                     )
                 except DrafterZeroProb:
                     score = None  # non-verifiable: fall back to the token path
@@ -226,14 +223,14 @@ def verify_window(
                     t += n
                     continue
 
-        p, q, drafted = verifier[t], window.drafter_dists[t], window.drafts[t]
+        drafted = drafts[t]
         if cfg.mode == "jacobi" or cfg.greedy:
             # fixed-point rule: the draft survives iff it matches a fresh
             # draw (argmax in greedy mode) from the verifier conditional
-            fresh = _draw(p, cfg.greedy, rng)
-            accepted, emitted = fresh == drafted, (drafted if fresh == drafted else fresh)
+            emitted = int(_draw(verifier[t], cfg.greedy, rng))
+            accepted = emitted == drafted
         else:
-            accepted, emitted = verify_token(p, q, drafted, rng)
+            accepted, emitted = verify_token(verifier[t], drafter[t], drafted, rng)
         committed.append(emitted)
         t += 1
         if accepted:
@@ -242,19 +239,13 @@ def verify_window(
             metrics.token_rejects += 1
             break
 
-    # Jacobi refill: surviving slots are re-drafted from the verifier
-    # conditionals just computed; appended slots reuse the last one
-    new_drafts: list[TokenId] = []
-    new_dists: list[CategoricalDistribution] = []
-    for j in range(t, W):
-        new_dists.append(verifier[j])
-        new_drafts.append(_draw(verifier[j], cfg.greedy, rng))
-    while len(new_drafts) < W:
-        new_dists.append(verifier[W - 1])
-        new_drafts.append(_draw(verifier[W - 1], cfg.greedy, rng))
-
+    # Jacobi refill: surviving slots are re-drafted from the verifier rows
+    # just computed; appended slots reuse the last one
+    rows = verifier[np.minimum(np.arange(t, t + W), W - 1)]
     next_window = JacobiWindow(
-        tuple(new_drafts), tuple(new_dists), window.window_start + len(committed)
+        tuple(_draw(rows, cfg.greedy, rng).tolist()),
+        rows,
+        window.window_start + len(committed),
     )
     metrics.tokens_emitted = len(committed)
     metrics.tokens_per_iteration.append(len(committed))
@@ -262,7 +253,7 @@ def verify_window(
 
 
 def decode(
-    target: ConditionalModel,
+    target: MarkovModel,
     lib: PhraseLibrary | None,
     cfg: VerifyConfig,
     total_len: int,
@@ -275,13 +266,13 @@ def decode(
     """
     if total_len < 1:
         raise ValueError("total_len must be >= 1")
+    if lib is not None and lib.vocab_size > target.vocab_size:
+        raise LibraryVocabMismatch(
+            f"library vocabulary {lib.vocab_size} exceeds the model's {target.vocab_size}"
+        )
     W = cfg.window_size
-    begin_row = target.conditional(())
-    window = JacobiWindow(
-        tuple(_draw(begin_row, cfg.greedy, rng) for _ in range(W)),
-        (begin_row,) * W,
-        0,
-    )
+    begin_rows = target.rows[[target.context_code(())] * W]
+    window = JacobiWindow(tuple(_draw(begin_rows, cfg.greedy, rng).tolist()), begin_rows, 0)
 
     committed: list[TokenId] = []
     metrics = DecodeMetrics()
@@ -294,7 +285,7 @@ def decode(
                 f"({len(committed)}/{total_len} tokens committed)"
             )
         out, window, delta = verify_window(
-            tuple(committed), window, target, lib, cfg, rng
+            committed[-target.order :], window, target, lib, cfg, rng
         )
         committed.extend(out)
         metrics.merge(delta)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CategoricalDistribution, TokenSequence, normalize
+from .core import TokenSequence, normalize
 from .decoder import MODES, DecodeMetrics, VerifyConfig, decode
 from .models import (
     MarkovModel,
@@ -193,18 +193,17 @@ def planted_phrase_corpus(
 
     order = 2
     alpha = np.full(vocab_size, concentration)
-    table: dict[tuple[int, ...], CategoricalDistribution] = {}
+    rows = []
     for ctx in markov_contexts(order, vocab_size):
         noise = rng.dirichlet(alpha)
-        last = ctx[-1]
-        nxt = next_in_phrase.get(last)
+        nxt = next_in_phrase.get(ctx[-1])
         if nxt is None:
-            table[ctx] = normalize(noise)
+            rows.append(normalize(noise).probs)
         else:
             row = (1.0 - planting_rate) * noise
             row[nxt] += planting_rate
-            table[ctx] = normalize(row)
-    model = MarkovModel(order, vocab_size, table)
+            rows.append(normalize(row).probs)
+    model = MarkovModel(order, vocab_size, rows)
 
     corpus = [ancestral_sample(model, seq_len, rng) for _ in range(sequences)]
     return corpus, model

@@ -2,8 +2,10 @@
 drafter wrappers, and batched/ancestral evaluation helpers.
 
 These stand in for a large autoregressive backbone at desk scale.  A model
-maps a prefix to a categorical conditional over the next token; everything
-downstream (drafting, verification, theory oracles) only sees that interface.
+maps a prefix to a categorical conditional over the next token.  The decoder
+and ``ancestral_sample`` read a ``MarkovModel``'s dense ``rows`` array
+directly, indexed by a rolling context code, so their cost per token does not
+depend on prefix length.
 """
 
 from __future__ import annotations
@@ -11,11 +13,18 @@ from __future__ import annotations
 import itertools
 import struct
 from abc import ABC, abstractmethod
+from functools import cached_property
 
 import numpy as np
 
-from .core import CategoricalDistribution, TokenSequence, normalize
-from .core import sample as sample_token
+from .core import (
+    PROB_SUM_TOL,
+    CategoricalDistribution,
+    InvalidWeight,
+    TokenSequence,
+    normalize,
+    sample,
+)
 
 # begin-of-sequence padding context symbol; deliberately outside [0, V) so the
 # vocabulary stays identical to the phrase library's symbol space
@@ -23,6 +32,8 @@ PAD = -1
 
 MODEL_MAGIC = b"PSDM"
 MODEL_FORMAT_VERSION = 1
+# format version, order, vocab_size
+HEADER = "<HII"
 
 
 class UnsupportedModelFormat(ValueError):
@@ -56,40 +67,83 @@ def markov_contexts(order: int, vocab_size: int):
             yield (PAD,) * (order - j) + tail
 
 
+def context_codes(order: int, vocab_size: int) -> np.ndarray:
+    """Dense row index of each context of ``markov_contexts``, in that order.
+
+    A context's code reads its symbols as base-(V+1) digits, PAD as 0 and
+    token v as v + 1, so appending token v to a context with code c gives
+    ``(c * (V + 1) + v + 1) % (V + 1) ** order``.
+    """
+    return np.array(
+        [_code(ctx, vocab_size + 1) for ctx in markov_contexts(order, vocab_size)],
+        dtype=np.intp,
+    )
+
+
+def _code(symbols, base: int) -> int:
+    code = 0
+    for sym in symbols:
+        code = code * base + sym + 1
+    return code
+
+
 class MarkovModel(ConditionalModel):
     """Order-k Markov chain over a finite vocabulary.
 
-    The transition table maps each length-k context (left-padded with PAD for
-    positions before the sequence start) to a conditional distribution.
+    ``rows`` is the dense, read-only transition array of shape
+    ``((V+1)**order, V)``: row ``c`` is the conditional after the context
+    whose base-(V+1) code is c (see ``context_codes``).  Rows of codes that
+    place PAD after a real token are never reached and hold zeros.  The
+    constructor takes the reachable rows stacked in ``markov_contexts``
+    order, the layout of the PSDM file, and validates them once.
     """
 
-    def __init__(
-        self,
-        order: int,
-        vocab_size: int,
-        table: dict[tuple[int, ...], CategoricalDistribution],
-    ) -> None:
+    def __init__(self, order: int, vocab_size: int, context_rows) -> None:
         if order < 1:
             raise ValueError("order must be >= 1")
         if vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
-        for ctx in markov_contexts(order, vocab_size):
-            row = table.get(ctx)
-            if row is None:
-                raise ValueError(f"missing transition row for context {ctx}")
-            if row.vocab_size != vocab_size:
-                raise ValueError(f"row for context {ctx} has wrong vocabulary size")
+        stack = np.asarray(context_rows, dtype=np.float64)
+        contexts = sum(vocab_size**j for j in range(order + 1))
+        if stack.shape != (contexts, vocab_size):
+            raise ValueError(
+                f"expected {contexts} transition rows of width {vocab_size}, "
+                f"got shape {stack.shape}"
+            )
+        if not np.all(np.isfinite(stack)) or np.any(stack < 0):
+            raise InvalidWeight("transition probabilities must be finite and non-negative")
+        sums = stack.sum(axis=1)
+        if np.any(np.abs(sums - 1.0) > PROB_SUM_TOL):
+            bad = int(np.argmax(np.abs(sums - 1.0)))
+            raise InvalidWeight(f"transition row {bad} sums to {sums[bad]}, not 1")
+        rows = np.zeros(((vocab_size + 1) ** order, vocab_size))
+        rows[context_codes(order, vocab_size)] = stack
+        rows.setflags(write=False)
         self.order = order
         self.vocab_size = vocab_size
-        self.table = dict(table)
+        self.rows = rows
 
     @property
     def context_order(self) -> int:
         return self.order
 
+    def context_code(self, prefix: TokenSequence) -> int:
+        """Code of the context formed by the last ``order`` tokens of prefix."""
+        return _code(prefix[-self.order :], self.vocab_size + 1)
+
     def conditional(self, prefix: TokenSequence) -> CategoricalDistribution:
-        ctx = ((PAD,) * self.order + tuple(prefix))[-self.order :]
-        return self.table[ctx]
+        return CategoricalDistribution(self.rows[self.context_code(prefix)])
+
+    @cached_property
+    def table(self) -> dict[tuple[int, ...], CategoricalDistribution]:
+        """Context -> conditional; every distribution is a view into ``rows``."""
+        return {
+            ctx: CategoricalDistribution(self.rows[code])
+            for ctx, code in zip(
+                markov_contexts(self.order, self.vocab_size),
+                context_codes(self.order, self.vocab_size),
+            )
+        }
 
 
 class PerturbedDrafter(ConditionalModel):
@@ -146,29 +200,39 @@ class TopKModel(ConditionalModel):
 
 
 def batched_conditionals(
-    model: ConditionalModel, prefix: TokenSequence, drafts: TokenSequence
-) -> list[CategoricalDistribution]:
-    """Conditionals for a whole draft window: output[j] conditions on
-    prefix + drafts[:j].
+    model: MarkovModel, prefix: TokenSequence, drafts: TokenSequence
+) -> np.ndarray:
+    """Conditionals for a whole draft window as one ``(W, V)`` row gather:
+    row j conditions on prefix + drafts[:j].
 
-    By the metrics contract one call counts as a single target-model forward
-    pass (one NFE), regardless of window size.
+    Only the last ``order`` tokens of prefix are read, so the cost does not
+    depend on prefix length.  By the metrics contract one call counts as a
+    single target-model forward pass (one NFE), regardless of window size.
     """
     if len(drafts) < 1:
         raise ValueError("draft window must contain at least one token")
-    prefix = tuple(prefix)
-    return [model.conditional(prefix + tuple(drafts[:j])) for j in range(len(drafts))]
+    base, contexts = model.vocab_size + 1, model.rows.shape[0]
+    code = model.context_code(prefix)
+    codes = [code]
+    for tok in drafts[:-1]:
+        code = (code * base + tok + 1) % contexts
+        codes.append(code)
+    return model.rows[codes]
 
 
 def ancestral_sample(
-    model: ConditionalModel, length: int, rng: np.random.Generator
+    model: MarkovModel, length: int, rng: np.random.Generator
 ) -> TokenSequence:
     """Sample a sequence from the exact joint via the chain rule."""
     if length < 0:
         raise ValueError("length must be >= 0")
+    rows, base, contexts = model.rows, model.vocab_size + 1, model.rows.shape[0]
     out: list[int] = []
+    code = 0
     for _ in range(length):
-        out.append(sample_token(model.conditional(tuple(out)), rng))
+        tok = int(sample(rows[code], rng))
+        out.append(tok)
+        code = (code * base + tok + 1) % contexts
     return tuple(out)
 
 
@@ -179,38 +243,52 @@ def random_markov(
     if concentration <= 0:
         raise ValueError("concentration must be positive")
     alpha = np.full(vocab_size, concentration)
-    table = {
-        ctx: normalize(rng.dirichlet(alpha))
-        for ctx in markov_contexts(order, vocab_size)
-    }
-    return MarkovModel(order, vocab_size, table)
+    rows = [
+        normalize(rng.dirichlet(alpha)).probs
+        for _ in markov_contexts(order, vocab_size)
+    ]
+    return MarkovModel(order, vocab_size, rows)
 
 
 def save_markov(model: MarkovModel, path) -> None:
     """Write a Markov model in the versioned PSDM binary format."""
+    rows = model.rows[context_codes(model.order, model.vocab_size)]
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
-        f.write(struct.pack("<HII", MODEL_FORMAT_VERSION, model.order, model.vocab_size))
-        for ctx in markov_contexts(model.order, model.vocab_size):
-            f.write(model.table[ctx].probs.astype("<f8").tobytes())
+        f.write(struct.pack(HEADER, MODEL_FORMAT_VERSION, model.order, model.vocab_size))
+        f.write(rows.astype("<f8").tobytes())
 
 
 def load_markov(path) -> MarkovModel:
-    """Read a PSDM model file; rejects unknown magics and versions."""
+    """Read a PSDM model file.
+
+    Bad magics, unknown versions, impossible shapes and truncated or
+    oversized files raise UnsupportedModelFormat; rows that are not
+    probability vectors raise InvalidWeight.
+    """
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != MODEL_MAGIC:
         raise UnsupportedModelFormat("not a PSDM model file")
-    version, order, vocab_size = struct.unpack_from("<HII", data, 4)
+    offset = len(MODEL_MAGIC) + struct.calcsize(HEADER)
+    if len(data) < offset:
+        raise UnsupportedModelFormat("model file header is truncated")
+    version, order, vocab_size = struct.unpack_from(HEADER, data, len(MODEL_MAGIC))
     if version != MODEL_FORMAT_VERSION:
         raise UnsupportedModelFormat(f"unknown model format version {version}")
-    offset = 4 + struct.calcsize("<HII")
+    if order < 1 or vocab_size < 2:
+        raise UnsupportedModelFormat(f"invalid model shape: order {order}, V={vocab_size}")
+    # count contexts only up to what the file could hold, so a corrupt
+    # header cannot ask for an astronomically large table
     row_bytes = vocab_size * 8
-    table = {}
-    for ctx in markov_contexts(order, vocab_size):
-        row = np.frombuffer(data, dtype="<f8", count=vocab_size, offset=offset)
-        table[ctx] = CategoricalDistribution(row)
-        offset += row_bytes
-    if offset != len(data):
+    available = (len(data) - offset) // row_bytes
+    contexts, width = 0, 1
+    for _ in range(order + 1):
+        contexts += width
+        width *= vocab_size
+        if contexts > available:
+            break
+    if offset + contexts * row_bytes != len(data):
         raise UnsupportedModelFormat("model file has trailing or missing bytes")
-    return MarkovModel(order, vocab_size, table)
+    rows = np.frombuffer(data, dtype="<f8", offset=offset).reshape(contexts, vocab_size)
+    return MarkovModel(order, vocab_size, rows)

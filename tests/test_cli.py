@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from phrasedec.cli import main
+from phrasedec.decoder import LibraryVocabMismatch
 from phrasedec.harness import planted_phrase_corpus
-from phrasedec.models import save_markov
+from phrasedec.models import random_markov, save_markov
 from phrasedec.phrase_lib import load_library, write_corpus
 
 
@@ -46,6 +47,22 @@ def test_decode_all_modes(workspace, capsys):
         assert rc == 0
         out = capsys.readouterr().out
         assert len(out.split()) == 40
+
+
+def test_decode_rejects_library_with_larger_vocab(tmp_path, capsys):
+    model_path = tmp_path / "v4.psdm"
+    save_markov(random_markov(1, 4, 0.5, np.random.default_rng(0)), model_path)
+    corpus_path = tmp_path / "v40.txt"
+    write_corpus([list(range(40)) * 3], corpus_path)
+    lib_path = tmp_path / "v40.psdl"
+    main(["build-library", "--corpus", str(corpus_path), "--merges", "8",
+          "--out", str(lib_path)])
+    assert load_library(lib_path).vocab_size == 40
+    capsys.readouterr()
+    with pytest.raises(LibraryVocabMismatch):
+        main(["decode", "--model", str(model_path), "--mode", "sjd_pv",
+              "--lib", str(lib_path), "--length", "16"])
+    assert capsys.readouterr().out == ""
 
 
 def test_bench(workspace, tmp_path, capsys):

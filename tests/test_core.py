@@ -111,12 +111,12 @@ class TestLogProbRatio:
 
 class TestSample:
     def test_degenerate(self):
-        d = CategoricalDistribution([1.0, 0.0, 0.0])
+        d = CategoricalDistribution([1.0, 0.0, 0.0]).probs
         rng = np.random.default_rng(0)
         assert all(sample(d, rng) == 0 for _ in range(100))
 
     def test_deterministic_given_seed(self):
-        d = CategoricalDistribution([0.5, 0.5])
+        d = CategoricalDistribution([0.5, 0.5]).probs
         draws1 = [sample(d, np.random.default_rng(42)) for _ in range(1)]
         draws2 = [sample(d, np.random.default_rng(42)) for _ in range(1)]
         assert draws1 == draws2
@@ -126,8 +126,22 @@ class TestSample:
         ]
 
     def test_law_of_large_numbers(self):
-        d = CategoricalDistribution([0.7, 0.3])
+        d = CategoricalDistribution([0.7, 0.3]).probs
         rng = np.random.default_rng(123)
         n = 10**5
         hits = sum(sample(d, rng) == 0 for _ in range(n))
         assert abs(hits / n - 0.7) < 0.01
+
+    def test_batch_draws_match_row_by_row(self):
+        rows = normalize([1.0, 2.0, 3.0, 0.0]).probs[None].repeat(5, axis=0)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        assert sample(rows, rng_a).tolist() == [int(sample(r, rng_b)) for r in rows]
+        assert rng_a.random() == rng_b.random()
+
+    def test_uniform_rounding_to_total_clamps_to_last_token(self):
+        class RiggedRng:
+            def random(self, shape):
+                return np.ones(shape)  # unreachable for a real generator
+
+        rows = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        assert sample(rows, RiggedRng()).tolist() == [2, 2]

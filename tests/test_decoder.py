@@ -14,6 +14,7 @@ from phrasedec.decoder import (
     DecodeMetrics,
     DegenerateResidual,
     JacobiWindow,
+    LibraryVocabMismatch,
     NonTermination,
     VerifyConfig,
     build_neighborhood,
@@ -28,36 +29,42 @@ from phrasedec.phrase_lib import Phrase, PhraseLibrary, build_library
 
 
 def dist(probs):
-    return CategoricalDistribution(probs)
+    """A validated probability row, as the engine's dense arrays hold them."""
+    return CategoricalDistribution(probs).probs
+
+
+def hood(p, drafted, tau):
+    """Members of one row's neighborhood, via a one-slot window."""
+    return set(np.flatnonzero(build_neighborhood(p[None], [drafted], tau)[0]).tolist())
 
 
 class TestBuildNeighborhood:
     P = dist([0.40, 0.39, 0.21])
 
     def test_hand_enumeration(self):
-        assert build_neighborhood(self.P, 0, 0.02).members == {0, 1}
+        assert hood(self.P, 0, 0.02) == {0, 1}
 
     def test_strict_inequality_boundary(self):
-        assert build_neighborhood(self.P, 0, 0.01).members == {0}
+        assert hood(self.P, 0, 0.01) == {0}
 
     def test_uniform_full_vocabulary(self):
         uniform = dist([0.25] * 4)
-        assert build_neighborhood(uniform, 2, 0.001).members == {0, 1, 2, 3}
+        assert hood(uniform, 2, 0.001) == {0, 1, 2, 3}
 
     def test_contains_drafted(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            p = normalize(rng.random(6) + 1e-9)
+            p = normalize(rng.random(6) + 1e-9).probs
             drafted = int(rng.integers(6))
-            assert drafted in build_neighborhood(p, drafted, 0.005)
+            assert drafted in hood(p, drafted, 0.005)
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            p = normalize(rng.random(8) + 1e-9)
+            p = normalize(rng.random(8) + 1e-9).probs
             drafted = int(rng.integers(8))
-            small = build_neighborhood(p, drafted, 0.01).members
-            large = build_neighborhood(p, drafted, 0.05).members
+            small = hood(p, drafted, 0.01)
+            large = hood(p, drafted, 0.05)
             assert small <= large
 
 
@@ -163,8 +170,8 @@ class TestVerifyWindow:
         for _ in range(6):
             drafts.append(int(np.argmax(model.conditional(ctx).probs)))
             ctx = ctx + (drafts[-1],)
-        dists = batched_conditionals(model, prefix, tuple(drafts))
-        window = JacobiWindow(tuple(drafts), tuple(dists), len(prefix))
+        rows = batched_conditionals(model, prefix, tuple(drafts))
+        window = JacobiWindow(tuple(drafts), rows, len(prefix))
         committed, _, delta = verify_window(
             prefix, window, model, None, cfg, np.random.default_rng(0)
         )
@@ -176,8 +183,8 @@ class TestVerifyWindow:
         model = random_markov(1, 4, 0.4, np.random.default_rng(12))
         prefix = ()
         drafts = (1, 2, 3)
-        dists = batched_conditionals(model, prefix, drafts)
-        window = JacobiWindow(drafts, tuple(dists), 0)
+        rows = batched_conditionals(model, prefix, drafts)
+        window = JacobiWindow(drafts, rows, 0)
         lib = PhraseLibrary(4, (), (Phrase(drafts, 1, 1),))
         cfg = VerifyConfig(mode="sjd_pv", window_size=3, tau=0.5)
         committed, _, delta = verify_window(
@@ -189,8 +196,7 @@ class TestVerifyWindow:
 
     def test_sjd_pv_requires_library(self):
         model = random_markov(1, 2, 1.0, np.random.default_rng(0))
-        row = model.conditional(())
-        window = JacobiWindow((0,), (row,), 0)
+        window = JacobiWindow((0,), batched_conditionals(model, (), (0,)), 0)
         with pytest.raises(ValueError):
             verify_window((), window, model, None, VerifyConfig(mode="sjd_pv"),
                           np.random.default_rng(0))
@@ -270,6 +276,22 @@ class TestDecode:
             nfe[mode] = total
         assert nfe["sjd_pv"] < nfe["sjd"]
 
+    def test_library_vocab_exceeds_model(self, monkeypatch):
+        model = random_markov(1, 4, 0.5, np.random.default_rng(0))
+        lib = PhraseLibrary(40, (), (Phrase((0, 39), 1, 1),))
+        calls = []
+        monkeypatch.setattr(decoder, "verify_window", lambda *a: calls.append(a))
+        for mode in ("sjd", "sjd_pv"):
+            with pytest.raises(LibraryVocabMismatch):
+                decode(model, lib, VerifyConfig(mode=mode), 8, np.random.default_rng(0))
+        assert calls == []  # raised before the first NFE
+
+    def test_library_vocab_within_model(self):
+        model = random_markov(1, 4, 0.5, np.random.default_rng(0))
+        lib = PhraseLibrary(3, (), (Phrase((0, 2), 1, 1),))
+        seq, _ = decode(model, lib, VerifyConfig(mode="sjd_pv"), 8, np.random.default_rng(0))
+        assert len(seq) == 8
+
 
 class TestConfigValidation:
     def test_bad_mode(self):
@@ -284,6 +306,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             VerifyConfig(window_size=0)
 
+    def test_bad_max_phrase_len(self):
+        for bad in (-1, 0, 1):
+            with pytest.raises(ValueError):
+                VerifyConfig(max_phrase_len=bad)
+        assert VerifyConfig(max_phrase_len=2).max_phrase_len == 2
+
     def test_window_invariant(self):
         with pytest.raises(ValueError):
-            JacobiWindow((0,), (CategoricalDistribution([0.0, 1.0]),), 0)
+            JacobiWindow((0,), np.array([[0.0, 1.0]]), 0)

@@ -1,9 +1,12 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phrasedec.core import CategoricalDistribution, normalize
+from phrasedec.core import CategoricalDistribution, InvalidWeight, normalize
 from phrasedec.models import (
     PAD,
     MarkovModel,
@@ -20,11 +23,9 @@ from phrasedec.models import (
 
 
 def order1_model(rows: dict[int, list[float]], begin: list[float]) -> MarkovModel:
-    vocab = len(begin)
-    table = {(PAD,): normalize(begin)}
-    for tok, row in rows.items():
-        table[(tok,)] = normalize(row)
-    return MarkovModel(1, vocab, table)
+    # stacked in markov_contexts order: (PAD,), (0,), (1,), ...
+    stack = [normalize(begin).probs] + [normalize(rows[tok]).probs for tok in range(len(begin))]
+    return MarkovModel(1, len(begin), stack)
 
 
 @pytest.fixture
@@ -44,7 +45,7 @@ class TestConditional:
 
     def test_missing_row_rejected(self):
         with pytest.raises(ValueError):
-            MarkovModel(1, 2, {(PAD,): normalize([1, 1])})
+            MarkovModel(1, 2, [normalize([1, 1]).probs])
 
 
 class TestPerturbedDrafter:
@@ -74,12 +75,13 @@ class TestTopK:
 class TestBatchedConditionals:
     def test_single_position(self, two_state):
         out = batched_conditionals(two_state, (0,), (1,))
-        assert out == [two_state.conditional((0,))]
+        assert out.shape == (1, 2)
+        assert np.array_equal(out[0], two_state.conditional((0,)).probs)
 
     def test_order1_lookups(self, two_state):
         out = batched_conditionals(two_state, (1,), (0, 1))
-        assert out[0] == two_state.conditional((1,))
-        assert out[1] == two_state.conditional((0,))
+        assert np.array_equal(out[0], two_state.conditional((1,)).probs)
+        assert np.array_equal(out[1], two_state.conditional((0,)).probs)
 
     def test_matches_incremental_recomputation(self):
         rng = np.random.default_rng(5)
@@ -88,7 +90,7 @@ class TestBatchedConditionals:
         drafts = (2, 0, 0, 1, 2)
         out = batched_conditionals(model, prefix, drafts)
         for j in range(len(drafts)):
-            assert out[j] == model.conditional(prefix + drafts[:j])
+            assert np.array_equal(out[j], model.conditional(prefix + drafts[:j]).probs)
 
     def test_empty_window_rejected(self, two_state):
         with pytest.raises(ValueError):
@@ -164,6 +166,61 @@ class TestSerialization:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(UnsupportedModelFormat):
+            load_markov(path)
+
+    @given(
+        order=st.integers(1, 3),
+        vocab=st.integers(2, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_fuzz(self, tmp_path_factory, order, vocab, seed):
+        model = random_markov(order, vocab, 0.5, np.random.default_rng(seed))
+        path = tmp_path_factory.mktemp("rt") / "model.psdm"
+        save_markov(model, path)
+        loaded = load_markov(path)
+        assert (loaded.order, loaded.vocab_size) == (order, vocab)
+        assert np.array_equal(loaded.rows, model.rows)
+        again = path.with_name("again.psdm")
+        save_markov(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_file_rejected(self, tmp_path_factory, data):
+        model = random_markov(2, 3, 0.5, np.random.default_rng(1))
+        path = tmp_path_factory.mktemp("trunc") / "model.psdm"
+        save_markov(model, path)
+        full = path.read_bytes()
+        cut = data.draw(st.integers(0, len(full) - 1))
+        path.write_bytes(full[:cut])
+        with pytest.raises(UnsupportedModelFormat):
+            load_markov(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.psdm"
+        save_markov(random_markov(1, 3, 0.5, np.random.default_rng(0)), path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(UnsupportedModelFormat):
+            load_markov(path)
+
+    @pytest.mark.parametrize("order, vocab", [(0, 4), (1, 1), (2**31, 2), (3, 2**31)])
+    def test_impossible_header_rejected(self, tmp_path, order, vocab):
+        path = tmp_path / "model.psdm"
+        path.write_bytes(b"PSDM" + struct.pack("<HII", 1, order, vocab) + b"\0" * 64)
+        with pytest.raises(UnsupportedModelFormat):
+            load_markov(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.25, 0.9])
+    def test_invalid_row_rejected(self, tmp_path, bad):
+        model = random_markov(1, 2, 0.5, np.random.default_rng(0))
+        path = tmp_path / "model.psdm"
+        save_markov(model, path)
+        data = bytearray(path.read_bytes())
+        # last row is [p, 1 - p]; overwrite p
+        struct.pack_into("<d", data, len(data) - 16, bad)
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidWeight):
             load_markov(path)
 
     def test_canonical_context_order(self):
