@@ -247,8 +247,6 @@ def _resolve_model_and_corpus(
 
 def _library_for(cfg: ExperimentConfig, corpus, vocab_size: int, merges=None) -> PhraseLibrary:
     merges = cfg.merges if merges is None else merges
-    if merges == 0:
-        return PhraseLibrary(vocab_size, (), ())
     return build_library(corpus, merges, cfg.max_phrase_len, vocab_size=vocab_size)
 
 

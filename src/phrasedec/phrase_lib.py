@@ -12,6 +12,8 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import TokenId, TokenSequence
 
 SymbolId = int
@@ -35,7 +37,8 @@ class UnknownSymbol(ValueError):
 
 
 class UnsupportedLibraryFormat(ValueError):
-    """Library file has a bad magic or an unknown format version."""
+    """Library file has a bad magic, an unknown format version, is truncated,
+    or holds rules or phrases that no build could have produced."""
 
 
 @dataclass(frozen=True)
@@ -110,64 +113,32 @@ def _build_index(phrases: tuple[Phrase, ...]) -> dict[TokenId, tuple[Phrase, ...
     }
 
 
-def _pair_counts(seqs: list[list[SymbolId]]) -> Counter:
-    """Adjacent-pair counts, never crossing sequence boundaries.
+def _validate_corpus(corpus, vocab_size: int | None) -> tuple[list[np.ndarray], int]:
+    """Each sequence as one int64 array, plus the vocabulary size.
 
-    Equal-symbol runs are counted non-overlapping (floor(run/2)) so that the
-    count of the chosen pair always equals the number of replacements a merge
-    performs.
+    Tokens may be integers, bools or integral floats; anything else, a
+    negative token or one at or above vocab_size raises InvalidToken.
     """
-    counts: Counter = Counter()
-    for seq in seqs:
-        i, n = 0, len(seq)
-        while i < n - 1:
-            a, b = seq[i], seq[i + 1]
-            if a == b:
-                j = i
-                while j < n and seq[j] == a:
-                    j += 1
-                counts[(a, a)] += (j - i) // 2
-                i = j - 1
-            else:
-                counts[(a, b)] += 1
-                i += 1
-    return counts
-
-
-def _replace_pair(
-    seq: list[SymbolId], pair: tuple[SymbolId, SymbolId], new_symbol: SymbolId
-) -> list[SymbolId]:
-    out: list[SymbolId] = []
-    a, b = pair
-    i, n = 0, len(seq)
-    while i < n:
-        if i < n - 1 and seq[i] == a and seq[i + 1] == b:
-            out.append(new_symbol)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return out
-
-
-def _validate_corpus(corpus, vocab_size: int | None) -> tuple[list[list[int]], int]:
     if not corpus:
         raise EmptyCorpus("corpus contains no sequences")
-    seqs: list[list[int]] = []
+    seqs: list[np.ndarray] = []
     max_token = -1
     for seq in corpus:
-        row = []
-        for tok in seq:
-            t = int(tok)
-            if t != tok or t < 0:
-                raise InvalidToken(f"token {tok!r} is not a non-negative integer")
-            if vocab_size is not None and t >= vocab_size:
-                raise InvalidToken(f"token {t} out of vocabulary (V={vocab_size})")
-            max_token = max(max_token, t)
-            row.append(t)
+        raw = np.asarray(seq)
+        if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "biuf"):
+            raise InvalidToken(f"sequence of {raw.dtype} is not a flat list of tokens")
+        with np.errstate(invalid="ignore"):
+            row = raw.astype(np.int64)
+        bad = np.flatnonzero((row != raw) | (row < 0))
+        if bad.size:
+            raise InvalidToken(f"token {raw[bad[0]]!r} is not a non-negative integer")
+        if row.size:
+            max_token = max(max_token, int(row.max()))
         seqs.append(row)
     if vocab_size is None:
         vocab_size = max_token + 1 if max_token >= 0 else 1
+    elif max_token >= vocab_size:
+        raise InvalidToken(f"token {max_token} out of vocabulary (V={vocab_size})")
     return seqs, vocab_size
 
 
@@ -201,40 +172,70 @@ def build_library(
 
     Performs up to `merges` merge iterations, each replacing the globally
     most frequent adjacent pair (ties broken by smaller (left, right) ids),
-    stopping early once the best pair occurs fewer than twice.  Phrases
-    longer than max_phrase_len are dropped from the index; their rules are
-    retained for provenance.
+    stopping early once the best pair occurs fewer than twice.  Equal-symbol
+    runs count non-overlapping (floor(run/2)), so a pair's count is the
+    number of replacements its merge makes.  Phrases longer than
+    max_phrase_len are dropped from the index; their rules are retained for
+    provenance.
+
+    The corpus is one flat int64 array with a separator after each sequence,
+    so a merge is a few O(tokens) NumPy passes plus a sort of the pair codes;
+    memory is a few arrays of corpus length.
     """
-    if merges < 1:
-        raise ValueError("merges must be >= 1")
+    if merges < 0:
+        raise ValueError("merges must be >= 0")
     if max_phrase_len < 2:
         raise ValueError("max_phrase_len must be >= 2")
     seqs, vocab_size = _validate_corpus(corpus, vocab_size)
 
-    rules: list[MergeRule] = []
-    for rank in range(1, merges + 1):
-        counts = _pair_counts(seqs)
-        if not counts:
-            break
-        best_count = max(counts.values())
-        if best_count < 2:
-            break
-        best_pair = min(pair for pair, c in counts.items() if c == best_count)
-        new_symbol = vocab_size + len(rules)
-        rules.append(MergeRule(best_pair[0], best_pair[1], new_symbol, rank))
-        seqs = [_replace_pair(seq, best_pair, new_symbol) for seq in seqs]
+    # Dense symbol ids keep the (left, right) order: raw tokens by rank among
+    # the corpus's distinct tokens, then merged symbols in creation order.
+    lengths = np.array([len(seq) for seq in seqs])
+    raw, dense = np.unique(np.concatenate(seqs), return_inverse=True)
+    first_merged = len(raw)
+    # every merge removes at least two symbols, which bounds the symbol count
+    sep = first_merged + min(merges, len(dense) // 2)
+    base = sep + 1
+    x = np.full(len(dense) + len(seqs), sep, dtype=np.int64)
+    x[np.arange(len(dense)) + np.repeat(np.arange(len(seqs)), lengths)] = dense
 
-    symbol_counts: Counter = Counter()
-    for seq in seqs:
-        symbol_counts.update(seq)
+    pairs: list[tuple[int, int]] = []
+    while len(pairs) < merges:
+        left, right = x[:-1], x[1:]
+        paired = (left != sep) & (right != sep)
+        same = np.flatnonzero(paired & (left == right))
+        # inside a run of equal symbols only pairs at even offsets count
+        run_start = np.maximum.accumulate(np.where(np.diff(same, prepend=-2) != 1, same, 0))
+        paired[same[(same - run_start) % 2 == 1]] = False
+        pos = np.flatnonzero(paired)
+        codes = left[pos] * base + right[pos]
+        uniq, counts = np.unique(codes, return_counts=True)
+        if not len(counts) or counts.max() < 2:
+            break
+        best = uniq[np.argmax(counts)]
+        hit = pos[codes == best]
+        x[hit] = first_merged + len(pairs)
+        x = np.delete(x, hit + 1)
+        pairs.append(divmod(int(best), base))
 
-    phrases = tuple(
-        Phrase(tokens, rule.rank, symbol_counts[rule.result])
-        for rule in rules
-        for tokens in (expand_symbol(rules, rule.result),)
-        if len(tokens) <= max_phrase_len
+    raw_tokens = raw.tolist()
+    names = raw_tokens + [vocab_size + k for k in range(len(pairs))]
+    rules = tuple(
+        MergeRule(names[a], names[b], vocab_size + k, k + 1) for k, (a, b) in enumerate(pairs)
     )
-    return PhraseLibrary(vocab_size, tuple(rules), phrases)
+    symbol_counts = np.bincount(x, minlength=base)[first_merged:]
+    # each phrase is expanded once from its parts; None marks one too long
+    expanded: list[tuple[int, ...] | None] = [(t,) for t in raw_tokens]
+    for a, b in pairs:
+        head, tail = expanded[a], expanded[b]
+        fits = head and tail and len(head) + len(tail) <= max_phrase_len
+        expanded.append(head + tail if fits else None)
+    phrases = tuple(
+        Phrase(tokens, k + 1, int(symbol_counts[k]))
+        for k, tokens in enumerate(expanded[first_merged:])
+        if tokens is not None
+    )
+    return PhraseLibrary(vocab_size, rules, phrases)
 
 
 def match_prefix(lib: PhraseLibrary, start: TokenId) -> tuple[Phrase, ...]:
@@ -276,11 +277,22 @@ def save_library(lib: PhraseLibrary, path) -> None:
 
 
 def load_library(path) -> PhraseLibrary:
-    """Read a PSDL library file; the index is rebuilt with canonical ordering."""
+    """Read a PSDL library file; the index is rebuilt with canonical ordering.
+
+    A truncated file, or one whose rules or phrases could not have come from
+    build_library, raises UnsupportedLibraryFormat.
+    """
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != LIBRARY_MAGIC:
         raise UnsupportedLibraryFormat("not a PSDL library file")
+    try:
+        return _parse_library(data)
+    except struct.error as exc:
+        raise UnsupportedLibraryFormat("library file is truncated") from exc
+
+
+def _parse_library(data: bytes) -> PhraseLibrary:
     version, vocab_size, rule_count = struct.unpack_from("<HII", data, 4)
     if version != LIBRARY_FORMAT_VERSION:
         raise UnsupportedLibraryFormat(f"unknown library format version {version}")
@@ -289,6 +301,11 @@ def load_library(path) -> PhraseLibrary:
     for rank in range(1, rule_count + 1):
         left, right, result = struct.unpack_from("<III", data, offset)
         offset += 12
+        # rule k creates symbol V + k - 1 from symbols defined before it
+        if result != vocab_size + rank - 1 or max(left, right) >= result:
+            raise UnsupportedLibraryFormat(
+                f"rule {rank} ({left}, {right}) -> {result} is not a merge of earlier symbols"
+            )
         rules.append(MergeRule(left, right, result, rank))
     (phrase_count,) = struct.unpack_from("<I", data, offset)
     offset += 4
@@ -298,6 +315,10 @@ def load_library(path) -> PhraseLibrary:
         offset += 2
         tokens = struct.unpack_from(f"<{length}I", data, offset)
         offset += 4 * length
+        if not tokens or max(tokens) >= vocab_size:
+            raise UnsupportedLibraryFormat(
+                f"phrase {tokens} is empty or leaves the vocabulary (V={vocab_size})"
+            )
         source_rank, corpus_count = struct.unpack_from("<IQ", data, offset)
         offset += 12
         phrases.append(Phrase(tokens, source_rank, corpus_count))

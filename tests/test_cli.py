@@ -34,6 +34,16 @@ def test_build_library(workspace, capsys):
     assert all(len(p) <= 6 for p in lib.phrases)
 
 
+def test_build_library_zero_merges(workspace, capsys):
+    tmp_path, corpus_path, _ = workspace
+    out = tmp_path / "lib.psdl"
+    rc = main(["build-library", "--corpus", str(corpus_path), "--merges", "0",
+               "--out", str(out)])
+    assert rc == 0
+    lib = load_library(out)
+    assert (lib.rules, lib.phrases) == ((), ())
+
+
 def test_decode_all_modes(workspace, capsys):
     tmp_path, corpus_path, model_path = workspace
     lib_path = tmp_path / "lib.psdl"

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phrasedec.harness import planted_phrase_corpus
 from phrasedec.phrase_lib import (
@@ -221,6 +225,67 @@ class TestSerialization:
         data = bytearray(path.read_bytes())
         data[4] = 42
         path.write_bytes(bytes(data))
+        with pytest.raises(UnsupportedLibraryFormat):
+            load_library(path)
+
+
+    @given(
+        vocab=st.integers(2, 8),
+        merges=st.integers(0, 24),
+        max_len=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_fuzz(self, tmp_path_factory, vocab, merges, max_len, seed):
+        rng = np.random.default_rng(seed)
+        corpus = [rng.integers(0, vocab, size=rng.integers(0, 40)) for _ in range(4)]
+        lib = build_library(corpus, merges, max_len, vocab_size=vocab)
+        path = tmp_path_factory.mktemp("rt") / "lib.psdl"
+        save_library(lib, path)
+        loaded = load_library(path)
+        assert loaded == lib
+        again = path.with_name("again.psdl")
+        save_library(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_file_rejected(self, tmp_path_factory, data):
+        lib = build_library([[0, 1, 2, 0, 1, 2, 3, 0, 1]], merges=4, vocab_size=4)
+        path = tmp_path_factory.mktemp("trunc") / "lib.psdl"
+        save_library(lib, path)
+        full = path.read_bytes()
+        cut = data.draw(st.integers(0, len(full) - 1))
+        path.write_bytes(full[:cut])
+        with pytest.raises(UnsupportedLibraryFormat):
+            load_library(path)
+
+    @pytest.mark.parametrize(
+        "rules, phrases",
+        [
+            ([(1, 2, 4)], [()]),
+            ([(1, 2, 4)], [(1, 4)]),
+            ([(1, 2, 5)], [(1, 2)]),
+            ([(1, 4, 4)], [(1, 2)]),
+            ([(1, 2, 4), (5, 3, 5)], [(1, 2)]),
+        ],
+        ids=[
+            "empty_phrase",
+            "phrase_token_out_of_vocab",
+            "result_not_next_symbol",
+            "right_names_itself",
+            "left_names_later_symbol",
+        ],
+    )
+    def test_impossible_content_rejected(self, tmp_path, rules, phrases):
+        parts = [b"PSDL", struct.pack("<HII", 1, 4, len(rules))]
+        parts += [struct.pack("<III", *rule) for rule in rules]
+        parts.append(struct.pack("<I", len(phrases)))
+        for tokens in phrases:
+            parts.append(struct.pack(f"<H{len(tokens)}I", len(tokens), *tokens))
+            parts.append(struct.pack("<IQ", 1, 2))
+        path = tmp_path / "lib.psdl"
+        path.write_bytes(b"".join(parts))
         with pytest.raises(UnsupportedLibraryFormat):
             load_library(path)
 
