@@ -20,7 +20,6 @@ from .decoder import (
     LibraryVocabMismatch,
     NonTermination,
     VerifyConfig,
-    build_neighborhood,
     decode,
     phrase_acceptance_score,
     verify_phrase,

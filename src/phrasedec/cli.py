@@ -3,7 +3,9 @@
 Verbs: build-library, decode, bench, sweep-tau, sweep-merges, theory-check,
 cooc-stats.  Global flags --seed, --config <path> and --out <dir> apply to
 every verb; the config file is a flat key=value text file whose keys mirror
-ExperimentConfig.
+ExperimentConfig.  Bad input (unreadable files, malformed models, libraries,
+corpora or configs) ends with one ``phrasedec: error: ...`` line on stderr
+and exit status 1; bad arguments exit with argparse's status 2.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .decoder import MODES, VerifyConfig, decode
+from .decoder import MODES, NonTermination, VerifyConfig, decode
 from .models import load_markov, save_markov
 from .phrase_lib import (
     build_library,
@@ -25,6 +27,13 @@ from .phrase_lib import (
     read_corpus,
     save_library,
 )
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-library", help="learn a phrase library from a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--merges", type=int, default=256)
+    p.add_argument("--merges", type=non_negative_int, default=256)
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--out", dest="library_out", required=True)
 
@@ -93,7 +102,16 @@ def _experiment_config(args) -> harness.ExperimentConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (OSError, ValueError, NonTermination) as exc:
+        # every typed error of the package but DegenerateResidual, an
+        # arithmetic fault, is a ValueError or NonTermination
+        print(f"phrasedec: error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run(args) -> int:
     if args.command == "build-library":
         corpus = read_corpus(args.corpus)
         lib = build_library(corpus, args.merges, args.max_len)

@@ -126,14 +126,18 @@ def log_prob_ratio(
     return log_ratio(p.prob(v), q.prob(v))
 
 
-def sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample(probs: np.ndarray, rng: np.random.Generator) -> int | np.ndarray:
     """Inverse-CDF draw of one token per row of the array ``probs`` (shape ``(..., V)``).
 
     Each row consumes one uniform, in row order, so a ``(W, V)`` batch leaves
     the generator exactly where W one-row draws would.  The draw is
     ``min(#{v : cdf[v] <= u * cdf[-1]}, V - 1)``; rows must be non-negative.
+    A 1-D row returns a Python int, a batch an integer array.
     """
     cdf = probs.cumsum(axis=-1)
+    if cdf.ndim == 1:
+        # a binary search of the sorted cdf counts the entries <= u * total
+        return min(int(cdf.searchsorted(rng.random() * cdf[-1], "right")), len(cdf) - 1)
     u = rng.random(cdf.shape[:-1])
     above = cdf > (u * cdf[..., -1])[..., None]
     # cdf is sorted, so the first True is the count of entries <= u * total;

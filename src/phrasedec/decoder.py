@@ -7,14 +7,15 @@ phrase whose tokens all fall inside their adaptive neighborhoods; on any
 failure it falls back to the standard token-wise accept-resample test.
 
 The hot loop works on dense ``(W, V)`` arrays and plain indices: one row
-gather per window, one boolean neighborhood mask, accept tests on plain
-floats and one vectorised inverse-CDF refill.
+gather per window, a scalar neighborhood test for each phrase token the scan
+tries, accept tests on plain floats and one vectorised inverse-CDF refill.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,9 +56,11 @@ class JacobiWindow:
     window_start: int
 
     def __post_init__(self) -> None:
-        if len(self.drafts) != len(self.drafter_rows):
+        rows = self.drafter_rows
+        if len(self.drafts) != len(rows):
             raise ValueError("drafts and drafter_rows must have equal length")
-        if not (self.drafter_rows[np.arange(len(self.drafts)), self.drafts] > 0.0).all():
+        # one Python float per slot: far fewer NumPy calls than a fancy index
+        if min(map(rows.item, range(len(rows)), self.drafts), default=1.0) <= 0.0:
             raise ValueError("a draft token has zero drafter probability")
 
     def __len__(self) -> int:
@@ -107,12 +110,13 @@ class DecodeMetrics:
         return len(self.tokens_per_iteration)
 
 
-def build_neighborhood(p: np.ndarray, drafts: TokenSequence, tau: float) -> np.ndarray:
-    """Neighborhood mask of a ``(W, V)`` window: entry (j, v) is set iff
-    |p[j, v] - p[j, drafts[j]]| is strictly below tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must be in (0, 1)")
-    return np.abs(p - p[np.arange(len(p)), drafts, None]) < tau
+def in_neighborhood(
+    p: np.ndarray, j: int, v: TokenId, drafted: TokenId, tau: float
+) -> bool:
+    """Whether token v lies in the neighborhood of slot j's drafted token
+    under the ``(W, V)`` verifier window p: |p[j, v] - p[j, drafted]|
+    strictly below tau."""
+    return abs(p.item(j, v) - p.item(j, drafted)) < tau
 
 
 def phrase_acceptance_score(verifier_rows, drafter_rows, phrase: Phrase) -> float:
@@ -149,33 +153,41 @@ def verify_token(
         raise DegenerateResidual("rejection with p == q; arithmetic fault")
     if abs(total - 1.0) > PROB_SUM_TOL:
         residual = residual / total
-    return False, int(sample(residual, rng))
+    return False, sample(residual, rng)
 
 
 def _find_phrase(
     lib: PhraseLibrary,
     drafts: TokenSequence,
     t: int,
-    neighborhoods: np.ndarray,
+    verifier: np.ndarray,
     cfg: VerifyConfig,
 ) -> Phrase | None:
-    remaining = len(drafts) - t
+    """The first phrase, in trial order, that starts at slot t, fits the
+    window and has every token inside its slot's neighborhood."""
+    limit = min(len(drafts) - t, cfg.max_phrase_len)
+    tau = cfg.tau
     for phrase in match_prefix(lib, drafts[t]):
         tokens = phrase.tokens
         n = len(tokens)
-        if n > remaining or n > cfg.max_phrase_len:
+        if n > limit:
             continue
         # tokens[0] is drafts[t], always inside its own neighborhood
-        if all(neighborhoods[t + k, tokens[k]] for k in range(1, n)):
+        for k in range(1, n):
+            if not in_neighborhood(verifier, t + k, tokens[k], drafts[t + k], tau):
+                break
+        else:
             return phrase
     return None
 
 
-def _draw(rows: np.ndarray, greedy: bool, rng: np.random.Generator) -> np.ndarray:
-    """One token per row: the argmax in greedy mode, else an inverse-CDF draw."""
-    if greedy:
-        return rows.argmax(axis=-1)
-    return sample(rows, rng)
+@lru_cache(maxsize=1024)
+def _refill_index(t: int, W: int) -> np.ndarray:
+    """Rows of the next window after t commits: slots t..W-1, then the last
+    slot repeated."""
+    index = np.minimum(np.arange(t, t + W), W - 1)
+    index.setflags(write=False)
+    return index
 
 
 def verify_window(
@@ -198,18 +210,20 @@ def verify_window(
     drafts, drafter = window.drafts, window.drafter_rows
     W = len(drafts)
     verifier = batched_conditionals(target, prefix, drafts)
-    metrics = DecodeMetrics(nfe=1)
-
-    if cfg.mode == "sjd_pv":
-        neighborhoods = build_neighborhood(verifier, drafts, cfg.tau)
+    phrases = cfg.mode == "sjd_pv"
+    greedy = cfg.greedy
+    fresh_draw = cfg.mode == "jacobi"
+    # greedy mode: one argmax per slot serves both the scan and the refill
+    best = verifier.argmax(axis=1).tolist() if greedy else None
 
     committed: list[TokenId] = []
+    attempts = accepts = token_accepts = token_rejects = 0
     t = 0
     while t < W:
-        if cfg.mode == "sjd_pv":
-            phrase = _find_phrase(lib, drafts, t, neighborhoods, cfg)
+        if phrases:
+            phrase = _find_phrase(lib, drafts, t, verifier, cfg)
             if phrase is not None:
-                metrics.phrase_attempts += 1
+                attempts += 1
                 n = len(phrase)
                 try:
                     score = phrase_acceptance_score(
@@ -218,37 +232,47 @@ def verify_window(
                 except DrafterZeroProb:
                     score = None  # non-verifiable: fall back to the token path
                 if score is not None and verify_phrase(score, rng):
-                    metrics.phrase_accepts += 1
+                    accepts += 1
                     committed.extend(phrase.tokens)
                     t += n
                     continue
 
         drafted = drafts[t]
-        if cfg.mode == "jacobi" or cfg.greedy:
-            # fixed-point rule: the draft survives iff it matches a fresh
-            # draw (argmax in greedy mode) from the verifier conditional
-            emitted = int(_draw(verifier[t], cfg.greedy, rng))
+        # fixed-point rule (jacobi, and any greedy mode): the draft survives
+        # iff it matches a fresh draw (argmax in greedy mode) from the
+        # verifier conditional
+        if greedy:
+            emitted = best[t]
+            accepted = emitted == drafted
+        elif fresh_draw:
+            emitted = sample(verifier[t], rng)
             accepted = emitted == drafted
         else:
             accepted, emitted = verify_token(verifier[t], drafter[t], drafted, rng)
         committed.append(emitted)
         t += 1
-        if accepted:
-            metrics.token_accepts += 1
-        else:
-            metrics.token_rejects += 1
+        if not accepted:
+            token_rejects = 1
             break
+        token_accepts += 1
 
     # Jacobi refill: surviving slots are re-drafted from the verifier rows
     # just computed; appended slots reuse the last one
-    rows = verifier[np.minimum(np.arange(t, t + W), W - 1)]
+    rows = verifier.take(_refill_index(t, W), axis=0)
+    next_drafts = best[t:] + best[-1:] * t if greedy else sample(rows, rng).tolist()
     next_window = JacobiWindow(
-        tuple(_draw(rows, cfg.greedy, rng).tolist()),
-        rows,
-        window.window_start + len(committed),
+        tuple(next_drafts), rows, window.window_start + len(committed)
     )
-    metrics.tokens_emitted = len(committed)
-    metrics.tokens_per_iteration.append(len(committed))
+    n = len(committed)
+    metrics = DecodeMetrics(
+        nfe=1,
+        tokens_emitted=n,
+        tokens_per_iteration=[n],
+        phrase_attempts=attempts,
+        phrase_accepts=accepts,
+        token_accepts=token_accepts,
+        token_rejects=token_rejects,
+    )
     return tuple(committed), next_window, metrics
 
 
@@ -270,9 +294,9 @@ def decode(
         raise LibraryVocabMismatch(
             f"library vocabulary {lib.vocab_size} exceeds the model's {target.vocab_size}"
         )
-    W = cfg.window_size
-    begin_rows = target.rows[[target.context_code(())] * W]
-    window = JacobiWindow(tuple(_draw(begin_rows, cfg.greedy, rng).tolist()), begin_rows, 0)
+    begin_rows = target.rows.take([target.context_code(())] * cfg.window_size, axis=0)
+    drafts = begin_rows.argmax(axis=1) if cfg.greedy else sample(begin_rows, rng)
+    window = JacobiWindow(tuple(drafts.tolist()), begin_rows, 0)
 
     committed: list[TokenId] = []
     metrics = DecodeMetrics()

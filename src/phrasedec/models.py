@@ -217,7 +217,7 @@ def batched_conditionals(
     for tok in drafts[:-1]:
         code = (code * base + tok + 1) % contexts
         codes.append(code)
-    return model.rows[codes]
+    return model.rows.take(codes, axis=0)
 
 
 def ancestral_sample(
@@ -230,7 +230,7 @@ def ancestral_sample(
     out: list[int] = []
     code = 0
     for _ in range(length):
-        tok = int(sample(rows[code], rng))
+        tok = sample(rows[code], rng)
         out.append(tok)
         code = (code * base + tok + 1) % contexts
     return tuple(out)

@@ -131,7 +131,7 @@ def _validate_corpus(corpus, vocab_size: int | None) -> tuple[list[np.ndarray], 
             row = raw.astype(np.int64)
         bad = np.flatnonzero((row != raw) | (row < 0))
         if bad.size:
-            raise InvalidToken(f"token {raw[bad[0]]!r} is not a non-negative integer")
+            raise InvalidToken(f"token {raw[bad[0]].item()!r} is not a non-negative integer")
         if row.size:
             max_token = max(max_token, int(row.max()))
         seqs.append(row)
@@ -315,15 +315,28 @@ def _parse_library(data: bytes) -> PhraseLibrary:
         offset += 2
         tokens = struct.unpack_from(f"<{length}I", data, offset)
         offset += 4 * length
-        if not tokens or max(tokens) >= vocab_size:
-            raise UnsupportedLibraryFormat(
-                f"phrase {tokens} is empty or leaves the vocabulary (V={vocab_size})"
-            )
         source_rank, corpus_count = struct.unpack_from("<IQ", data, offset)
         offset += 12
         phrases.append(Phrase(tokens, source_rank, corpus_count))
     if offset != len(data):
         raise UnsupportedLibraryFormat("library file has trailing or missing bytes")
+    # each rule is expanded once, from its parts; None marks an expansion
+    # longer than every phrase, which no phrase can name
+    longest = max((len(phrase) for phrase in phrases), default=0)
+    expanded: list[tuple[int, ...] | None] = []
+    for rule in rules:
+        head, tail = (
+            (part,) if part < vocab_size else expanded[part - vocab_size]
+            for part in (rule.left, rule.right)
+        )
+        fits = head and tail and len(head) + len(tail) <= longest
+        expanded.append(head + tail if fits else None)
+    for phrase in phrases:
+        rank = phrase.source_rank
+        if not 1 <= rank <= len(rules) or expanded[rank - 1] != phrase.tokens:
+            raise UnsupportedLibraryFormat(
+                f"phrase {phrase.tokens} is not the expansion of rule {rank}"
+            )
     return PhraseLibrary(vocab_size, tuple(rules), tuple(phrases))
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from phrasedec.cli import main
-from phrasedec.decoder import LibraryVocabMismatch
 from phrasedec.harness import planted_phrase_corpus
 from phrasedec.models import random_markov, save_markov
 from phrasedec.phrase_lib import load_library, write_corpus
@@ -69,10 +68,50 @@ def test_decode_rejects_library_with_larger_vocab(tmp_path, capsys):
           "--out", str(lib_path)])
     assert load_library(lib_path).vocab_size == 40
     capsys.readouterr()
-    with pytest.raises(LibraryVocabMismatch):
-        main(["decode", "--model", str(model_path), "--mode", "sjd_pv",
-              "--lib", str(lib_path), "--length", "16"])
-    assert capsys.readouterr().out == ""
+    rc = main(["decode", "--model", str(model_path), "--mode", "sjd_pv",
+               "--lib", str(lib_path), "--length", "16"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "phrasedec: error: library vocabulary 40 exceeds the model's 4\n"
+
+
+def test_build_library_rejects_negative_merges(workspace, capsys):
+    tmp_path, corpus_path, _ = workspace
+    out = tmp_path / "lib.psdl"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["build-library", "--corpus", str(corpus_path), "--merges", "-1",
+              "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "argument --merges: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1 two 3", "bad token in corpus line '1 two 3'"),
+        ("1 -2 3", "token -2 is not a non-negative integer"),
+    ],
+    ids=["not_an_integer", "negative"],
+)
+def test_build_library_bad_corpus_token(tmp_path, capsys, line, message):
+    corpus_path = tmp_path / "bad.txt"
+    corpus_path.write_text(f"0 1 2\n{line}\n", encoding="utf-8")
+    out = tmp_path / "lib.psdl"
+    rc = main(["build-library", "--corpus", str(corpus_path), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"phrasedec: error: {message}\n"
+    assert not out.exists()
+
+
+def test_missing_model_file(tmp_path, capsys):
+    rc = main(["decode", "--model", str(tmp_path / "absent.psdm")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phrasedec: error: ") and err.count("\n") == 1
 
 
 def test_bench(workspace, tmp_path, capsys):

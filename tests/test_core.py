@@ -145,3 +145,65 @@ class TestSample:
 
         rows = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
         assert sample(rows, RiggedRng()).tolist() == [2, 2]
+
+
+class FixedRng:
+    """Returns one fixed uniform, for a single draw or a batch."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+# weights with exact zeros, subnormals and a wide range of magnitudes
+WEIGHTS = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e-300))
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def oracle_draw(row, u):
+    """The per-slot reference rule: count of cdf entries <= u * total, clamped."""
+    cdf = np.cumsum(row)
+    return min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(row) - 1)
+
+
+class TestSampleOneRowPath:
+    """``sample`` on a 1-D row takes a binary-search path; a batch takes a
+    vectorised one.  Both must draw the same tokens from the same uniforms."""
+
+    @given(data=st.data(), rows=st.integers(1, 6), vocab=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_one_row_equals_batch_row_by_row(self, data, rows, vocab, seed):
+        probs = np.array(data.draw(st.lists(
+            st.lists(WEIGHTS, min_size=vocab, max_size=vocab), min_size=rows, max_size=rows
+        )))
+        rng_batch, rng_rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = sample(probs, rng_batch)
+        one_by_one = [sample(row, rng_rows) for row in probs]
+        assert all(type(tok) is int for tok in one_by_one)
+        assert batch.tolist() == one_by_one
+        assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
+
+    @given(row=st.lists(WEIGHTS, min_size=1, max_size=9),
+           u=st.one_of(st.just(0.0), st.just(BELOW_ONE), st.floats(0.0, 1.0, exclude_max=True)))
+    @settings(max_examples=300, deadline=None)
+    def test_fixed_uniform_matches_oracle(self, row, u):
+        row = np.array(row)
+        expected = oracle_draw(row, u)
+        assert sample(row, FixedRng(u)) == expected
+        assert sample(row[None].repeat(3, axis=0), FixedRng(u)).tolist() == [expected] * 3
+        if row.sum() >= np.finfo(float).tiny:
+            # below 1, u * total stays below a normal total: never a zero entry
+            assert row[expected] > 0.0
+
+    def test_largest_uniform_skips_trailing_zeros(self):
+        row = np.array([0.25, 0.75, 0.0, 0.0])
+        assert sample(row, FixedRng(BELOW_ONE)) == 1
+        assert sample(row[None], FixedRng(BELOW_ONE)).tolist() == [1]
+
+    def test_all_zero_row_clamps_to_last_token(self):
+        row = np.zeros(3)
+        assert sample(row, FixedRng(0.5)) == 2
+        assert sample(row[None], FixedRng(0.5)).tolist() == [2]

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_decoder as ref
+from test_core import BELOW_ONE, FixedRng
 from phrasedec import decoder
 from phrasedec.core import (
     LOG_FLOOR,
@@ -17,14 +21,20 @@ from phrasedec.decoder import (
     LibraryVocabMismatch,
     NonTermination,
     VerifyConfig,
-    build_neighborhood,
     decode,
+    in_neighborhood,
     phrase_acceptance_score,
     verify_phrase,
     verify_token,
     verify_window,
 )
-from phrasedec.models import batched_conditionals, random_markov
+from phrasedec.models import (
+    MarkovModel,
+    ancestral_sample,
+    batched_conditionals,
+    markov_contexts,
+    random_markov,
+)
 from phrasedec.phrase_lib import Phrase, PhraseLibrary, build_library
 
 
@@ -34,8 +44,9 @@ def dist(probs):
 
 
 def hood(p, drafted, tau):
-    """Members of one row's neighborhood, via a one-slot window."""
-    return set(np.flatnonzero(build_neighborhood(p[None], [drafted], tau)[0]).tolist())
+    """Members of one row's neighborhood, one scalar test per token, as the
+    phrase scan builds it lazily."""
+    return {v for v in range(len(p)) if in_neighborhood(p[None], 0, v, drafted, tau)}
 
 
 class TestBuildNeighborhood:
@@ -46,6 +57,10 @@ class TestBuildNeighborhood:
 
     def test_strict_inequality_boundary(self):
         assert hood(self.P, 0, 0.01) == {0}
+        # dyadic values: the differences are exact, so tau sits on them
+        exact = dist([0.5, 0.25, 0.25])
+        assert hood(exact, 0, 0.25) == {0}
+        assert hood(exact, 0, math.nextafter(0.25, 1.0)) == {0, 1, 2}
 
     def test_uniform_full_vocabulary(self):
         uniform = dist([0.25] * 4)
@@ -66,6 +81,19 @@ class TestBuildNeighborhood:
             small = hood(p, drafted, 0.01)
             large = hood(p, drafted, 0.05)
             assert small <= large
+
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+        data=st.data(),
+        tau=st.floats(1e-6, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_neighborhood(self, weights, data, tau):
+        if sum(weights) == 0.0:
+            weights[0] = 1.0
+        p = normalize(weights)
+        drafted = data.draw(st.integers(0, len(weights) - 1))
+        assert hood(p.probs, drafted, tau) == ref.build_neighborhood(p, drafted, tau)
 
 
 class TestPhraseScore:
@@ -200,6 +228,49 @@ class TestVerifyWindow:
         with pytest.raises(ValueError):
             verify_window((), window, model, None, VerifyConfig(mode="sjd_pv"),
                           np.random.default_rng(0))
+
+
+def sparse_markov(order, vocab, zeros, seed):
+    """A random Markov model whose rows hold exact zeros (at least one
+    positive entry each)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in markov_contexts(order, vocab):
+        row = rng.dirichlet(np.full(vocab, 0.5)) * (rng.random(vocab) >= zeros)
+        if row.sum() == 0.0:
+            row[rng.integers(vocab)] = 1.0
+        rows.append(normalize(row).probs)
+    return MarkovModel(order, vocab, rows)
+
+
+class TestRefillDrafts:
+    @given(
+        order=st.integers(1, 2),
+        vocab=st.integers(2, 6),
+        zeros=st.sampled_from([0.0, 0.5, 0.8]),
+        seed=st.integers(0, 2**16),
+        window=st.integers(1, 8),
+        mode=st.sampled_from(["sjd", "sjd_pv", "jacobi"]),
+        greedy=st.booleans(),
+        u=st.sampled_from([None, 0.0, BELOW_ONE]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_refill_draft_has_positive_drafter_probability(
+        self, order, vocab, zeros, seed, window, mode, greedy, u
+    ):
+        model = sparse_markov(order, vocab, zeros, seed)
+        corpus = [ancestral_sample(model, 30, np.random.default_rng([seed, k])) for k in range(4)]
+        lib = build_library(corpus, 12, vocab_size=vocab)
+        cfg = VerifyConfig(mode=mode, window_size=window, tau=0.2, greedy=greedy)
+        rng = np.random.default_rng(seed) if u is None else FixedRng(u)
+        prefix = ()
+        rows = model.rows.take([model.context_code(())] * window, axis=0)
+        win = JacobiWindow(tuple(int(np.flatnonzero(r)[0]) for r in rows), rows, 0)
+        for _ in range(6):
+            committed, win, _ = verify_window(prefix, win, model, lib, cfg, rng)
+            prefix = (prefix + committed)[-order:]
+            drafter_probs = [win.drafter_rows[j, d] for j, d in enumerate(win.drafts)]
+            assert min(drafter_probs) > 0.0
 
 
 class TestDecode:

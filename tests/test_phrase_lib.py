@@ -289,6 +289,33 @@ class TestSerialization:
         with pytest.raises(UnsupportedLibraryFormat):
             load_library(path)
 
+    @pytest.mark.parametrize(
+        "tokens, source_rank, loads",
+        [
+            ((1, 2, 3), 2, True),
+            ((1, 2), 1, True),
+            ((3, 3), 1, False),
+            ((1, 2), 2, False),
+            ((1, 2), 0, False),
+            ((1, 2), 3, False),
+            ((1, 2), 99, False),
+        ],
+        ids=["rule_2", "rule_1", "not_the_expansion", "expansion_of_another_rule",
+             "rank_zero", "rank_past_last_rule", "rank_far_out_of_range"],
+    )
+    def test_phrase_must_expand_its_source_rule(self, tmp_path, tokens, source_rank, loads):
+        # rules (1, 2) -> 4 and (4, 3) -> 5 over V=4
+        lib = PhraseLibrary(
+            4, (MergeRule(1, 2, 4, 1), MergeRule(4, 3, 5, 2)), (Phrase(tokens, source_rank, 99),)
+        )
+        path = tmp_path / "lib.psdl"
+        save_library(lib, path)
+        if loads:
+            assert load_library(path) == lib
+        else:
+            with pytest.raises(UnsupportedLibraryFormat, match="expansion"):
+                load_library(path)
+
 
 class TestCorpusIO:
     def test_round_trip_with_comments(self, tmp_path):
