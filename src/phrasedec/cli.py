@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Verbs: build-library, decode, bench, sweep-tau, sweep-merges, theory-check,
-cooc-stats.  Global flags --seed, --config <path> and --out <dir> apply to
+gen-model.  Global flags --seed, --config <path> and --out <dir> apply to
 every verb; the config file is a flat key=value text file whose keys mirror
 ExperimentConfig.  Bad input (unreadable files, malformed models, libraries,
 corpora or configs) ends with one ``phrasedec: error: ...`` line on stderr
@@ -21,11 +21,12 @@ from . import harness
 from .decoder import MODES, NonTermination, VerifyConfig, decode
 from .models import load_markov, save_markov
 from .phrase_lib import (
+    DEFAULT_MAX_PHRASE_LEN,
     build_library,
-    cooccurrence_stats,
     load_library,
     read_corpus,
     save_library,
+    write_corpus,
 )
 
 
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-library", help="learn a phrase library from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--merges", type=non_negative_int, default=256)
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PHRASE_LEN)
     p.add_argument("--out", dest="library_out", required=True)
 
     p = sub.add_parser("decode", help="decode one sequence and print metrics")
@@ -75,10 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-max", type=int, default=8)
     p.add_argument("--l-max", type=int, default=3)
     p.add_argument("--min-ineq-trials", type=int, default=100000)
-
-    p = sub.add_parser("cooc-stats", help="adjacent-pair co-occurrence counts")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--top-n", type=int, default=500)
 
     p = sub.add_parser("gen-model", help="generate and save a planted-phrase model")
     p.add_argument("--model-out", required=True)
@@ -125,8 +122,14 @@ def _run(args) -> int:
     if args.command == "decode":
         model = load_markov(args.model)
         lib = load_library(args.lib) if args.lib else None
+        # every phrase the library holds may be tried, whatever --max-len built it
+        phrases = lib.phrases if lib else ()
         cfg = VerifyConfig(
-            mode=args.mode, window_size=args.window, tau=args.tau, greedy=args.greedy
+            mode=args.mode,
+            window_size=args.window,
+            tau=args.tau,
+            max_phrase_len=max(map(len, phrases), default=DEFAULT_MAX_PHRASE_LEN),
+            greedy=args.greedy,
         )
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         seq, metrics = decode(model, lib, cfg, args.length, rng)
@@ -198,19 +201,6 @@ def _run(args) -> int:
             print(text)
         return 0
 
-    if args.command == "cooc-stats":
-        corpus = read_corpus(args.corpus)
-        stats = cooccurrence_stats(corpus, args.top_n)
-        if args.out_dir:
-            os.makedirs(args.out_dir, exist_ok=True)
-            path = os.path.join(args.out_dir, "cooc_stats.csv")
-            harness.emit_plot_data(stats, path)
-            print(f"wrote {path}")
-        else:
-            for rank, (pair, count) in enumerate(stats, 1):
-                print(f"{rank},{pair[0]},{pair[1]},{count}")
-        return 0
-
     if args.command == "gen-model":
         cfg = _experiment_config(args)
         rng = np.random.default_rng([cfg.seed, 0])
@@ -227,8 +217,6 @@ def _run(args) -> int:
         save_markov(model, args.model_out)
         print(f"wrote {args.model_out}")
         if args.corpus_out:
-            from .phrase_lib import write_corpus
-
             write_corpus(corpus, args.corpus_out)
             print(f"wrote {args.corpus_out}")
         return 0

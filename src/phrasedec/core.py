@@ -117,15 +117,6 @@ def log_ratio(pv: float, qv: float) -> float:
     return max(math.log(pv) - math.log(qv), LOG_FLOOR)
 
 
-def log_prob_ratio(
-    p: CategoricalDistribution, q: CategoricalDistribution, v: TokenId
-) -> float:
-    """log p(v) - log q(v), floored at LOG_FLOOR (see ``log_ratio``)."""
-    if p.vocab_size != q.vocab_size:
-        raise ValueError("p and q must share a vocabulary size")
-    return log_ratio(p.prob(v), q.prob(v))
-
-
 def sample(probs: np.ndarray, rng: np.random.Generator) -> int | np.ndarray:
     """Inverse-CDF draw of one token per row of the array ``probs`` (shape ``(..., V)``).
 

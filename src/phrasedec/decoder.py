@@ -29,7 +29,7 @@ from .core import (
     sample,
 )
 from .models import MarkovModel, batched_conditionals
-from .phrase_lib import Phrase, PhraseLibrary, match_prefix
+from .phrase_lib import DEFAULT_MAX_PHRASE_LEN, Phrase, PhraseLibrary, match_prefix
 
 MODES = ("jacobi", "sjd", "sjd_pv")
 
@@ -72,7 +72,7 @@ class VerifyConfig:
     mode: str = "sjd"
     window_size: int = 16
     tau: float = 0.01
-    max_phrase_len: int = 8
+    max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN
     greedy: bool = False
 
     def __post_init__(self) -> None:

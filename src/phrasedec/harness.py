@@ -27,6 +27,7 @@ from .models import (
     random_markov,
 )
 from .phrase_lib import (
+    DEFAULT_MAX_PHRASE_LEN,
     PhraseLibrary,
     build_library,
     read_corpus,
@@ -67,7 +68,7 @@ class ExperimentConfig:
     window_size: int = 16
     tau: float = 0.01
     merges: int = 256
-    max_phrase_len: int = 8
+    max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN
     out_dir: str | None = None
 
     def validate(self) -> None:
@@ -92,9 +93,6 @@ class ExperimentConfig:
         return d
 
 
-_LIST_KEYS = {"modes"}
-
-
 def load_config_file(path) -> dict[str, str]:
     """Parse a flat key=value config file; '#' lines are comments."""
     mapping: dict[str, str] = {}
@@ -110,41 +108,42 @@ def load_config_file(path) -> dict[str, str]:
     return mapping
 
 
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes"):
+        return True
+    if lowered in ("0", "false", "no"):
+        return False
+    raise ValueError(text)
+
+
+def _parse_tuple(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+# parser of a text config value, chosen by the type of its field's default;
+# a field whose default is None keeps the text
+_PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_tuple}
+
+
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     kwargs = {}
     for key, value in mapping.items():
-        if key not in fields:
+        if key not in defaults:
             raise ConfigInvalid(f"unknown config key {key!r}")
         if value is None:
             continue
-        try:
-            kwargs[key] = _coerce(key, value, fields[key].type)
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad value for {key!r}: {value!r}") from exc
+        parse = _PARSERS.get(type(defaults[key]))
+        if parse is not None and isinstance(value, str):
+            try:
+                value = parse(value)
+            except ValueError as exc:
+                raise ConfigInvalid(f"bad value for {key!r}: {value!r}") from exc
+        kwargs[key] = value
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
-
-
-def _coerce(key: str, value, type_hint: str):
-    if key in _LIST_KEYS:
-        if isinstance(value, str):
-            value = [v.strip() for v in value.split(",") if v.strip()]
-        return tuple(value)
-    if not isinstance(value, str):
-        return value
-    if "bool" in type_hint:
-        if value.lower() in ("1", "true", "yes"):
-            return True
-        if value.lower() in ("0", "false", "no"):
-            return False
-        raise ValueError(value)
-    if "int" in type_hint:
-        return int(value)
-    if "float" in type_hint:
-        return float(value)
-    return value
 
 
 def planted_phrase_corpus(
@@ -243,11 +242,6 @@ def _resolve_model_and_corpus(
     if cfg.corpus_path is not None:
         corpus = read_corpus(cfg.corpus_path)
     return model, corpus
-
-
-def _library_for(cfg: ExperimentConfig, corpus, vocab_size: int, merges=None) -> PhraseLibrary:
-    merges = cfg.merges if merges is None else merges
-    return build_library(corpus, merges, cfg.max_phrase_len, vocab_size=vocab_size)
 
 
 @dataclass
@@ -349,7 +343,7 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
     model, corpus = _resolve_model_and_corpus(cfg)
     lib = None
     if "sjd_pv" in cfg.modes:
-        lib = _library_for(cfg, corpus, model.vocab_size)
+        lib = build_library(corpus, cfg.merges, cfg.max_phrase_len, model.vocab_size)
 
     per_mode: dict[str, ModeAggregate] = {}
     for mode in cfg.modes:
@@ -401,7 +395,7 @@ def run_tau_sweep(cfg: ExperimentConfig, taus) -> list[dict]:
         raise ConfigInvalid("tau grid must be strictly ascending")
     cfg.validate()
     model, corpus = _resolve_model_and_corpus(cfg)
-    lib = _library_for(cfg, corpus, model.vocab_size)
+    lib = build_library(corpus, cfg.merges, cfg.max_phrase_len, model.vocab_size)
 
     ref_rng = np.random.default_rng([cfg.seed, 2])
     reference = [
@@ -426,17 +420,17 @@ def run_tau_sweep(cfg: ExperimentConfig, taus) -> list[dict]:
     return rows
 
 
-def run_merge_sweep(cfg: ExperimentConfig, merge_counts) -> list[dict]:
+def run_merge_sweep(cfg: ExperimentConfig, merge_grid) -> list[dict]:
     """Rebuild the library per merge budget and benchmark on matched seeds."""
-    merge_counts = list(merge_counts)
-    if not merge_counts:
+    merge_grid = list(merge_grid)
+    if not merge_grid:
         raise ConfigInvalid("merge grid must be non-empty")
     cfg.validate()
     model, corpus = _resolve_model_and_corpus(cfg)
 
     rows = []
-    for merges in merge_counts:
-        lib = _library_for(cfg, corpus, model.vocab_size, merges=merges)
+    for merges in merge_grid:
+        lib = build_library(corpus, merges, cfg.max_phrase_len, model.vocab_size)
         agg, _ = _run_mode(model, lib, cfg, "sjd_pv")
         rows.append(
             {
@@ -457,19 +451,10 @@ def run_merge_sweep(cfg: ExperimentConfig, merge_counts) -> list[dict]:
 
 
 def emit_plot_data(rows, out_path) -> None:
-    """Write tabular series as UTF-8, LF-terminated CSV.
-
-    Accepts a list of homogeneous dicts, or ((left, right), count) pairs as
-    produced by the co-occurrence statistics.
-    """
+    """Write a list of homogeneous dicts as UTF-8, LF-terminated CSV."""
     rows = list(rows)
     if not rows:
         raise ValueError("nothing to emit: input is empty")
-    if not isinstance(rows[0], dict):
-        rows = [
-            {"rank": i, "left": pair[0], "right": pair[1], "count": count}
-            for i, (pair, count) in enumerate(rows, 1)
-        ]
     with open(out_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()

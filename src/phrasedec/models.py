@@ -1,5 +1,5 @@
-"""Conditional sequence models: the model interface, order-k Markov tables,
-drafter wrappers, and batched/ancestral evaluation helpers.
+"""Conditional sequence models: order-k Markov tables and batched/ancestral
+evaluation helpers.
 
 These stand in for a large autoregressive backbone at desk scale.  A model
 maps a prefix to a categorical conditional over the next token.  The decoder
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import itertools
 import struct
-from abc import ABC, abstractmethod
-from functools import cached_property
 
 import numpy as np
 
@@ -38,26 +36,6 @@ HEADER = "<HII"
 
 class UnsupportedModelFormat(ValueError):
     """Model file has a bad magic or an unknown format version."""
-
-
-class ConditionalModel(ABC):
-    """Interface for p(next token | prefix).
-
-    Implementations must be deterministic (identical prefix, identical
-    distribution) and valid for every prefix including the empty one.
-    Models are immutable after construction and shareable across threads.
-    """
-
-    vocab_size: int
-
-    @property
-    def context_order(self) -> int | None:
-        """Number of trailing tokens that influence the conditional; None = full prefix."""
-        return None
-
-    @abstractmethod
-    def conditional(self, prefix: TokenSequence) -> CategoricalDistribution:
-        ...
 
 
 def markov_contexts(order: int, vocab_size: int):
@@ -87,7 +65,7 @@ def _code(symbols, base: int) -> int:
     return code
 
 
-class MarkovModel(ConditionalModel):
+class MarkovModel:
     """Order-k Markov chain over a finite vocabulary.
 
     ``rows`` is the dense, read-only transition array of shape
@@ -123,80 +101,12 @@ class MarkovModel(ConditionalModel):
         self.vocab_size = vocab_size
         self.rows = rows
 
-    @property
-    def context_order(self) -> int:
-        return self.order
-
     def context_code(self, prefix: TokenSequence) -> int:
         """Code of the context formed by the last ``order`` tokens of prefix."""
         return _code(prefix[-self.order :], self.vocab_size + 1)
 
     def conditional(self, prefix: TokenSequence) -> CategoricalDistribution:
         return CategoricalDistribution(self.rows[self.context_code(prefix)])
-
-    @cached_property
-    def table(self) -> dict[tuple[int, ...], CategoricalDistribution]:
-        """Context -> conditional; every distribution is a view into ``rows``."""
-        return {
-            ctx: CategoricalDistribution(self.rows[code])
-            for ctx, code in zip(
-                markov_contexts(self.order, self.vocab_size),
-                context_codes(self.order, self.vocab_size),
-            )
-        }
-
-
-class PerturbedDrafter(ConditionalModel):
-    """Mixture of a base model with the uniform distribution.
-
-    conditional = (1 - mix_weight) * base + mix_weight * uniform.  Used as a
-    controlled-quality drafter when studying acceptance rates.
-    """
-
-    def __init__(self, base: ConditionalModel, mix_weight: float) -> None:
-        if not 0.0 <= mix_weight <= 1.0:
-            raise ValueError("mix_weight must be in [0, 1]")
-        self.base = base
-        self.mix_weight = mix_weight
-        self.vocab_size = base.vocab_size
-
-    @property
-    def context_order(self) -> int | None:
-        return self.base.context_order
-
-    def conditional(self, prefix: TokenSequence) -> CategoricalDistribution:
-        if self.mix_weight == 0.0:
-            return self.base.conditional(prefix)
-        base = self.base.conditional(prefix).probs
-        mixed = (1.0 - self.mix_weight) * base + self.mix_weight / self.vocab_size
-        return normalize(mixed)
-
-
-class TopKModel(ConditionalModel):
-    """Truncate a base model's conditionals to their top k entries and renormalize.
-
-    Optional ablation wrapper; nothing in the engine enables it by default.
-    """
-
-    def __init__(self, base: ConditionalModel, k: int) -> None:
-        if not 1 <= k <= base.vocab_size:
-            raise ValueError("k must be in [1, vocab_size]")
-        self.base = base
-        self.k = k
-        self.vocab_size = base.vocab_size
-
-    @property
-    def context_order(self) -> int | None:
-        return self.base.context_order
-
-    def conditional(self, prefix: TokenSequence) -> CategoricalDistribution:
-        probs = self.base.conditional(prefix).probs
-        if self.k == self.vocab_size:
-            return CategoricalDistribution(probs)
-        keep = np.argsort(probs, kind="stable")[-self.k :]
-        truncated = np.zeros_like(probs)
-        truncated[keep] = probs[keep]
-        return normalize(truncated)
 
 
 def batched_conditionals(

@@ -9,7 +9,6 @@ phrases by their starting token for O(1) lookup during decoding.
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +29,6 @@ class EmptyCorpus(ValueError):
 
 class InvalidToken(ValueError):
     """A corpus token is negative, non-integral, or out of vocabulary."""
-
-
-class UnknownSymbol(ValueError):
-    """Symbol id is neither a raw token nor the result of any merge rule."""
 
 
 class UnsupportedLibraryFormat(ValueError):
@@ -86,10 +81,6 @@ class PhraseLibrary:
         self.phrases = tuple(phrases)
         self.index = _build_index(self.phrases)
 
-    @property
-    def merge_count(self) -> int:
-        return len(self.rules)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhraseLibrary):
             return NotImplemented
@@ -140,26 +131,6 @@ def _validate_corpus(corpus, vocab_size: int | None) -> tuple[list[np.ndarray], 
     elif max_token >= vocab_size:
         raise InvalidToken(f"token {max_token} out of vocabulary (V={vocab_size})")
     return seqs, vocab_size
-
-
-def expand_symbol(rules, symbol: SymbolId) -> TokenSequence:
-    """Recursively expand a symbol to raw tokens.
-
-    Raw tokens expand to themselves; merged symbols expand to the
-    concatenation of their parts.
-    """
-    by_result = {rule.result: rule for rule in rules}
-    min_result = min(by_result) if by_result else None
-
-    def rec(s: SymbolId) -> tuple[int, ...]:
-        rule = by_result.get(s)
-        if rule is not None:
-            return rec(rule.left) + rec(rule.right)
-        if s < 0 or (min_result is not None and s >= min_result):
-            raise UnknownSymbol(f"symbol {s} is neither raw nor merged")
-        return (s,)
-
-    return rec(symbol)
 
 
 def build_library(
@@ -241,22 +212,6 @@ def build_library(
 def match_prefix(lib: PhraseLibrary, start: TokenId) -> tuple[Phrase, ...]:
     """All library phrases beginning with `start`, in canonical trial order."""
     return lib.index.get(start, ())
-
-
-def cooccurrence_stats(corpus, top_n: int):
-    """Most frequent adjacent token pairs, descending, truncated to top_n.
-
-    Unlike merge counting this counts every adjacent position, including
-    overlapping occurrences in equal-token runs.
-    """
-    if not corpus:
-        raise EmptyCorpus("corpus contains no sequences")
-    counts: Counter = Counter()
-    for seq in corpus:
-        for a, b in zip(seq, seq[1:]):
-            counts[(int(a), int(b))] += 1
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[: max(top_n, 0)]
 
 
 def save_library(lib: PhraseLibrary, path) -> None:

@@ -100,17 +100,6 @@ def min_inequality_check(ratios) -> MinInequalityResult:
 
 
 @dataclass
-class AcceptanceReport:
-    """Token-wise vs phrase-level rates for one instance."""
-
-    alpha_tokenwise: float
-    alpha_phrase: float
-    per_position_alphas: list[float]
-    method: str  # "exact" or "monte_carlo"
-    sample_count: int | None = None
-
-
-@dataclass
 class Proposition1Summary:
     """Aggregate of a random sweep checking alpha_phr >= alpha_seq."""
 
@@ -119,22 +108,8 @@ class Proposition1Summary:
     gaps: list[float] = field(default_factory=list)
 
     @property
-    def max_gap(self) -> float:
-        return max(self.gaps) if self.gaps else 0.0
-
-    @property
     def min_gap(self) -> float:
         return min(self.gaps) if self.gaps else 0.0
-
-
-def acceptance_report(p_list, q_list) -> AcceptanceReport:
-    per_position = [alpha(p, q) for p, q in zip(p_list, q_list)]
-    return AcceptanceReport(
-        alpha_tokenwise=float(np.prod(per_position)),
-        alpha_phrase=alpha_phr_exact(p_list, q_list),
-        per_position_alphas=per_position,
-        method="exact",
-    )
 
 
 def random_instance(

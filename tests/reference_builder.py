@@ -22,8 +22,11 @@ from phrasedec.phrase_lib import (
     Phrase,
     PhraseLibrary,
     SymbolId,
-    UnknownSymbol,
 )
+
+
+class UnknownSymbol(ValueError):
+    """Symbol id is neither a raw token nor the result of any merge rule."""
 
 
 def _pair_counts(seqs: list[list[SymbolId]]) -> Counter:

@@ -20,7 +20,7 @@ from phrasedec.core import (
     LOG_FLOOR,
     CategoricalDistribution,
     DrafterZeroProb,
-    log_prob_ratio,
+    log_ratio,
     normalize,
 )
 from phrasedec.decoder import (
@@ -75,7 +75,7 @@ def build_neighborhood(p, drafted, tau):
 def phrase_acceptance_score(verifier_dists, drafter_dists, phrase):
     score = 0.0
     for p, q, v in zip(verifier_dists, drafter_dists, phrase.tokens):
-        score += log_prob_ratio(p, q, v)
+        score += log_ratio(p.prob(v), q.prob(v))
     return max(score, LOG_FLOOR)
 
 

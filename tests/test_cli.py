@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from phrasedec import decoder
 from phrasedec.cli import main
 from phrasedec.harness import planted_phrase_corpus
-from phrasedec.models import random_markov, save_markov
+from phrasedec.models import MarkovModel, random_markov, save_markov
 from phrasedec.phrase_lib import load_library, write_corpus
 
 
@@ -74,6 +75,36 @@ def test_decode_rejects_library_with_larger_vocab(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "phrasedec: error: library vocabulary 40 exceeds the model's 4\n"
+
+
+def test_decode_tries_the_librarys_longest_phrase(tmp_path, capsys, monkeypatch):
+    # a --max-len 12 library of a 12-token cycle holds phrases longer than the
+    # default cap of 8; under a uniform model every token is in every
+    # neighbourhood, so decode tries the longest phrase that starts at a draft
+    vocab = 12
+    corpus_path = tmp_path / "cycle.txt"
+    write_corpus([list(range(vocab)) * 8] * 4, corpus_path)
+    lib_path = tmp_path / "cycle.psdl"
+    main(["build-library", "--corpus", str(corpus_path), "--merges", "64",
+          "--max-len", "12", "--out", str(lib_path)])
+    longest = max(len(p) for p in load_library(lib_path).phrases)
+    assert longest > 8
+    model_path = tmp_path / "uniform.psdm"
+    uniform = MarkovModel(1, vocab, np.full((vocab + 1, vocab), 1 / vocab))
+    save_markov(uniform, model_path)
+
+    tried = []
+    score = decoder.phrase_acceptance_score
+
+    def recording(verifier_rows, drafter_rows, phrase):
+        tried.append(len(phrase))
+        return score(verifier_rows, drafter_rows, phrase)
+
+    monkeypatch.setattr(decoder, "phrase_acceptance_score", recording)
+    rc = main(["decode", "--model", str(model_path), "--mode", "sjd_pv",
+               "--lib", str(lib_path), "--length", "128"])
+    assert rc == 0
+    assert max(tried) == longest
 
 
 def test_build_library_rejects_negative_merges(workspace, capsys):
@@ -156,19 +187,6 @@ def test_theory_check(tmp_path, capsys):
     assert rc == 0
     report = json.loads((out_dir / "theory_check.json").read_text())
     assert report["violations"] == 0
-
-
-def test_cooc_stats(workspace, tmp_path, capsys):
-    _, corpus_path, _ = workspace
-    rc = main(["cooc-stats", "--corpus", str(corpus_path), "--top-n", "5"])
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 5
-    out_dir = tmp_path / "cooc"
-    rc = main(["--out", str(out_dir), "cooc-stats", "--corpus", str(corpus_path),
-               "--top-n", "3"])
-    assert rc == 0
-    assert (out_dir / "cooc_stats.csv").exists()
 
 
 def test_gen_model(tmp_path, capsys):

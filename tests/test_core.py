@@ -11,7 +11,7 @@ from phrasedec.core import (
     CategoricalDistribution,
     DrafterZeroProb,
     InvalidWeight,
-    log_prob_ratio,
+    log_ratio,
     normalize,
     sample,
 )
@@ -76,22 +76,23 @@ class TestLogProbRatio:
     def test_hand_value(self):
         p = CategoricalDistribution([0.7, 0.3])
         q = CategoricalDistribution([0.5, 0.5])
-        assert log_prob_ratio(p, q, 0) == pytest.approx(math.log(1.4), rel=1e-12)
+        got = log_ratio(p.prob(0), q.prob(0))
+        assert got == pytest.approx(math.log(1.4), rel=1e-12)
 
     def test_identity(self):
         p = CategoricalDistribution([0.4, 0.6])
-        assert log_prob_ratio(p, p, 1) == 0.0
+        assert log_ratio(p.prob(1), p.prob(1)) == 0.0
 
     def test_zero_numerator_floor(self):
         p = CategoricalDistribution([1.0, 0.0])
         q = CategoricalDistribution([0.8, 0.2])
-        assert log_prob_ratio(p, q, 1) == LOG_FLOOR
+        assert log_ratio(p.prob(1), q.prob(1)) == LOG_FLOOR
 
     def test_zero_drafter_prob(self):
         p = CategoricalDistribution([0.5, 0.5])
         q = CategoricalDistribution([1.0, 0.0])
         with pytest.raises(DrafterZeroProb):
-            log_prob_ratio(p, q, 1)
+            log_ratio(p.prob(1), q.prob(1))
 
     @given(st.data())
     @settings(max_examples=200)
@@ -105,7 +106,7 @@ class TestLogProbRatio:
         )
         v = data.draw(st.integers(0, v_size - 1))
         p, q = normalize(pw), normalize(qw)
-        got = math.exp(log_prob_ratio(p, q, v))
+        got = math.exp(log_ratio(p.prob(v), q.prob(v)))
         assert got == pytest.approx(p.prob(v) / q.prob(v), rel=1e-12)
 
 

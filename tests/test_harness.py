@@ -18,7 +18,8 @@ from phrasedec.harness import (
     run_tau_sweep,
     theory_check,
 )
-from phrasedec.phrase_lib import cooccurrence_stats
+from phrasedec.models import markov_contexts
+from phrasedec.phrase_lib import build_library
 
 
 def small_cfg(**kw):
@@ -50,9 +51,10 @@ class TestPlantedPhraseCorpus:
         )
         # recover each phrase's forced successor from the transition table
         followed = {}
-        for ctx, row in model.table.items():
+        for ctx in markov_contexts(model.order, model.vocab_size):
             if ctx[-1] < 0:
                 continue
+            row = model.conditional(ctx)
             peak = float(row.probs.max())
             if peak == 1.0:
                 followed[ctx[-1]] = (int(np.argmax(row.probs)), ctx)
@@ -66,14 +68,14 @@ class TestPlantedPhraseCorpus:
         corpus, model = planted_phrase_corpus(
             16, 3, 4, 30, 100, 0.95, np.random.default_rng(3)
         )
-        (top_pair, _), = cooccurrence_stats(corpus, top_n=1)
-        # the pair must be a forced continuation in the model
+        first = build_library(corpus, 1).rules[0]
+        # the most frequent adjacent pair must be a forced continuation
         rows = [
-            model.table[ctx]
-            for ctx in model.table
-            if ctx[-1] == top_pair[0]
+            model.conditional(ctx)
+            for ctx in markov_contexts(model.order, model.vocab_size)
+            if ctx[-1] == first.left
         ]
-        assert all(np.argmax(r.probs) == top_pair[1] for r in rows)
+        assert all(np.argmax(r.probs) == first.right for r in rows)
 
 
 class TestRunBenchmark:
@@ -157,13 +159,6 @@ class TestEmitPlotData:
             parsed = list(csv.DictReader(f))
         assert parsed[0]["tau"] == "0.01"
 
-    def test_cooc_series(self, tmp_path):
-        path = tmp_path / "cooc.csv"
-        emit_plot_data([((1, 2), 9), ((3, 4), 5)], path)
-        with open(path, newline="") as f:
-            parsed = list(csv.DictReader(f))
-        assert parsed[0] == {"rank": "1", "left": "1", "right": "2", "count": "9"}
-
     def test_empty_input_no_file(self, tmp_path):
         path = tmp_path / "never.csv"
         with pytest.raises(ValueError):
@@ -189,8 +184,9 @@ class TestConfig:
             config_from_mapping({"warp_factor": "9"})
 
     def test_bad_value(self):
-        with pytest.raises(ConfigInvalid):
-            config_from_mapping({"seed": "nine"})
+        for key, value in [("seed", "nine"), ("planted", "maybe"), ("tau", "abc")]:
+            with pytest.raises(ConfigInvalid):
+                config_from_mapping({key: value})
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "broken.cfg"

@@ -10,8 +10,6 @@ from phrasedec.core import CategoricalDistribution, InvalidWeight, normalize
 from phrasedec.models import (
     PAD,
     MarkovModel,
-    PerturbedDrafter,
-    TopKModel,
     UnsupportedModelFormat,
     ancestral_sample,
     batched_conditionals,
@@ -46,30 +44,6 @@ class TestConditional:
     def test_missing_row_rejected(self):
         with pytest.raises(ValueError):
             MarkovModel(1, 2, [normalize([1, 1]).probs])
-
-
-class TestPerturbedDrafter:
-    def test_mixture_arithmetic(self):
-        base = order1_model({0: [1.0, 0.0], 1: [1.0, 0.0]}, begin=[1.0, 0.0])
-        drafter = PerturbedDrafter(base, 0.5)
-        assert drafter.conditional((0,)).probs.tolist() == [0.75, 0.25]
-
-    def test_zero_weight_is_base(self, two_state):
-        drafter = PerturbedDrafter(two_state, 0.0)
-        for prefix in [(), (0,), (1,), (0, 1)]:
-            assert drafter.conditional(prefix) == two_state.conditional(prefix)
-
-    def test_full_weight_is_uniform(self, two_state):
-        drafter = PerturbedDrafter(two_state, 1.0)
-        assert np.allclose(drafter.conditional((0,)).probs, [0.5, 0.5])
-
-
-class TestTopK:
-    def test_truncates_and_renormalizes(self):
-        base = order1_model({0: [0.5, 0.3, 0.2], 1: [1, 0, 0], 2: [1, 0, 0]},
-                            begin=[0.5, 0.3, 0.2])
-        wrapped = TopKModel(base, 2)
-        assert wrapped.conditional(()).probs == pytest.approx([0.625, 0.375, 0.0])
 
 
 class TestBatchedConditionals:
@@ -128,18 +102,20 @@ class TestAncestralSample:
 class TestRandomMarkov:
     def test_high_concentration_near_uniform(self):
         model = random_markov(1, 4, 1e4, np.random.default_rng(3))
-        for ctx, row in model.table.items():
-            assert np.all(np.abs(row.probs - 0.25) < 0.05)
+        for ctx in markov_contexts(1, 4):
+            assert np.all(np.abs(model.conditional(ctx).probs - 0.25) < 0.05)
 
     def test_seed_reproducible(self):
         a = random_markov(2, 3, 0.5, np.random.default_rng(9))
         b = random_markov(2, 3, 0.5, np.random.default_rng(9))
-        assert a.table == b.table
+        assert np.array_equal(a.rows, b.rows)
 
     def test_context_count(self):
         model = random_markov(1, 2, 1.0, np.random.default_rng(0))
-        assert len(model.table) == 3
-        assert set(model.table) == {(PAD,), (0,), (1,)}
+        # (V + 1) ** order rows; with order 1 every one is reachable:
+        # (PAD,), (0,) and (1,)
+        assert model.rows.shape == (3, 2)
+        assert np.allclose(model.rows.sum(axis=1), 1.0)
 
 
 class TestSerialization:
@@ -150,7 +126,7 @@ class TestSerialization:
         loaded = load_markov(path)
         assert loaded.order == model.order
         assert loaded.vocab_size == model.vocab_size
-        assert loaded.table == model.table
+        assert np.array_equal(loaded.rows, model.rows)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk"

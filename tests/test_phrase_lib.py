@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_builder import UnknownSymbol, expand_symbol
 from phrasedec.harness import planted_phrase_corpus
 from phrasedec.phrase_lib import (
     EmptyCorpus,
@@ -12,11 +13,8 @@ from phrasedec.phrase_lib import (
     MergeRule,
     Phrase,
     PhraseLibrary,
-    UnknownSymbol,
     UnsupportedLibraryFormat,
     build_library,
-    cooccurrence_stats,
-    expand_symbol,
     load_library,
     match_prefix,
     read_corpus,
@@ -184,21 +182,6 @@ class TestMatchPrefix:
         lib = build_library(corpus, merges=16, vocab_size=6)
         for start, bucket in lib.index.items():
             assert all(p.tokens[0] == start for p in bucket)
-
-
-class TestCooccurrenceStats:
-    def test_hand_count(self):
-        assert cooccurrence_stats([[1, 2, 1, 2]], top_n=1) == [((1, 2), 2)]
-
-    def test_self_pair_overlapping(self):
-        assert cooccurrence_stats([[7, 7, 7]], top_n=5) == [((7, 7), 2)]
-
-    def test_top_n_zero(self):
-        assert cooccurrence_stats([[1, 2]], top_n=0) == []
-
-    def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
-            cooccurrence_stats([], top_n=3)
 
 
 class TestSerialization:

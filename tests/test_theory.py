@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from phrasedec.core import CategoricalDistribution, normalize
 from phrasedec.theory import (
     EnumerationTooLarge,
-    acceptance_report,
     alpha,
     alpha_phr_exact,
     alpha_phr_mc,
@@ -134,9 +133,3 @@ class TestProposition1:
             p_list, q_list = random_instance(5, 1, rng)
             gap = alpha_phr_exact(p_list, q_list) - alpha_seq(p_list, q_list)
             assert abs(gap) <= 1e-12
-
-    def test_report_fields(self):
-        report = acceptance_report([P, P], [Q, Q])
-        assert report.alpha_phrase >= report.alpha_tokenwise - 1e-12
-        assert report.per_position_alphas == [pytest.approx(0.8), pytest.approx(0.8)]
-        assert report.method == "exact"
