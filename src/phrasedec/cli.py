@@ -5,7 +5,9 @@ gen-model.  Global flags --seed, --config <path> and --out <dir> apply to
 every verb; the config file is a flat key=value text file whose keys mirror
 ExperimentConfig.  Bad input (unreadable files, malformed models, libraries,
 corpora or configs) ends with one ``phrasedec: error: ...`` line on stderr
-and exit status 1; bad arguments exit with argparse's status 2.
+and exit status 1; bad arguments exit with argparse's status 2.  An
+arithmetic fault inside the verifier (``DegenerateResidual``) ends with one
+``phrasedec: internal error: ...`` line and exit status 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .decoder import MODES, NonTermination, VerifyConfig, decode
+from .decoder import MODES, DegenerateResidual, NonTermination, VerifyConfig, decode
 from .models import load_markov, save_markov
 from .phrase_lib import (
     DEFAULT_MAX_PHRASE_LEN,
@@ -105,6 +107,10 @@ def main(argv=None) -> int:
         # every typed error of the package but DegenerateResidual, an
         # arithmetic fault, is a ValueError or NonTermination
         print(f"phrasedec: error: {exc}", file=sys.stderr)
+        return 1
+    except DegenerateResidual as exc:
+        # not bad input: the verifier rejected a draft where p == q
+        print(f"phrasedec: internal error: DegenerateResidual: {exc}", file=sys.stderr)
         return 1
 
 

@@ -2,7 +2,7 @@
 
 Validated ``CategoricalDistribution`` objects are the type at file and API
 boundaries; the decoder's hot loop works on raw float64 rows through
-``sample`` and ``log_ratio``.  Log-ratio arithmetic is floored at
+``draw``, ``sample`` and ``log_ratio``.  Log-ratio arithmetic is floored at
 ``LOG_FLOOR`` so that "impossible" outcomes stay representable without NaNs.
 """
 
@@ -97,11 +97,17 @@ def normalize(weights) -> CategoricalDistribution:
         raise InvalidWeight("weights must be finite")
     if np.any(arr < 0):
         raise InvalidWeight("weights must be non-negative")
-    total = float(arr.sum())
-    if total == 0.0:
+    return CategoricalDistribution(normalize_rows(arr))
+
+
+def normalize_rows(weights: np.ndarray) -> np.ndarray:
+    """``normalize``'s rule on every row of a finite, non-negative
+    ``(..., V)`` array in one pass: a row whose sum is within PROB_SUM_TOL of
+    1.0 is kept bit for bit, any other is divided by its sum."""
+    total = weights.sum(axis=-1, keepdims=True)
+    if not total.all():
         raise AllZeroWeights("all weights are zero")
-    out = arr if abs(total - 1.0) <= PROB_SUM_TOL else arr / total
-    return CategoricalDistribution(out)
+    return np.where(np.abs(total - 1.0) > PROB_SUM_TOL, weights / total, weights)
 
 
 def log_ratio(pv: float, qv: float) -> float:
@@ -118,20 +124,27 @@ def log_ratio(pv: float, qv: float) -> float:
 
 
 def sample(probs: np.ndarray, rng: np.random.Generator) -> int | np.ndarray:
-    """Inverse-CDF draw of one token per row of the array ``probs`` (shape ``(..., V)``).
+    """Inverse-CDF draw of one token from a row ``probs`` of shape ``(V,)``,
+    or one per row of a ``(W, V)`` batch; rows must be non-negative.  See
+    ``draw``."""
+    return draw(probs.cumsum(axis=-1), rng)
+
+
+def draw(cdf: np.ndarray, rng: np.random.Generator) -> int | np.ndarray:
+    """Inverse-CDF draw of one token from a cumulative row ``cdf`` of shape
+    ``(V,)``, or one per row of a ``(W, V)`` batch (each row non-decreasing).
 
     Each row consumes one uniform, in row order, so a ``(W, V)`` batch leaves
     the generator exactly where W one-row draws would.  The draw is
-    ``min(#{v : cdf[v] <= u * cdf[-1]}, V - 1)``; rows must be non-negative.
-    A 1-D row returns a Python int, a batch an integer array.
+    ``min(#{v : cdf[v] <= u * cdf[-1]}, V - 1)``.  A row returns a Python
+    int, a batch an integer array.
     """
-    cdf = probs.cumsum(axis=-1)
     if cdf.ndim == 1:
         # a binary search of the sorted cdf counts the entries <= u * total
         return min(int(cdf.searchsorted(rng.random() * cdf[-1], "right")), len(cdf) - 1)
-    u = rng.random(cdf.shape[:-1])
-    above = cdf > (u * cdf[..., -1])[..., None]
+    u = rng.random(len(cdf))
+    above = cdf > (u * cdf[:, -1])[:, None]
     # cdf is sorted, so the first True is the count of entries <= u * total;
     # forcing the last entry clamps a u that rounds up to the total to V - 1
-    above[..., -1] = True
-    return above.argmax(axis=-1)
+    above[:, -1] = True
+    return above.argmax(axis=1)

@@ -8,14 +8,16 @@ failure it falls back to the standard token-wise accept-resample test.
 
 The hot loop works on dense ``(W, V)`` arrays and plain indices: one row
 gather per window, a scalar neighborhood test for each phrase token the scan
-tries, accept tests on plain floats and one vectorised inverse-CDF refill.
+tries, accept tests on plain floats and one inverse-CDF refill that gathers
+rows of the model's cumulative table.  A window is its drafts and the context
+codes of the target rows they were drawn from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,10 +27,11 @@ from .core import (
     DrafterZeroProb,
     TokenId,
     TokenSequence,
+    draw,
     log_ratio,
     sample,
 )
-from .models import MarkovModel, batched_conditionals
+from .models import MarkovModel, batched_conditionals, window_codes
 from .phrase_lib import DEFAULT_MAX_PHRASE_LEN, Phrase, PhraseLibrary, match_prefix
 
 MODES = ("jacobi", "sjd", "sjd_pv")
@@ -46,25 +49,12 @@ class LibraryVocabMismatch(ValueError):
     """The phrase library's vocabulary is larger than the target model's."""
 
 
-@dataclass(frozen=True)
-class JacobiWindow:
-    """Draft buffer: W candidate tokens plus the ``(W, V)`` drafter rows they
-    were drawn from."""
+class JacobiWindow(NamedTuple):
+    """Draft buffer: W candidate tokens, and for each the context code of
+    the target row it was drawn from (its drafter row)."""
 
     drafts: TokenSequence
-    drafter_rows: np.ndarray
-    window_start: int
-
-    def __post_init__(self) -> None:
-        rows = self.drafter_rows
-        if len(self.drafts) != len(rows):
-            raise ValueError("drafts and drafter_rows must have equal length")
-        # one Python float per slot: far fewer NumPy calls than a fancy index
-        if min(map(rows.item, range(len(rows)), self.drafts), default=1.0) <= 0.0:
-            raise ValueError("a draft token has zero drafter probability")
-
-    def __len__(self) -> int:
-        return len(self.drafts)
+    codes: list[int]
 
 
 @dataclass(frozen=True)
@@ -181,15 +171,6 @@ def _find_phrase(
     return None
 
 
-@lru_cache(maxsize=1024)
-def _refill_index(t: int, W: int) -> np.ndarray:
-    """Rows of the next window after t commits: slots t..W-1, then the last
-    slot repeated."""
-    index = np.minimum(np.arange(t, t + W), W - 1)
-    index.setflags(write=False)
-    return index
-
-
 def verify_window(
     prefix: TokenSequence,
     window: JacobiWindow,
@@ -197,24 +178,32 @@ def verify_window(
     lib: PhraseLibrary | None,
     cfg: VerifyConfig,
     rng: np.random.Generator,
-) -> tuple[TokenSequence, JacobiWindow, DecodeMetrics]:
+    metrics: DecodeMetrics,
+) -> tuple[TokenSequence, JacobiWindow]:
     """Run one verification iteration over the window.
 
     Only the last ``target.order`` tokens of prefix are read.  Returns the
-    committed tokens, the refilled next window, and a metrics delta with
-    nfe = 1.  Token-wise scanning stops at the first rejection; a committed
-    phrase jumps the scan forward by its length.
+    committed tokens and the refilled next window, and counts the iteration
+    (one NFE) into metrics.  Token-wise scanning stops at the first
+    rejection; a committed phrase jumps the scan forward by its length.
+    Raises ValueError if a draft has zero probability under its drafter row.
     """
     if cfg.mode == "sjd_pv" and lib is None:
         raise ValueError("sjd_pv mode requires a phrase library")
-    drafts, drafter = window.drafts, window.drafter_rows
+    drafts, drafter = window.drafts, window.codes
+    rows = target.rows
+    # one Python float per slot: far fewer NumPy calls than a fancy index
+    if min(map(rows.item, drafter, drafts)) <= 0.0:
+        raise ValueError("a draft token has zero drafter probability")
     W = len(drafts)
+    codes = window_codes(target, prefix, drafts)
     verifier = batched_conditionals(target, prefix, drafts)
     phrases = cfg.mode == "sjd_pv"
     greedy = cfg.greedy
     fresh_draw = cfg.mode == "jacobi"
     # greedy mode: one argmax per slot serves both the scan and the refill
-    best = verifier.argmax(axis=1).tolist() if greedy else None
+    argmax = target.argmax
+    best = [argmax[c] for c in codes] if greedy else None
 
     committed: list[TokenId] = []
     attempts = accepts = token_accepts = token_rejects = 0
@@ -227,7 +216,7 @@ def verify_window(
                 n = len(phrase)
                 try:
                     score = phrase_acceptance_score(
-                        verifier[t : t + n], drafter[t : t + n], phrase
+                        verifier[t : t + n], rows.take(drafter[t : t + n], axis=0), phrase
                     )
                 except DrafterZeroProb:
                     score = None  # non-verifiable: fall back to the token path
@@ -245,10 +234,10 @@ def verify_window(
             emitted = best[t]
             accepted = emitted == drafted
         elif fresh_draw:
-            emitted = sample(verifier[t], rng)
+            emitted = draw(target.cdf[codes[t]], rng)
             accepted = emitted == drafted
         else:
-            accepted, emitted = verify_token(verifier[t], drafter[t], drafted, rng)
+            accepted, emitted = verify_token(verifier[t], rows[drafter[t]], drafted, rng)
         committed.append(emitted)
         t += 1
         if not accepted:
@@ -258,22 +247,20 @@ def verify_window(
 
     # Jacobi refill: surviving slots are re-drafted from the verifier rows
     # just computed; appended slots reuse the last one
-    rows = verifier.take(_refill_index(t, W), axis=0)
-    next_drafts = best[t:] + best[-1:] * t if greedy else sample(rows, rng).tolist()
-    next_window = JacobiWindow(
-        tuple(next_drafts), rows, window.window_start + len(committed)
-    )
+    next_codes = codes[t:] + codes[-1:] * t
+    if greedy:
+        next_drafts = best[t:] + best[-1:] * t
+    else:
+        next_drafts = draw(target.cdf.take(next_codes, axis=0), rng).tolist()
     n = len(committed)
-    metrics = DecodeMetrics(
-        nfe=1,
-        tokens_emitted=n,
-        tokens_per_iteration=[n],
-        phrase_attempts=attempts,
-        phrase_accepts=accepts,
-        token_accepts=token_accepts,
-        token_rejects=token_rejects,
-    )
-    return tuple(committed), next_window, metrics
+    metrics.nfe += 1
+    metrics.tokens_emitted += n
+    metrics.tokens_per_iteration.append(n)
+    metrics.phrase_attempts += attempts
+    metrics.phrase_accepts += accepts
+    metrics.token_accepts += token_accepts
+    metrics.token_rejects += token_rejects
+    return tuple(committed), JacobiWindow(tuple(next_drafts), next_codes)
 
 
 def decode(
@@ -294,9 +281,13 @@ def decode(
         raise LibraryVocabMismatch(
             f"library vocabulary {lib.vocab_size} exceeds the model's {target.vocab_size}"
         )
-    begin_rows = target.rows.take([target.context_code(())] * cfg.window_size, axis=0)
-    drafts = begin_rows.argmax(axis=1) if cfg.greedy else sample(begin_rows, rng)
-    window = JacobiWindow(tuple(drafts.tolist()), begin_rows, 0)
+    begin = target.context_code(())
+    codes = [begin] * cfg.window_size
+    if cfg.greedy:
+        drafts = [target.argmax[begin]] * cfg.window_size
+    else:
+        drafts = draw(target.cdf.take(codes, axis=0), rng).tolist()
+    window = JacobiWindow(tuple(drafts), codes)
 
     committed: list[TokenId] = []
     metrics = DecodeMetrics()
@@ -308,11 +299,10 @@ def decode(
                 f"no convergence after {iterations - 1} iterations "
                 f"({len(committed)}/{total_len} tokens committed)"
             )
-        out, window, delta = verify_window(
-            committed[-target.order :], window, target, lib, cfg, rng
+        out, window = verify_window(
+            committed[-target.order :], window, target, lib, cfg, rng, metrics
         )
         committed.extend(out)
-        metrics.merge(delta)
 
     # truncate the final window's overshoot, keeping the per-iteration
     # accounting consistent with the emitted length

@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TokenSequence, normalize
+from .core import TokenSequence, normalize_rows
 from .decoder import MODES, DecodeMetrics, VerifyConfig, decode
 from .models import (
     MarkovModel,
     ancestral_sample,
+    context_codes,
+    context_count,
     load_markov,
-    markov_contexts,
     random_markov,
 )
 from .phrase_lib import (
@@ -183,26 +184,20 @@ def planted_phrase_corpus(
             f"{needed} phrase tokens need disjoint blocks in a vocabulary of {vocab_size}"
         )
 
-    perm = [int(t) for t in rng.permutation(vocab_size)]
-    next_in_phrase: dict[int, int] = {}
-    for i in range(phrase_count):
-        block = perm[i * phrase_len : (i + 1) * phrase_len]
-        for a, b in zip(block, block[1:]):
-            next_in_phrase[a] = b
+    blocks = rng.permutation(vocab_size)[:needed].reshape(phrase_count, phrase_len)
+    # successor[a + 1] is the phrase token that follows token a, or -1
+    successor = np.full(vocab_size + 1, -1)
+    successor[blocks[:, :-1] + 1] = blocks[:, 1:]
 
     order = 2
-    alpha = np.full(vocab_size, concentration)
-    rows = []
-    for ctx in markov_contexts(order, vocab_size):
-        noise = rng.dirichlet(alpha)
-        nxt = next_in_phrase.get(ctx[-1])
-        if nxt is None:
-            rows.append(normalize(noise).probs)
-        else:
-            row = (1.0 - planting_rate) * noise
-            row[nxt] += planting_rate
-            rows.append(normalize(row).probs)
-    model = MarkovModel(order, vocab_size, rows)
+    # one noise row per context, in markov_contexts order; a context's code
+    # modulo V + 1 is its last token + 1 (PAD -> 0)
+    rows = rng.dirichlet(np.full(vocab_size, concentration), size=context_count(order, vocab_size))
+    nxt = successor[context_codes(order, vocab_size) % (vocab_size + 1)]
+    planted = np.flatnonzero(nxt >= 0)
+    rows[planted] *= 1.0 - planting_rate
+    rows[planted, nxt[planted]] += planting_rate
+    model = MarkovModel(order, vocab_size, normalize_rows(rows))
 
     corpus = [ancestral_sample(model, seq_len, rng) for _ in range(sequences)]
     return corpus, model
@@ -435,7 +430,7 @@ def run_merge_sweep(cfg: ExperimentConfig, merge_grid) -> list[dict]:
         rows.append(
             {
                 "merges": merges,
-                "library_size": len(lib.rules),
+                "library_size": len(lib.phrases),
                 "mean_nfe": agg.mean_nfe,
                 "phrase_hit_rate": (
                     agg.phrase_accepts / (agg.mean_nfe * cfg.decodes)

@@ -3,15 +3,16 @@ evaluation helpers.
 
 These stand in for a large autoregressive backbone at desk scale.  A model
 maps a prefix to a categorical conditional over the next token.  The decoder
-and ``ancestral_sample`` read a ``MarkovModel``'s dense ``rows`` array
-directly, indexed by a rolling context code, so their cost per token does not
-depend on prefix length.
+and ``ancestral_sample`` read a ``MarkovModel``'s dense ``rows`` array and its
+cumulative copy ``cdf`` directly, indexed by a rolling context code, so their
+cost per token does not depend on prefix length.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
+from bisect import bisect_right
 
 import numpy as np
 
@@ -20,8 +21,7 @@ from .core import (
     CategoricalDistribution,
     InvalidWeight,
     TokenSequence,
-    normalize,
-    sample,
+    normalize_rows,
 )
 
 # begin-of-sequence padding context symbol; deliberately outside [0, V) so the
@@ -43,6 +43,11 @@ def markov_contexts(order: int, vocab_size: int):
     for j in range(order + 1):
         for tail in itertools.product(range(vocab_size), repeat=j):
             yield (PAD,) * (order - j) + tail
+
+
+def context_count(order: int, vocab_size: int) -> int:
+    """Number of contexts ``markov_contexts`` enumerates."""
+    return sum(vocab_size**j for j in range(order + 1))
 
 
 def context_codes(order: int, vocab_size: int) -> np.ndarray:
@@ -74,6 +79,10 @@ class MarkovModel:
     place PAD after a real token are never reached and hold zeros.  The
     constructor takes the reachable rows stacked in ``markov_contexts``
     order, the layout of the PSDM file, and validates them once.
+
+    Every draw from the model reads ``cdf = rows.cumsum(axis=1)``, built
+    once and read-only, with ``core.draw``'s rule; greedy decoding reads
+    ``argmax``, the most likely token after each code.
     """
 
     def __init__(self, order: int, vocab_size: int, context_rows) -> None:
@@ -82,7 +91,7 @@ class MarkovModel:
         if vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
         stack = np.asarray(context_rows, dtype=np.float64)
-        contexts = sum(vocab_size**j for j in range(order + 1))
+        contexts = context_count(order, vocab_size)
         if stack.shape != (contexts, vocab_size):
             raise ValueError(
                 f"expected {contexts} transition rows of width {vocab_size}, "
@@ -97,9 +106,13 @@ class MarkovModel:
         rows = np.zeros(((vocab_size + 1) ** order, vocab_size))
         rows[context_codes(order, vocab_size)] = stack
         rows.setflags(write=False)
+        cdf = rows.cumsum(axis=1)
+        cdf.setflags(write=False)
         self.order = order
         self.vocab_size = vocab_size
         self.rows = rows
+        self.cdf = cdf
+        self.argmax = tuple(rows.argmax(axis=1).tolist())
 
     def context_code(self, prefix: TokenSequence) -> int:
         """Code of the context formed by the last ``order`` tokens of prefix."""
@@ -121,26 +134,40 @@ def batched_conditionals(
     """
     if len(drafts) < 1:
         raise ValueError("draft window must contain at least one token")
+    return model.rows.take(window_codes(model, prefix, drafts), axis=0)
+
+
+def window_codes(model: MarkovModel, prefix: TokenSequence, drafts: TokenSequence) -> list[int]:
+    """Context codes of a draft window's rows: code j is the context of
+    prefix + drafts[:j]."""
     base, contexts = model.vocab_size + 1, model.rows.shape[0]
     code = model.context_code(prefix)
     codes = [code]
     for tok in drafts[:-1]:
         code = (code * base + tok + 1) % contexts
         codes.append(code)
-    return model.rows.take(codes, axis=0)
+    return codes
 
 
 def ancestral_sample(
     model: MarkovModel, length: int, rng: np.random.Generator
 ) -> TokenSequence:
-    """Sample a sequence from the exact joint via the chain rule."""
+    """Sample a sequence from the exact joint via the chain rule.
+
+    All uniforms come from one ``rng.random(length)`` call, the stream of
+    ``length`` one-row draws.  Each token is ``core.draw``'s rule on its
+    context's ``cdf`` row, found by a binary search of the flat table.
+    """
     if length < 0:
         raise ValueError("length must be >= 0")
-    rows, base, contexts = model.rows, model.vocab_size + 1, model.rows.shape[0]
+    V, base, contexts = model.vocab_size, model.vocab_size + 1, model.rows.shape[0]
+    cdf = memoryview(model.cdf.reshape(-1))
     out: list[int] = []
     code = 0
-    for _ in range(length):
-        tok = sample(rows[code], rng)
+    for u in rng.random(length).tolist():
+        lo = code * V
+        hi = lo + V
+        tok = min(bisect_right(cdf, u * cdf[hi - 1], lo, hi) - lo, V - 1)
         out.append(tok)
         code = (code * base + tok + 1) % contexts
     return tuple(out)
@@ -149,15 +176,12 @@ def ancestral_sample(
 def random_markov(
     order: int, vocab_size: int, concentration: float, rng: np.random.Generator
 ) -> MarkovModel:
-    """Random Markov model with symmetric-Dirichlet transition rows."""
+    """Random Markov model with symmetric-Dirichlet transition rows, drawn
+    in ``markov_contexts`` order by one ``dirichlet`` call."""
     if concentration <= 0:
         raise ValueError("concentration must be positive")
-    alpha = np.full(vocab_size, concentration)
-    rows = [
-        normalize(rng.dirichlet(alpha)).probs
-        for _ in markov_contexts(order, vocab_size)
-    ]
-    return MarkovModel(order, vocab_size, rows)
+    rows = rng.dirichlet(np.full(vocab_size, concentration), size=context_count(order, vocab_size))
+    return MarkovModel(order, vocab_size, normalize_rows(rows))
 
 
 def save_markov(model: MarkovModel, path) -> None:

@@ -138,6 +138,23 @@ def test_build_library_bad_corpus_token(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
+def test_decode_arithmetic_fault_is_an_internal_error(workspace, capsys, monkeypatch):
+    _, _, model_path = workspace
+
+    def faulty(p, q, drafted, rng):
+        raise decoder.DegenerateResidual("rejection with p == q; arithmetic fault")
+
+    monkeypatch.setattr(decoder, "verify_token", faulty)
+    rc = main(["decode", "--model", str(model_path), "--mode", "sjd", "--length", "16"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "phrasedec: internal error: DegenerateResidual: "
+        "rejection with p == q; arithmetic fault\n"
+    )
+
+
 def test_missing_model_file(tmp_path, capsys):
     rc = main(["decode", "--model", str(tmp_path / "absent.psdm")])
     assert rc == 1

@@ -15,6 +15,7 @@ from phrasedec.core import (
     normalize,
 )
 from phrasedec.decoder import (
+    MODES,
     DecodeMetrics,
     DegenerateResidual,
     JacobiWindow,
@@ -31,9 +32,9 @@ from phrasedec.decoder import (
 from phrasedec.models import (
     MarkovModel,
     ancestral_sample,
-    batched_conditionals,
     markov_contexts,
     random_markov,
+    window_codes,
 )
 from phrasedec.phrase_lib import Phrase, PhraseLibrary, build_library
 
@@ -198,36 +199,36 @@ class TestVerifyWindow:
         for _ in range(6):
             drafts.append(int(np.argmax(model.conditional(ctx).probs)))
             ctx = ctx + (drafts[-1],)
-        rows = batched_conditionals(model, prefix, tuple(drafts))
-        window = JacobiWindow(tuple(drafts), rows, len(prefix))
-        committed, _, delta = verify_window(
-            prefix, window, model, None, cfg, np.random.default_rng(0)
+        window = JacobiWindow(tuple(drafts), window_codes(model, prefix, drafts))
+        metrics = DecodeMetrics()
+        committed, _ = verify_window(
+            prefix, window, model, None, cfg, np.random.default_rng(0), metrics
         )
         assert committed == tuple(drafts)
-        assert delta.nfe == 1
-        assert delta.token_accepts == 6
+        assert metrics.nfe == 1
+        assert metrics.token_accepts == 6
 
     def test_identity_distributions_phrase_accept(self):
         model = random_markov(1, 4, 0.4, np.random.default_rng(12))
         prefix = ()
         drafts = (1, 2, 3)
-        rows = batched_conditionals(model, prefix, drafts)
-        window = JacobiWindow(drafts, rows, 0)
+        window = JacobiWindow(drafts, window_codes(model, prefix, drafts))
         lib = PhraseLibrary(4, (), (Phrase(drafts, 1, 1),))
         cfg = VerifyConfig(mode="sjd_pv", window_size=3, tau=0.5)
-        committed, _, delta = verify_window(
-            prefix, window, model, lib, cfg, np.random.default_rng(0)
+        metrics = DecodeMetrics()
+        committed, _ = verify_window(
+            prefix, window, model, lib, cfg, np.random.default_rng(0), metrics
         )
-        assert delta.phrase_attempts == 1
-        assert delta.phrase_accepts == 1
+        assert metrics.phrase_attempts == 1
+        assert metrics.phrase_accepts == 1
         assert committed[:3] == drafts
 
     def test_sjd_pv_requires_library(self):
         model = random_markov(1, 2, 1.0, np.random.default_rng(0))
-        window = JacobiWindow((0,), batched_conditionals(model, (), (0,)), 0)
+        window = JacobiWindow((0,), window_codes(model, (), (0,)))
         with pytest.raises(ValueError):
             verify_window((), window, model, None, VerifyConfig(mode="sjd_pv"),
-                          np.random.default_rng(0))
+                          np.random.default_rng(0), DecodeMetrics())
 
 
 def sparse_markov(order, vocab, zeros, seed):
@@ -264,12 +265,13 @@ class TestRefillDrafts:
         cfg = VerifyConfig(mode=mode, window_size=window, tau=0.2, greedy=greedy)
         rng = np.random.default_rng(seed) if u is None else FixedRng(u)
         prefix = ()
-        rows = model.rows.take([model.context_code(())] * window, axis=0)
-        win = JacobiWindow(tuple(int(np.flatnonzero(r)[0]) for r in rows), rows, 0)
+        codes = [model.context_code(())] * window
+        win = JacobiWindow(tuple(int(np.flatnonzero(model.rows[c])[0]) for c in codes), codes)
+        metrics = DecodeMetrics()
         for _ in range(6):
-            committed, win, _ = verify_window(prefix, win, model, lib, cfg, rng)
+            committed, win = verify_window(prefix, win, model, lib, cfg, rng, metrics)
             prefix = (prefix + committed)[-order:]
-            drafter_probs = [win.drafter_rows[j, d] for j, d in enumerate(win.drafts)]
+            drafter_probs = [model.rows[c, d] for c, d in zip(win.codes, win.drafts)]
             assert min(drafter_probs) > 0.0
 
 
@@ -320,8 +322,10 @@ class TestDecode:
     def test_non_termination_guard(self, monkeypatch):
         model = random_markov(1, 2, 1.0, np.random.default_rng(0))
 
-        def stuck(prefix, window, target, lib, cfg, rng):
-            return (), window, DecodeMetrics(nfe=1, tokens_per_iteration=[0])
+        def stuck(prefix, window, target, lib, cfg, rng, metrics):
+            metrics.nfe += 1
+            metrics.tokens_per_iteration.append(0)
+            return (), window
 
         monkeypatch.setattr(decoder, "verify_window", stuck)
         with pytest.raises(NonTermination):
@@ -384,5 +388,12 @@ class TestConfigValidation:
         assert VerifyConfig(max_phrase_len=2).max_phrase_len == 2
 
     def test_window_invariant(self):
-        with pytest.raises(ValueError):
-            JacobiWindow((0,), np.array([[0.0, 1.0]]), 0)
+        # the begin row puts no mass on token 0, so a window drafting 0 there
+        # cannot be verified
+        model = MarkovModel(1, 2, [[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
+        window = JacobiWindow((0,), [model.context_code(())])
+        lib = PhraseLibrary(2, (), ())
+        for mode in MODES:
+            with pytest.raises(ValueError, match="a draft token has zero drafter probability"):
+                verify_window((), window, model, lib, VerifyConfig(mode=mode, greedy=True),
+                              np.random.default_rng(0), DecodeMetrics())

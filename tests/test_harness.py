@@ -109,6 +109,15 @@ class TestRunBenchmark:
             rows = list(csv.DictReader(f))
         assert len(rows) == cfg.decodes * len(cfg.modes)
 
+    def test_report_csv_columns(self, tmp_path):
+        # the column list README's "Report schemas" documents, in its order
+        run_benchmark(small_cfg(decodes=1, out_dir=str(tmp_path)))
+        header = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header == (
+            "mode,run,nfe,iterations,tokens_emitted,token_accepts,"
+            "token_rejects,phrase_attempts,phrase_accepts"
+        )
+
     def test_rerun_reproduces_numbers(self):
         cfg = small_cfg()
         a = run_benchmark(cfg)
@@ -148,6 +157,18 @@ class TestSweeps:
         rows = run_merge_sweep(small_cfg(), [4, 2000])
         assert rows[0]["library_size"] <= 4
         assert rows[1]["library_size"] <= 2000
+
+    def test_library_size_counts_indexed_phrases(self):
+        # max_phrase_len=3 drops the longer phrases of 64 rules: the size is
+        # what the decoder searches, not the rule count
+        from phrasedec.harness import _resolve_model_and_corpus
+
+        cfg = small_cfg(decodes=1, max_phrase_len=3)
+        rows = run_merge_sweep(cfg, [64])
+        model, corpus = _resolve_model_and_corpus(cfg)
+        lib = build_library(corpus, 64, 3, model.vocab_size)
+        assert len(lib.rules) == 64
+        assert rows[0]["library_size"] == len(lib.phrases) == 27
 
 
 class TestEmitPlotData:

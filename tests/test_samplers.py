@@ -1,0 +1,137 @@
+"""Differential tests: the table-driven samplers against the frozen per-row
+and per-token ones.
+
+``random_markov`` and ``planted_phrase_corpus`` draw every transition row
+with one ``dirichlet`` call and normalise them in one pass; ``ancestral_sample``
+draws every uniform with one call and binary-searches the model's ``cdf``.
+Each must build the same rows and sequences as ``reference_models.py`` and
+``reference_decoder.py`` and leave its generator in the same state.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_decoder
+import reference_models as ref
+from test_core import BELOW_ONE, FixedRng
+from phrasedec.core import AllZeroWeights, normalize, normalize_rows
+from phrasedec.harness import planted_phrase_corpus
+from phrasedec.models import MarkovModel, ancestral_sample, markov_contexts, random_markov
+
+SEEDS = (0, 1, 7, 601)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("order, vocab", [(1, 9), (2, 6), (2, 32), (3, 4)])
+@pytest.mark.parametrize("concentration", [0.05, 0.3, 2.0])
+def test_random_markov_matches_reference(seed, order, vocab, concentration):
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    model = random_markov(order, vocab, concentration, new)
+    expected = ref.random_markov(order, vocab, concentration, old)
+    assert model.rows.tobytes() == expected.rows.tobytes()
+    assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "vocab, phrases, phrase_len, rate, concentration",
+    [(32, 6, 5, 0.95, 0.3), (16, 3, 4, 1.0, 0.3), (12, 2, 3, 0.5, 0.05), (8, 1, 8, 0.9, 2.0)],
+)
+def test_planted_phrase_corpus_matches_reference(
+    seed, vocab, phrases, phrase_len, rate, concentration
+):
+    args = (vocab, phrases, phrase_len, 12, 80, rate)
+    new, old = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 0])
+    corpus, model = planted_phrase_corpus(*args, new, concentration=concentration)
+    ref_corpus, ref_model = ref.planted_phrase_corpus(*args, old, concentration=concentration)
+    assert model.rows.tobytes() == ref_model.rows.tobytes()
+    assert corpus == ref_corpus
+    assert all(type(tok) is int for seq in corpus for tok in seq)
+    assert new.bit_generator.state == old.bit_generator.state
+
+
+def sparse_model(order, vocab, zeros, trailing, seed):
+    """A Markov model whose rows hold exact zeros, and whose last
+    ``trailing`` columns are zero wherever that leaves mass in the row."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in markov_contexts(order, vocab):
+        row = rng.dirichlet(np.full(vocab, 0.5)) * (rng.random(vocab) >= zeros)
+        if row[: vocab - trailing].sum() > 0.0:
+            row[vocab - trailing :] = 0.0
+        if row.sum() == 0.0:
+            row[rng.integers(vocab)] = 1.0
+        rows.append(normalize(row).probs)
+    return MarkovModel(order, vocab, rows)
+
+
+@given(
+    order=st.integers(1, 3),
+    vocab=st.integers(2, 6),
+    zeros=st.sampled_from([0.0, 0.5, 0.8]),
+    trailing=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+    length=st.integers(0, 40),
+    u=st.sampled_from([None, 0.0, BELOW_ONE]),
+)
+@settings(max_examples=150, deadline=None)
+def test_ancestral_sample_matches_reference(order, vocab, zeros, trailing, seed, length, u):
+    model = sparse_model(order, vocab, zeros, min(trailing, vocab - 1), seed)
+    if u is None:
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    else:
+        new, old = FixedRng(u), FixedRng(u)
+    seq = ancestral_sample(model, length, new)
+    assert seq == reference_decoder.ancestral_sample(model, length, old)
+    assert all(type(tok) is int for tok in seq)
+    if u is None:
+        assert new.bit_generator.state == old.bit_generator.state
+    else:
+        # the smallest and the largest uniform never pick a zero-mass token
+        assert all(model.conditional(seq[:i]).prob(tok) > 0.0 for i, tok in enumerate(seq))
+
+
+@pytest.mark.parametrize("order, vocab", [(1, 5), (2, 4), (3, 3)])
+def test_cdf_is_a_locked_cumulative_copy_of_rows(order, vocab):
+    model = sparse_model(order, vocab, 0.5, 1, seed=order)
+    cdf = model.cdf
+    assert not cdf.flags.writeable
+    with pytest.raises(ValueError):
+        cdf[0, 0] = 1.0
+    assert cdf.shape == model.rows.shape
+    for code, row in enumerate(model.rows):
+        assert cdf[code].tobytes() == np.cumsum(row).tobytes()
+        assert model.argmax[code] == int(np.argmax(row))
+
+
+@given(
+    rows=st.lists(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=3, max_size=3),
+        min_size=1,
+        max_size=6,
+    ),
+    unit=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_normalize_rows_matches_normalize(rows, unit):
+    weights = np.array(rows)
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    if unit:  # rows already within tolerance of 1 must stay bit for bit
+        weights = np.array([normalize(w).probs for w in weights])
+    expected = np.array([normalize(w).probs for w in weights])
+    assert normalize_rows(weights).tobytes() == expected.tobytes()
+
+
+def test_normalize_rows_keeps_rows_within_tolerance_bit_for_bit():
+    near = [0.5, 0.5 + 1e-12]  # sums within PROB_SUM_TOL of 1, not to 1
+    out = normalize_rows(np.array([near, [1.0, 3.0]]))
+    assert out[0].tolist() == near
+    assert out[1].tolist() == [0.25, 0.75]
+    assert out[0].tobytes() == normalize(near).probs.tobytes()
+
+
+def test_normalize_rows_rejects_an_all_zero_row():
+    with pytest.raises(AllZeroWeights):
+        normalize_rows(np.array([[0.5, 0.5], [0.0, 0.0]]))
