@@ -197,7 +197,7 @@ def verify_window(
         raise ValueError("a draft token has zero drafter probability")
     W = len(drafts)
     codes = window_codes(target, prefix, drafts)
-    verifier = batched_conditionals(target, prefix, drafts)
+    verifier = batched_conditionals(target, codes)
     phrases = cfg.mode == "sjd_pv"
     greedy = cfg.greedy
     fresh_draw = cfg.mode == "jacobi"

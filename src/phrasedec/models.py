@@ -122,24 +122,26 @@ class MarkovModel:
         return CategoricalDistribution(self.rows[self.context_code(prefix)])
 
 
-def batched_conditionals(
-    model: MarkovModel, prefix: TokenSequence, drafts: TokenSequence
-) -> np.ndarray:
+def batched_conditionals(model: MarkovModel, codes) -> np.ndarray:
     """Conditionals for a whole draft window as one ``(W, V)`` row gather:
-    row j conditions on prefix + drafts[:j].
+    row j is the conditional after context code ``codes[j]`` (see
+    ``window_codes``).
 
-    Only the last ``order`` tokens of prefix are read, so the cost does not
-    depend on prefix length.  By the metrics contract one call counts as a
-    single target-model forward pass (one NFE), regardless of window size.
+    The cost does not depend on prefix length.  By the metrics contract one
+    call counts as a single target-model forward pass (one NFE), regardless
+    of window size.
     """
-    if len(drafts) < 1:
-        raise ValueError("draft window must contain at least one token")
-    return model.rows.take(window_codes(model, prefix, drafts), axis=0)
+    return model.rows.take(codes, axis=0)
 
 
 def window_codes(model: MarkovModel, prefix: TokenSequence, drafts: TokenSequence) -> list[int]:
     """Context codes of a draft window's rows: code j is the context of
-    prefix + drafts[:j]."""
+    prefix + drafts[:j].  Only the last ``order`` tokens of prefix are read.
+
+    Raises ValueError for an empty window.
+    """
+    if not drafts:
+        raise ValueError("draft window must contain at least one token")
     base, contexts = model.vocab_size + 1, model.rows.shape[0]
     code = model.context_code(prefix)
     codes = [code]

@@ -36,6 +36,11 @@ class UnsupportedLibraryFormat(ValueError):
     or holds rules or phrases that no build could have produced."""
 
 
+class LibraryTooLarge(ValueError):
+    """A library holds a symbol id or a phrase length that the PSDL
+    format's fixed-width fields cannot store."""
+
+
 @dataclass(frozen=True)
 class MergeRule:
     """One merge step: (left, right) -> result, learned at iteration `rank`."""
@@ -133,6 +138,99 @@ def _validate_corpus(corpus, vocab_size: int | None) -> tuple[list[np.ndarray], 
     return seqs, vocab_size
 
 
+def _counted_pairs(x: np.ndarray, sep: int, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and codes ``left * base + right`` of the pairs a count sees.
+
+    A pair next to a separator never counts; inside a run of equal symbols
+    only pairs at even offsets from the run's start count, so a run of n
+    counts floor(n / 2) times.
+    """
+    left, right = x[:-1], x[1:]
+    paired = (left != sep) & (right != sep)
+    same = np.flatnonzero(paired & (left == right))
+    paired[same[~_even_offsets(same)]] = False
+    pos = np.flatnonzero(paired)
+    return pos, left[pos] * base + right[pos]
+
+
+def _even_offsets(same: np.ndarray) -> np.ndarray:
+    """For sorted positions of equal pairs, which lie at an even offset from
+    the start of their run of consecutive positions."""
+    breaks = np.concatenate(([True], same[1:] - same[:-1] != 1))
+    run_start = np.maximum.accumulate(np.where(breaks, same, 0))
+    return (same - run_start) % 2 == 0
+
+
+def _rewrite(x: np.ndarray, sites: np.ndarray, symbol: int) -> np.ndarray:
+    """x with the pair at each site replaced by symbol (x is overwritten)."""
+    x[sites] = symbol
+    return np.delete(x, sites + 1)
+
+
+class _PairCounts:
+    """The flat corpus and the count of every pair in it, kept across merges.
+
+    ``keys`` holds pair codes in ascending order and ``counts`` their counts
+    (zero once a pair has gone).  A merge recounts only the pairs in windows
+    around its sites, before and after the rewrite, and adds the difference.
+    ``x`` must start with a separator.
+    """
+
+    def __init__(self, x: np.ndarray, sep: int, base: int) -> None:
+        self.x, self.sep, self.base = x, sep, base
+        self.keys, self.counts = np.unique(_counted_pairs(x, sep, base)[1], return_counts=True)
+
+    def best(self) -> int | None:
+        """Code of the most frequent pair (the smallest on ties), or None
+        when no pair occurs twice."""
+        if not len(self.counts):
+            return None
+        i = int(np.argmax(self.counts))
+        return int(self.keys[i]) if self.counts[i] >= 2 else None
+
+    def merge(self, code: int, symbol: int) -> None:
+        """Replace every counted occurrence of pair ``code`` with ``symbol``."""
+        x, sep, base = self.x, self.sep, self.base
+        a, b = divmod(code, base)
+        hit = np.flatnonzero(x[:-1] == a)
+        hit = hit[x[hit + 1] == b]
+        if a == b:
+            hit = hit[_even_offsets(hit)]
+        # A site h changes the pairs of x[h-1 : h+3] (h >= 1: x[0] is a
+        # separator).  Widened to whole runs of equal symbols, a window's
+        # runs start where they start in x, so their parities recount right.
+        edge = np.ones(len(x) + 1, dtype=bool)
+        np.not_equal(x[1:], x[:-1], out=edge[1:-1])
+        edge = np.flatnonzero(edge)  # where each run starts, then len(x)
+        start = edge[np.searchsorted(edge, hit - 1, "right") - 1]
+        stop = edge[np.searchsorted(edge, hit + 2, "right")]
+        # overlapping windows join; each is copied out with a separator after it
+        opens = np.concatenate(([True], start[1:] >= stop[:-1]))
+        lo = start[opens]
+        width = stop[np.append(opens[1:], True)] - lo + 1
+        ends = np.cumsum(width)
+        shift = lo - ends + width
+        window = x.take(np.arange(ends[-1]) + np.repeat(shift, width), mode="clip")
+        window[ends - 1] = sep
+        local = hit - shift[np.cumsum(opens) - 1]
+        merged = _rewrite(window.copy(), local, symbol)
+        self.x = _rewrite(x, hit, symbol)
+
+        # pairs of the old windows leave the counts, pairs of the new enter
+        pos, codes = _counted_pairs(np.concatenate((window, merged)), sep, base)
+        old = np.searchsorted(pos, len(window))
+        keys, counts = self.keys, self.counts
+        at = np.searchsorted(keys, codes)
+        known = keys.take(at, mode="clip") == codes
+        counts -= np.bincount(at[:old], minlength=len(counts))
+        counts += np.bincount(at[old:][known[old:]], minlength=len(counts))
+        # only pairs with the new symbol are new
+        fresh, fresh_n = np.unique(codes[~known], return_counts=True)
+        at = np.searchsorted(keys, fresh)
+        self.keys = np.insert(keys, at, fresh)
+        self.counts = np.insert(counts, at, fresh_n)
+
+
 def build_library(
     corpus,
     merges: int,
@@ -149,9 +247,12 @@ def build_library(
     max_phrase_len are dropped from the index; their rules are retained for
     provenance.
 
-    The corpus is one flat int64 array with a separator after each sequence,
-    so a merge is a few O(tokens) NumPy passes plus a sort of the pair codes;
-    memory is a few arrays of corpus length.
+    The corpus is one flat int64 array with separators between sequences.
+    Pairs are counted once; each merge then recounts only the windows
+    around its sites (``_PairCounts``), so it costs O(sites + touched runs)
+    for counting plus a few O(tokens) NumPy passes (finding the sites and
+    run edges, deleting the merged halves) instead of a sort of every pair
+    code.  Memory is a few arrays of corpus length.
     """
     if merges < 0:
         raise ValueError("merges must be >= 0")
@@ -167,27 +268,19 @@ def build_library(
     # every merge removes at least two symbols, which bounds the symbol count
     sep = first_merged + min(merges, len(dense) // 2)
     base = sep + 1
-    x = np.full(len(dense) + len(seqs), sep, dtype=np.int64)
-    x[np.arange(len(dense)) + np.repeat(np.arange(len(seqs)), lengths)] = dense
+    # a separator before every sequence and after the last
+    x = np.full(len(dense) + len(seqs) + 1, sep, dtype=np.int64)
+    x[np.arange(len(dense)) + np.repeat(np.arange(1, len(seqs) + 1), lengths)] = dense
 
+    counts = _PairCounts(x, sep, base)
     pairs: list[tuple[int, int]] = []
     while len(pairs) < merges:
-        left, right = x[:-1], x[1:]
-        paired = (left != sep) & (right != sep)
-        same = np.flatnonzero(paired & (left == right))
-        # inside a run of equal symbols only pairs at even offsets count
-        run_start = np.maximum.accumulate(np.where(np.diff(same, prepend=-2) != 1, same, 0))
-        paired[same[(same - run_start) % 2 == 1]] = False
-        pos = np.flatnonzero(paired)
-        codes = left[pos] * base + right[pos]
-        uniq, counts = np.unique(codes, return_counts=True)
-        if not len(counts) or counts.max() < 2:
+        best = counts.best()
+        if best is None:
             break
-        best = uniq[np.argmax(counts)]
-        hit = pos[codes == best]
-        x[hit] = first_merged + len(pairs)
-        x = np.delete(x, hit + 1)
-        pairs.append(divmod(int(best), base))
+        counts.merge(best, first_merged + len(pairs))
+        pairs.append(divmod(best, base))
+    x = counts.x
 
     raw_tokens = raw.tolist()
     names = raw_tokens + [vocab_size + k for k in range(len(pairs))]
@@ -215,7 +308,18 @@ def match_prefix(lib: PhraseLibrary, start: TokenId) -> tuple[Phrase, ...]:
 
 
 def save_library(lib: PhraseLibrary, path) -> None:
-    """Write a library in the versioned PSDL binary format (deterministic bytes)."""
+    """Write a library in the versioned PSDL binary format (deterministic bytes).
+
+    Symbol ids are stored in 32 bits and phrase lengths in 16: a library
+    with a larger one raises LibraryTooLarge, and nothing is written.
+    """
+    # every symbol id, tokens included, is below vocab_size + len(rules)
+    top = max(lib.vocab_size, lib.vocab_size + len(lib.rules) - 1)
+    if top > 0xFFFFFFFF:
+        raise LibraryTooLarge(f"symbol id {top} does not fit in 32 bits")
+    longest = max(map(len, lib.phrases), default=0)
+    if longest > 0xFFFF:
+        raise LibraryTooLarge(f"a phrase of {longest} tokens is longer than 65535")
     parts = [
         LIBRARY_MAGIC,
         struct.pack("<HII", LIBRARY_FORMAT_VERSION, lib.vocab_size, len(lib.rules)),

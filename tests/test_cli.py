@@ -138,6 +138,28 @@ def test_build_library_bad_corpus_token(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "corpus, args, message",
+    [
+        # V = 2**32 + 1 and two merges: symbol ids up to 2**32 + 2
+        ("1 4294967296 " * 4, [], "symbol id 4294967298 does not fit in 32 bits"),
+        # pairs of pairs of zeros: the longest phrase has 2**16 tokens
+        ("0 " * 140_000, ["--max-len", "200000"], "a phrase of 65536 tokens is longer than 65535"),
+    ],
+    ids=["token_over_32_bits", "phrase_over_16_bits"],
+)
+def test_build_library_too_large_for_the_format(tmp_path, capsys, corpus, args, message):
+    corpus_path = tmp_path / "corpus.txt"
+    corpus_path.write_text(corpus + "\n", encoding="utf-8")
+    out = tmp_path / "lib.psdl"
+    rc = main(["build-library", "--corpus", str(corpus_path), "--out", str(out)] + args)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"phrasedec: error: {message}\n"
+    assert not out.exists()
+
+
 def test_decode_arithmetic_fault_is_an_internal_error(workspace, capsys, monkeypatch):
     _, _, model_path = workspace
 

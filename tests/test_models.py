@@ -17,6 +17,7 @@ from phrasedec.models import (
     markov_contexts,
     random_markov,
     save_markov,
+    window_codes,
 )
 
 
@@ -48,12 +49,12 @@ class TestConditional:
 
 class TestBatchedConditionals:
     def test_single_position(self, two_state):
-        out = batched_conditionals(two_state, (0,), (1,))
+        out = batched_conditionals(two_state, window_codes(two_state, (0,), (1,)))
         assert out.shape == (1, 2)
         assert np.array_equal(out[0], two_state.conditional((0,)).probs)
 
     def test_order1_lookups(self, two_state):
-        out = batched_conditionals(two_state, (1,), (0, 1))
+        out = batched_conditionals(two_state, window_codes(two_state, (1,), (0, 1)))
         assert np.array_equal(out[0], two_state.conditional((1,)).probs)
         assert np.array_equal(out[1], two_state.conditional((0,)).probs)
 
@@ -62,13 +63,13 @@ class TestBatchedConditionals:
         model = random_markov(2, 3, 0.8, rng)
         prefix = (0, 2, 1)
         drafts = (2, 0, 0, 1, 2)
-        out = batched_conditionals(model, prefix, drafts)
+        out = batched_conditionals(model, window_codes(model, prefix, drafts))
         for j in range(len(drafts)):
             assert np.array_equal(out[j], model.conditional(prefix + drafts[:j]).probs)
 
     def test_empty_window_rejected(self, two_state):
-        with pytest.raises(ValueError):
-            batched_conditionals(two_state, (), ())
+        with pytest.raises(ValueError, match="at least one token"):
+            window_codes(two_state, (), ())
 
 
 class TestAncestralSample:

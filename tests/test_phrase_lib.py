@@ -10,6 +10,7 @@ from phrasedec.harness import planted_phrase_corpus
 from phrasedec.phrase_lib import (
     EmptyCorpus,
     InvalidToken,
+    LibraryTooLarge,
     MergeRule,
     Phrase,
     PhraseLibrary,
@@ -194,6 +195,47 @@ class TestSerialization:
         loaded = load_library(path)
         assert loaded == lib
         assert loaded.index == lib.index
+
+    def test_largest_ids_the_format_stores(self, tmp_path):
+        path = tmp_path / "lib.psdl"
+        top = 2**32 - 1
+        save_library(PhraseLibrary(top, (), ()), path)
+        assert load_library(path).vocab_size == top
+        rule = MergeRule(0, 1, top, 1)
+        save_library(PhraseLibrary(top, (rule,), (Phrase((0, 1), 1, 2),)), path)
+        assert load_library(path).rules == (rule,)
+        path.unlink()
+        for lib in (
+            PhraseLibrary(top + 1, (), ()),
+            PhraseLibrary(top, (rule, MergeRule(top, 0, top + 1, 2)), ()),
+        ):
+            with pytest.raises(LibraryTooLarge, match="does not fit in 32 bits"):
+                save_library(lib, path)
+            assert not path.exists()
+
+    def test_longest_phrase_the_format_stores(self, tmp_path):
+        def lib_with_phrase(n):
+            # one rule per length on the halving path from n down to 1, so
+            # the last rule spells n zeros and the rules stay few
+            ranks, rules = {1: 0}, []
+
+            def spell(length):
+                if length not in ranks:
+                    left, right = spell(length // 2), spell(length - length // 2)
+                    ranks[length] = len(rules) + 1
+                    rules.append(MergeRule(left, right, ranks[length], ranks[length]))
+                return ranks[length]
+
+            rank = spell(n)
+            return PhraseLibrary(1, tuple(rules), (Phrase((0,) * n, rank, 1),))
+
+        path = tmp_path / "lib.psdl"
+        save_library(lib_with_phrase(2**16 - 1), path)
+        assert len(load_library(path).phrases[0]) == 2**16 - 1
+        path.unlink()
+        with pytest.raises(LibraryTooLarge, match="65536 tokens"):
+            save_library(lib_with_phrase(2**16), path)
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk"
