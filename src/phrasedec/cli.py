@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-max", type=int, default=3)
     p.add_argument("--min-ineq-trials", type=int, default=100000)
 
-    p = sub.add_parser("gen-model", help="generate and save a planted-phrase model")
+    p = sub.add_parser("gen-model", help="write the config's model and corpus")
     p.add_argument("--model-out", required=True)
     p.add_argument("--corpus-out", default=None)
 
@@ -208,18 +208,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "gen-model":
-        cfg = _experiment_config(args)
-        rng = np.random.default_rng([cfg.seed, 0])
-        corpus, model = harness.planted_phrase_corpus(
-            cfg.vocab_size,
-            cfg.phrase_count,
-            cfg.phrase_len,
-            cfg.corpus_sequences,
-            cfg.corpus_seq_len,
-            cfg.planting_rate,
-            rng,
-            concentration=cfg.concentration,
-        )
+        # the model and corpus bench resolves for the same config
+        model, corpus = harness._resolve_model_and_corpus(_experiment_config(args))
         save_markov(model, args.model_out)
         print(f"wrote {args.model_out}")
         if args.corpus_out:

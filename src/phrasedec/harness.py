@@ -206,18 +206,14 @@ def planted_phrase_corpus(
 def _resolve_model_and_corpus(
     cfg: ExperimentConfig,
 ) -> tuple[MarkovModel, list[TokenSequence]]:
+    """The config's model (its file, the planted generator's or a random
+    one) and the corpus its library is mined from (the corpus file, else the
+    generator's own, else an ancestral sample)."""
     rng = np.random.default_rng([cfg.seed, 0])
+    corpus = None
     if cfg.model_path is not None:
         model = load_markov(cfg.model_path)
-        if cfg.corpus_path is not None:
-            corpus = read_corpus(cfg.corpus_path)
-        else:
-            corpus = [
-                ancestral_sample(model, cfg.corpus_seq_len, rng)
-                for _ in range(cfg.corpus_sequences)
-            ]
-        return model, corpus
-    if cfg.planted:
+    elif cfg.planted:
         corpus, model = planted_phrase_corpus(
             cfg.vocab_size,
             cfg.phrase_count,
@@ -230,12 +226,13 @@ def _resolve_model_and_corpus(
         )
     else:
         model = random_markov(cfg.order, cfg.vocab_size, cfg.concentration, rng)
+    if cfg.corpus_path is not None:
+        corpus = read_corpus(cfg.corpus_path)
+    elif corpus is None:
         corpus = [
             ancestral_sample(model, cfg.corpus_seq_len, rng)
             for _ in range(cfg.corpus_sequences)
         ]
-    if cfg.corpus_path is not None:
-        corpus = read_corpus(cfg.corpus_path)
     return model, corpus
 
 

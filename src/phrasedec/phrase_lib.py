@@ -1,9 +1,9 @@
 """Offline phrase-library construction by iterative pair merging.
 
 A library is built from a token corpus in three steps: repeatedly merge the
-globally most frequent adjacent symbol pair into a new symbol, recursively
-expand every merged symbol back to raw tokens, and index the resulting
-phrases by their starting token for O(1) lookup during decoding.
+globally most frequent adjacent symbol pair into a new symbol, spell each
+merged symbol short enough to keep back to raw tokens, and index the
+resulting phrases by their starting token for O(1) lookup during decoding.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class PhraseLibrary:
             self.vocab_size == other.vocab_size
             and self.rules == other.rules
             and self.phrases == other.phrases
-            and self.index == other.index
         )
 
 
@@ -231,6 +230,31 @@ class _PairCounts:
         self.counts = np.insert(counts, at, fresh_n)
 
 
+def _phrase_lengths(rules, vocab_size: int, limit: int) -> list[int]:
+    """Each rule's phrase length, capped at limit + 1 to stay a small int."""
+    lengths: list[int] = []
+    for rule in rules:
+        left, right = rule.left - vocab_size, rule.right - vocab_size
+        n = (1 if left < 0 else lengths[left]) + (1 if right < 0 else lengths[right])
+        lengths.append(min(n, limit + 1))
+    return lengths
+
+
+def _spell(rules, vocab_size: int, symbol: SymbolId) -> tuple[TokenId, ...]:
+    """The raw tokens of a symbol: a stack walk down each left spine, in time
+    linear in their count, that keeps no other symbol's expansion."""
+    tokens: list[TokenId] = []
+    stack = [symbol]
+    while stack:
+        symbol = stack.pop()
+        while symbol >= vocab_size:
+            rule = rules[symbol - vocab_size]
+            stack.append(rule.right)
+            symbol = rule.left
+        tokens.append(symbol)
+    return tuple(tokens)
+
+
 def build_library(
     corpus,
     merges: int,
@@ -245,7 +269,8 @@ def build_library(
     runs count non-overlapping (floor(run/2)), so a pair's count is the
     number of replacements its merge makes.  Phrases longer than
     max_phrase_len are dropped from the index; their rules are retained for
-    provenance.
+    provenance.  Each kept phrase is spelled from its rule (``_spell``), so
+    no rule's expansion is built unless it is kept.
 
     The corpus is one flat int64 array with separators between sequences.
     Pairs are counted once; each merge then recounts only the windows
@@ -282,22 +307,16 @@ def build_library(
         pairs.append(divmod(best, base))
     x = counts.x
 
-    raw_tokens = raw.tolist()
-    names = raw_tokens + [vocab_size + k for k in range(len(pairs))]
+    names = raw.tolist() + [vocab_size + k for k in range(len(pairs))]
     rules = tuple(
         MergeRule(names[a], names[b], vocab_size + k, k + 1) for k, (a, b) in enumerate(pairs)
     )
     symbol_counts = np.bincount(x, minlength=base)[first_merged:]
-    # each phrase is expanded once from its parts; None marks one too long
-    expanded: list[tuple[int, ...] | None] = [(t,) for t in raw_tokens]
-    for a, b in pairs:
-        head, tail = expanded[a], expanded[b]
-        fits = head and tail and len(head) + len(tail) <= max_phrase_len
-        expanded.append(head + tail if fits else None)
+    sizes = _phrase_lengths(rules, vocab_size, max_phrase_len)
     phrases = tuple(
-        Phrase(tokens, k + 1, int(symbol_counts[k]))
-        for k, tokens in enumerate(expanded[first_merged:])
-        if tokens is not None
+        Phrase(_spell(rules, vocab_size, rule.result), rule.rank, int(symbol_counts[k]))
+        for k, rule in enumerate(rules)
+        if sizes[k] <= max_phrase_len
     )
     return PhraseLibrary(vocab_size, rules, phrases)
 
@@ -352,6 +371,9 @@ def load_library(path) -> PhraseLibrary:
 
 
 def _parse_library(data: bytes) -> PhraseLibrary:
+    """Rules must each merge earlier symbols; each stored phrase must name a
+    rule whose length it has and whose spelling it is.  Time and memory are
+    linear in the file: one length per rule, and one walk per phrase."""
     version, vocab_size, rule_count = struct.unpack_from("<HII", data, 4)
     if version != LIBRARY_FORMAT_VERSION:
         raise UnsupportedLibraryFormat(f"unknown library format version {version}")
@@ -379,20 +401,11 @@ def _parse_library(data: bytes) -> PhraseLibrary:
         phrases.append(Phrase(tokens, source_rank, corpus_count))
     if offset != len(data):
         raise UnsupportedLibraryFormat("library file has trailing or missing bytes")
-    # each rule is expanded once, from its parts; None marks an expansion
-    # longer than every phrase, which no phrase can name
-    longest = max((len(phrase) for phrase in phrases), default=0)
-    expanded: list[tuple[int, ...] | None] = []
-    for rule in rules:
-        head, tail = (
-            (part,) if part < vocab_size else expanded[part - vocab_size]
-            for part in (rule.left, rule.right)
-        )
-        fits = head and tail and len(head) + len(tail) <= longest
-        expanded.append(head + tail if fits else None)
+    lengths = _phrase_lengths(rules, vocab_size, max(map(len, phrases), default=0))
     for phrase in phrases:
         rank = phrase.source_rank
-        if not 1 <= rank <= len(rules) or expanded[rank - 1] != phrase.tokens:
+        known = 1 <= rank <= len(rules) and lengths[rank - 1] == len(phrase)
+        if not known or _spell(rules, vocab_size, rules[rank - 1].result) != phrase.tokens:
             raise UnsupportedLibraryFormat(
                 f"phrase {phrase.tokens} is not the expansion of rule {rank}"
             )

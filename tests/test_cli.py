@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -229,9 +230,42 @@ def test_theory_check(tmp_path, capsys):
 
 
 def test_gen_model(tmp_path, capsys):
-    model_out = tmp_path / "gen.psdm"
-    corpus_out = tmp_path / "gen.txt"
-    rc = main(["--seed", "6", "gen-model", "--model-out", str(model_out),
-               "--corpus-out", str(corpus_out)])
+    # the default config's planted model and corpus, byte for byte as before
+    # gen-model and bench shared one resolver (NumPy's Dirichlet and
+    # Generator streams)
+    model_out, corpus_out = tmp_path / "gen.psdm", tmp_path / "gen.txt"
+    rc = main(["gen-model", "--model-out", str(model_out), "--corpus-out", str(corpus_out)])
     assert rc == 0
-    assert model_out.exists() and corpus_out.exists()
+    digest = {p.suffix: hashlib.sha256(p.read_bytes()).hexdigest() for p in (model_out, corpus_out)}
+    assert digest == {
+        ".psdm": "b03dbd18e101c4fc3a55e432790f232b1ec2212d87fccca57c8a5d254b64abbe",
+        ".txt": "f63af9868fe96222ff9d0cdd657a507ad0610458dab2e79ae39ee9ff0eb7d493",
+    }
+
+
+def test_gen_model_writes_what_bench_uses(tmp_path, capsys):
+    # a random order-3 model: bench on the written files decodes exactly
+    # as bench on the config that generated them (the phrase settings fit
+    # V=8, but a random model has no planted phrases)
+    settings = "decodes=2\ntotal_len=48\nmerges=32\nmodes=sjd,sjd_pv\n"
+    cfg = tmp_path / "random.cfg"
+    cfg.write_text(
+        "planted=false\norder=3\nvocab_size=8\nphrase_count=2\nphrase_len=3\n"
+        "corpus_sequences=20\ncorpus_seq_len=64\n" + settings,
+        encoding="utf-8",
+    )
+    model_out, corpus_out = tmp_path / "gen.psdm", tmp_path / "gen.txt"
+    rc = main(["--seed", "3", "--config", str(cfg), "gen-model",
+               "--model-out", str(model_out), "--corpus-out", str(corpus_out)])
+    assert rc == 0
+    files = tmp_path / "files.cfg"
+    files.write_text(
+        f"model_path={model_out}\ncorpus_path={corpus_out}\n" + settings, encoding="utf-8"
+    )
+    rows = {}
+    for name, path in (("config", cfg), ("files", files)):
+        out_dir = tmp_path / name
+        assert main(["--seed", "3", "--config", str(path), "--out", str(out_dir), "bench"]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        rows[name] = {mode: agg["rows"] for mode, agg in report["per_mode"].items()}
+    assert rows["files"] == rows["config"]

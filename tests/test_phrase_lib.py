@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_builder import UnknownSymbol, expand_symbol
+from phrasedec import phrase_lib
 from phrasedec.harness import planted_phrase_corpus
 from phrasedec.phrase_lib import (
     EmptyCorpus,
@@ -139,19 +141,27 @@ class TestBuildLibrary:
 
 
 class TestExpandSymbol:
+    # the oracle and the engine's own spelling routine, over V=8
     RULES = (MergeRule(1, 2, 8, 1), MergeRule(8, 3, 9, 2))
 
     def test_raw_token(self):
         assert expand_symbol(self.RULES, 5) == (5,)
+        assert phrase_lib._spell(self.RULES, 8, 5) == (5,)
 
     def test_recursive(self):
         assert expand_symbol(self.RULES, 9) == (1, 2, 3)
+        assert phrase_lib._spell(self.RULES, 8, 9) == (1, 2, 3)
 
     def test_length_identity(self):
+        lengths = phrase_lib._phrase_lengths(self.RULES, 8, limit=3)
         for rule in self.RULES:
             assert len(expand_symbol(self.RULES, rule.result)) == len(
                 expand_symbol(self.RULES, rule.left)
             ) + len(expand_symbol(self.RULES, rule.right))
+            assert lengths[rule.rank - 1] == len(expand_symbol(self.RULES, rule.result))
+        # lengths above the limit are capped just above it
+        assert phrase_lib._phrase_lengths(self.RULES, 8, limit=2) == [2, 3]
+        assert phrase_lib._phrase_lengths(self.RULES, 8, limit=1) == [2, 2]
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):
@@ -340,6 +350,80 @@ class TestSerialization:
         else:
             with pytest.raises(UnsupportedLibraryFormat, match="expansion"):
                 load_library(path)
+
+
+def chained_library(n):
+    """V=1 and n rules, each extending the last phrase by one token: rule k
+    spells k + 1 zeros, and the one phrase stored is the last rule's."""
+    rules = tuple(MergeRule(max(k - 1, 0), 0, k, k) for k in range(1, n + 1))
+    return PhraseLibrary(1, rules, (Phrase((0,) * (n + 1), n, 1),))
+
+
+class TestLoaderChecks:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_loads_iff_every_phrase_is_its_rules_expansion(self, tmp_path_factory, data):
+        # random valid rules, a random subset of their phrases, some corrupted
+        vocab = data.draw(st.integers(1, 4))
+        rules = []
+        for rank in range(1, data.draw(st.integers(1, 10)) + 1):
+            result = vocab + rank - 1
+            left, right = (data.draw(st.integers(0, result - 1)) for _ in range(2))
+            rules.append(MergeRule(left, right, result, rank))
+        phrases = []
+        for rule in data.draw(st.lists(st.sampled_from(rules), max_size=5)):
+            tokens, rank = list(expand_symbol(rules, rule.result)), rule.rank
+            fault = data.draw(st.sampled_from(["none", "token", "rank", "longer", "shorter"]))
+            if fault == "token":
+                at = data.draw(st.integers(0, len(tokens) - 1))
+                tokens[at] += data.draw(st.integers(1, vocab + 1))
+            elif fault == "rank":
+                rank = data.draw(st.integers(0, len(rules) + 1))
+            elif fault == "longer":
+                tokens.append(data.draw(st.integers(0, vocab - 1)))
+            elif fault == "shorter":
+                tokens.pop()
+            phrases.append(Phrase(tuple(tokens), rank, 1))
+        lib = PhraseLibrary(vocab, tuple(rules), tuple(phrases))
+        path = tmp_path_factory.mktemp("diff") / "lib.psdl"
+        save_library(lib, path)
+        valid = all(
+            1 <= p.source_rank <= len(rules)
+            and expand_symbol(rules, vocab + p.source_rank - 1) == p.tokens
+            for p in phrases
+        )
+        if valid:
+            assert load_library(path) == lib
+        else:
+            with pytest.raises(UnsupportedLibraryFormat, match="is not the expansion of rule"):
+                load_library(path)
+
+    def test_chain_loads_in_linear_memory(self, tmp_path):
+        # 4,000 chained rules and one 4,001-token phrase: a 64 KB file
+        path = tmp_path / "chain.psdl"
+        lib = chained_library(4000)
+        save_library(lib, path)
+        tracemalloc.start()
+        try:
+            loaded = load_library(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == lib
+        assert peak < 8 * 2**20
+
+    def test_wrong_length_rejected_before_spelling(self, tmp_path, monkeypatch):
+        # a 2-token phrase naming the chain's deepest rule, a 4,001-token one
+        lib = chained_library(4000)
+        path = tmp_path / "chain.psdl"
+        save_library(PhraseLibrary(1, lib.rules, (Phrase((0, 0), 4000, 1),)), path)
+
+        def no_walk(*args):
+            raise AssertionError("spelled a phrase whose length was already wrong")
+
+        monkeypatch.setattr(phrase_lib, "_spell", no_walk)
+        with pytest.raises(UnsupportedLibraryFormat, match="is not the expansion of rule 4000"):
+            load_library(path)
 
 
 class TestCorpusIO:
