@@ -7,10 +7,11 @@ phrase whose tokens all fall inside their adaptive neighborhoods; on any
 failure it falls back to the standard token-wise accept-resample test.
 
 The hot loop works on dense ``(W, V)`` arrays and plain indices: one row
-gather per window, a scalar neighborhood test for each phrase token the scan
-tries, accept tests on plain floats and one inverse-CDF refill that gathers
-rows of the model's cumulative table.  A window is its drafts and the context
-codes of the target rows they were drawn from.
+gather per window, a walk of the start token's phrase trie with one scalar
+neighborhood test per node it reaches, accept tests on scalars read in place
+and one inverse-CDF refill that gathers rows of the model's cumulative
+table.  A window is its drafts and the context codes of the target rows they
+were drawn from.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
     sample,
 )
 from .models import MarkovModel, batched_conditionals, window_codes
-from .phrase_lib import DEFAULT_MAX_PHRASE_LEN, Phrase, PhraseLibrary, match_prefix
+from .phrase_lib import DEFAULT_MAX_PHRASE_LEN, Phrase, PhraseLibrary
 
 MODES = ("jacobi", "sjd", "sjd_pv")
 
@@ -109,13 +110,16 @@ def in_neighborhood(
     return abs(p.item(j, v) - p.item(j, drafted)) < tau
 
 
-def phrase_acceptance_score(verifier_rows, drafter_rows, phrase: Phrase) -> float:
-    """Joint log acceptance score: sum of per-position log p/q over the phrase."""
-    if not len(verifier_rows) == len(drafter_rows) == len(phrase):
-        raise ValueError("row stacks and phrase must have equal length")
+def phrase_acceptance_score(
+    verifier: np.ndarray, t: int, rows: np.ndarray, drafter: list[int], phrase: Phrase
+) -> float:
+    """Joint log acceptance score of the phrase placed at slot t: the sum over
+    its tokens v_k of log p/q, with p = verifier[t + k, v_k] from the
+    ``(W, V)`` verifier window and q = rows[drafter[t + k], v_k] from the
+    model row of slot t + k's drafter code.  Reads scalars in place."""
     score = 0.0
-    for p, q, v in zip(verifier_rows, drafter_rows, phrase.tokens):
-        score += log_ratio(float(p[v]), float(q[v]))
+    for j, v in enumerate(phrase.tokens, t):
+        score += log_ratio(verifier.item(j, v), rows.item(drafter[j], v))
     return max(score, LOG_FLOOR)
 
 
@@ -154,21 +158,40 @@ def _find_phrase(
     cfg: VerifyConfig,
 ) -> Phrase | None:
     """The first phrase, in trial order, that starts at slot t, fits the
-    window and has every token inside its slot's neighborhood."""
+    window and has every token inside its slot's neighborhood.
+
+    A walk of drafts[t]'s trie: each node reached costs one neighborhood
+    test, a failed test prunes every phrase below the node, and a subtree
+    whose best rank cannot beat the phrase found so far is skipped.
+    """
+    root = lib.trie.get(drafts[t])
+    if root is None:
+        return None
     limit = min(len(drafts) - t, cfg.max_phrase_len)
     tau = cfg.tau
-    for phrase in match_prefix(lib, drafts[t]):
-        tokens = phrase.tokens
-        n = len(tokens)
-        if n > limit:
+    # the root is drafts[t], always inside its own neighborhood
+    found, found_rank = root.phrase, root.rank
+    # sibling groups still to walk, each with its tokens' offset from t
+    stack = [(1, root.children)]
+    while stack:
+        k, siblings = stack.pop()
+        if k >= limit:
             continue
-        # tokens[0] is drafts[t], always inside its own neighborhood
-        for k in range(1, n):
-            if not in_neighborhood(verifier, t + k, tokens[k], drafts[t + k], tau):
-                break
-        else:
-            return phrase
-    return None
+        j, drafted = t + k, drafts[t + k]
+        i = 0
+        for token, best, rank, phrase, children in siblings:
+            i += 1
+            if best >= found_rank:
+                break  # siblings come in ascending best rank
+            if in_neighborhood(verifier, j, token, drafted, tau):
+                if rank < found_rank:
+                    found, found_rank = phrase, rank
+                if children:
+                    # depth first: this node's subtree before its later siblings
+                    stack.append((k, siblings[i:]))
+                    stack.append((k + 1, children))
+                    break
+    return found
 
 
 def verify_window(
@@ -215,9 +238,7 @@ def verify_window(
                 attempts += 1
                 n = len(phrase)
                 try:
-                    score = phrase_acceptance_score(
-                        verifier[t : t + n], rows.take(drafter[t : t + n], axis=0), phrase
-                    )
+                    score = phrase_acceptance_score(verifier, t, rows, drafter, phrase)
                 except DrafterZeroProb:
                     score = None  # non-verifiable: fall back to the token path
                 if score is not None and verify_phrase(score, rng):

@@ -166,14 +166,26 @@ def planted_phrase_corpus(
     row.  Phrases occupy disjoint token blocks, so continuation is
     unambiguous; the context-specific noise makes verifier and drafter rows
     differ mildly during decoding, which is the regime phrase verification
-    exploits.
+    exploits.  The corpus is ``sequences`` ancestral samples of the model,
+    drawn from rng after the model.
     """
+    model = _planted_model(vocab_size, phrase_count, phrase_len, planting_rate, rng, concentration)
+    return _ancestral_corpus(model, sequences, seq_len, rng), model
+
+
+def _planted_model(
+    vocab_size: int,
+    phrase_count: int,
+    phrase_len: int,
+    planting_rate: float,
+    rng: np.random.Generator,
+    concentration: float,
+) -> MarkovModel:
+    """The planted generator's model (see ``planted_phrase_corpus``)."""
     if phrase_len < 2:
         raise ConfigInvalid("phrase_len must be >= 2")
     if not 0.0 < planting_rate <= 1.0:
         raise ConfigInvalid("planting_rate must be in (0, 1]")
-    if sequences < 1 or seq_len < 1:
-        raise ConfigInvalid("sequences and seq_len must be >= 1")
     needed = phrase_count * phrase_len
     if needed > vocab_size * vocab_size:
         raise CapacityExceeded(
@@ -197,43 +209,42 @@ def planted_phrase_corpus(
     planted = np.flatnonzero(nxt >= 0)
     rows[planted] *= 1.0 - planting_rate
     rows[planted, nxt[planted]] += planting_rate
-    model = MarkovModel(order, vocab_size, normalize_rows(rows))
+    return MarkovModel(order, vocab_size, normalize_rows(rows))
 
-    corpus = [ancestral_sample(model, seq_len, rng) for _ in range(sequences)]
-    return corpus, model
+
+def _ancestral_corpus(
+    model: MarkovModel, sequences: int, seq_len: int, rng: np.random.Generator
+) -> list[TokenSequence]:
+    """``sequences`` ancestral samples of ``seq_len`` tokens each."""
+    if sequences < 1 or seq_len < 1:
+        raise ConfigInvalid("sequences and seq_len must be >= 1")
+    return [ancestral_sample(model, seq_len, rng) for _ in range(sequences)]
 
 
 def _resolve_model_and_corpus(
     cfg: ExperimentConfig,
 ) -> tuple[MarkovModel, list[TokenSequence]]:
     """The config's model (its file, the planted generator's or a random
-    one) and the corpus its library is mined from (the corpus file, else the
-    generator's own, else an ancestral sample)."""
+    one) and the corpus its library is mined from (the corpus file, else an
+    ancestral sample of the model, which for the planted model is the
+    generator's own corpus).  A corpus file means no corpus is sampled."""
     rng = np.random.default_rng([cfg.seed, 0])
-    corpus = None
     if cfg.model_path is not None:
         model = load_markov(cfg.model_path)
     elif cfg.planted:
-        corpus, model = planted_phrase_corpus(
+        model = _planted_model(
             cfg.vocab_size,
             cfg.phrase_count,
             cfg.phrase_len,
-            cfg.corpus_sequences,
-            cfg.corpus_seq_len,
             cfg.planting_rate,
             rng,
-            concentration=cfg.concentration,
+            cfg.concentration,
         )
     else:
         model = random_markov(cfg.order, cfg.vocab_size, cfg.concentration, rng)
     if cfg.corpus_path is not None:
-        corpus = read_corpus(cfg.corpus_path)
-    elif corpus is None:
-        corpus = [
-            ancestral_sample(model, cfg.corpus_seq_len, rng)
-            for _ in range(cfg.corpus_sequences)
-        ]
-    return model, corpus
+        return model, read_corpus(cfg.corpus_path)
+    return model, _ancestral_corpus(model, cfg.corpus_sequences, cfg.corpus_seq_len, rng)
 
 
 @dataclass

@@ -3,13 +3,17 @@
 A library is built from a token corpus in three steps: repeatedly merge the
 globally most frequent adjacent symbol pair into a new symbol, spell each
 merged symbol short enough to keep back to raw tokens, and index the
-resulting phrases by their starting token for O(1) lookup during decoding.
+resulting phrases by their starting token.  Each start token's phrases are
+also kept as a trie, which the decoder walks to find the first phrase in
+trial order that fits a window.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,11 +71,34 @@ class Phrase:
         return len(self.tokens)
 
 
+# the rank of a trie node where no phrase ends: above every trial rank
+NO_RANK = sys.maxsize
+
+
+class TrieNode(NamedTuple):
+    """One token of the phrases in a start token's bucket, shared by every
+    phrase that begins with the path from the root to it.
+
+    Ranks are positions in the bucket's trial order.  ``rank`` and
+    ``phrase`` name the first phrase in trial order that ends here
+    (``NO_RANK`` and None when none does); ``best`` is the smallest rank in
+    the subtree, and ``children`` come in ascending ``best``.
+    """
+
+    token: TokenId
+    best: int
+    rank: int
+    phrase: Phrase | None
+    children: tuple[TrieNode, ...]
+
+
 class PhraseLibrary:
-    """Merge rules, expanded phrases, and the start-token prefix index.
+    """Merge rules, expanded phrases, the start-token prefix index and its
+    tries.
 
     Index buckets hold every phrase sharing a first token, ordered longest
-    first, then by corpus_count descending, then by merge rank.  Immutable
+    first, then by corpus_count descending, then by merge rank; ``trie``
+    maps each start token to the root of its bucket's trie.  Immutable
     after construction.
     """
 
@@ -85,6 +112,7 @@ class PhraseLibrary:
         self.rules = tuple(rules)
         self.phrases = tuple(phrases)
         self.index = _build_index(self.phrases)
+        self.trie = {start: _build_trie(bucket) for start, bucket in self.index.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhraseLibrary):
@@ -106,6 +134,35 @@ def _build_index(phrases: tuple[Phrase, ...]) -> dict[TokenId, tuple[Phrase, ...
         )
         for start, bucket in buckets.items()
     }
+
+
+def _build_trie(bucket: tuple[Phrase, ...]) -> TrieNode:
+    """The trie of one index bucket, in time and memory linear in its tokens.
+
+    Nodes are created in trial order, so a node's best rank is that of the
+    phrase that created it and a node's children are created in ascending
+    best rank.  Every child is created after its parent, so freezing the
+    nodes in reverse creation order finds each node's children frozen.
+    """
+    # [token, best, rank, phrase, children by token] until frozen in place
+    root = [bucket[0].tokens[0], 0, NO_RANK, None, {}]
+    created = [root]
+    for rank, phrase in enumerate(bucket):
+        node = root
+        for token in phrase.tokens[1:]:
+            children = node[4]
+            child = children.get(token)
+            if child is None:
+                child = children[token] = [token, rank, NO_RANK, None, {}]
+                created.append(child)
+            node = child
+        # of two rules that spell the same tokens, the first in trial order
+        if node[3] is None:
+            node[2:4] = rank, phrase
+    for node in reversed(created):
+        *fields, children = node
+        node[4] = TrieNode(*fields, tuple(child[4] for child in children.values()))
+    return root[4]
 
 
 def _validate_corpus(corpus, vocab_size: int | None) -> tuple[list[np.ndarray], int]:
@@ -322,7 +379,10 @@ def build_library(
 
 
 def match_prefix(lib: PhraseLibrary, start: TokenId) -> tuple[Phrase, ...]:
-    """All library phrases beginning with `start`, in canonical trial order."""
+    """All library phrases beginning with `start`, in canonical trial order.
+
+    The decoder walks ``lib.trie`` instead; this is the lookup of the frozen
+    per-slot decoder that tests check the engine against."""
     return lib.index.get(start, ())
 
 
@@ -372,8 +432,9 @@ def load_library(path) -> PhraseLibrary:
 
 def _parse_library(data: bytes) -> PhraseLibrary:
     """Rules must each merge earlier symbols; each stored phrase must name a
-    rule whose length it has and whose spelling it is.  Time and memory are
-    linear in the file: one length per rule, and one walk per phrase."""
+    rule whose length it has and whose spelling it is, and no rule's phrase
+    may be stored twice.  Time and memory are linear in the file: one length
+    per rule, and one walk per phrase."""
     version, vocab_size, rule_count = struct.unpack_from("<HII", data, 4)
     if version != LIBRARY_FORMAT_VERSION:
         raise UnsupportedLibraryFormat(f"unknown library format version {version}")
@@ -409,6 +470,8 @@ def _parse_library(data: bytes) -> PhraseLibrary:
             raise UnsupportedLibraryFormat(
                 f"phrase {phrase.tokens} is not the expansion of rule {rank}"
             )
+    if len({phrase.source_rank for phrase in phrases}) != len(phrases):
+        raise UnsupportedLibraryFormat("library file stores a rule's phrase twice")
     return PhraseLibrary(vocab_size, tuple(rules), tuple(phrases))
 
 

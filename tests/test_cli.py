@@ -97,9 +97,9 @@ def test_decode_tries_the_librarys_longest_phrase(tmp_path, capsys, monkeypatch)
     tried = []
     score = decoder.phrase_acceptance_score
 
-    def recording(verifier_rows, drafter_rows, phrase):
+    def recording(verifier, t, rows, drafter, phrase):
         tried.append(len(phrase))
-        return score(verifier_rows, drafter_rows, phrase)
+        return score(verifier, t, rows, drafter, phrase)
 
     monkeypatch.setattr(decoder, "phrase_acceptance_score", recording)
     rc = main(["decode", "--model", str(model_path), "--mode", "sjd_pv",

@@ -12,6 +12,7 @@ from phrasedec.core import (
     LOG_FLOOR,
     CategoricalDistribution,
     DrafterZeroProb,
+    TokenSequence,
     normalize,
 )
 from phrasedec.decoder import (
@@ -36,7 +37,13 @@ from phrasedec.models import (
     random_markov,
     window_codes,
 )
-from phrasedec.phrase_lib import Phrase, PhraseLibrary, build_library
+from phrasedec.phrase_lib import (
+    MergeRule,
+    Phrase,
+    PhraseLibrary,
+    build_library,
+    match_prefix,
+)
 
 
 def dist(probs):
@@ -101,31 +108,107 @@ class TestPhraseScore:
     def test_identity_distributions(self):
         p = dist([0.6, 0.4])
         phrase = Phrase((0, 1), 1, 1)
-        assert phrase_acceptance_score([p, p], [p, p], phrase) == 0.0
+        assert phrase_acceptance_score(np.array([p, p]), 0, p[None], [0, 0], phrase) == 0.0
 
     def test_hand_product(self):
-        # ratios 1.4 and 0.6 -> ln(0.84)
-        p = [dist([0.7, 0.3]), dist([0.3, 0.7])]
-        q = [dist([0.5, 0.5]), dist([0.5, 0.5])]
+        # ratios 1.4 and 0.6 -> ln(0.84), the phrase at slot 1 of 3: slot 0's
+        # rows and drafter code are never read
+        verifier = np.array([dist([0.0, 1.0]), dist([0.7, 0.3]), dist([0.3, 0.7])])
+        rows = np.array([dist([1.0, 0.0]), dist([0.5, 0.5])])
         phrase = Phrase((0, 0), 1, 1)
-        score = phrase_acceptance_score(p, q, phrase)
+        score = phrase_acceptance_score(verifier, 1, rows, [0, 1, 1], phrase)
         assert score == pytest.approx(math.log(0.84), rel=1e-12)
 
     def test_impossible_token_floor(self):
-        p = [dist([1.0, 0.0]), dist([0.5, 0.5])]
-        q = [dist([0.5, 0.5]), dist([0.5, 0.5])]
+        verifier = np.array([dist([1.0, 0.0]), dist([0.5, 0.5])])
+        rows = dist([0.5, 0.5])[None]
         phrase = Phrase((1, 0), 1, 1)
-        score = phrase_acceptance_score(p, q, phrase)
+        score = phrase_acceptance_score(verifier, 0, rows, [0, 0], phrase)
         assert score == LOG_FLOOR
         # exp of the floor is the smallest subnormal double: acceptance
         # probability is effectively zero
         assert math.exp(score) <= 5e-324
 
     def test_drafter_zero_propagates(self):
-        p = [dist([0.5, 0.5])]
-        q = [dist([1.0, 0.0])]
+        verifier = dist([0.5, 0.5])[None]
+        rows = dist([1.0, 0.0])[None]
         with pytest.raises(DrafterZeroProb):
-            phrase_acceptance_score(p, q, Phrase((1,), 1, 1))
+            phrase_acceptance_score(verifier, 0, rows, [0], Phrase((1,), 1, 1))
+
+
+def _find_phrase(
+    lib: PhraseLibrary,
+    drafts: TokenSequence,
+    t: int,
+    verifier: np.ndarray,
+    cfg: VerifyConfig,
+) -> Phrase | None:
+    """The first phrase, in trial order, that starts at slot t, fits the
+    window and has every token inside its slot's neighborhood."""
+    limit = min(len(drafts) - t, cfg.max_phrase_len)
+    tau = cfg.tau
+    for phrase in match_prefix(lib, drafts[t]):
+        tokens = phrase.tokens
+        n = len(tokens)
+        if n > limit:
+            continue
+        # tokens[0] is drafts[t], always inside its own neighborhood
+        for k in range(1, n):
+            if not in_neighborhood(verifier, t + k, tokens[k], drafts[t + k], tau):
+                break
+        else:
+            return phrase
+    return None
+
+
+class TestFindPhrase:
+    """The trie walk against the linear scan of the trial order it replaced
+    (``_find_phrase`` above, kept as the oracle)."""
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_linear_scan(self, data):
+        # a small alphabet, so phrases share prefixes and two rules often
+        # spell the same tokens; tokens above it have empty buckets
+        vocab = data.draw(st.integers(1, 4))
+        spellings = data.draw(
+            st.lists(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=12), max_size=16)
+        )
+        counts = data.draw(st.lists(st.integers(0, 2), min_size=len(spellings),
+                                    max_size=len(spellings)))
+        phrases = tuple(
+            Phrase(tuple(tokens), rank, count)
+            for rank, (tokens, count) in enumerate(zip(spellings, counts), 1)
+        )
+        lib = PhraseLibrary(vocab + 1, (), phrases)
+        W = data.draw(st.integers(1, 10))
+        drafts = tuple(data.draw(st.lists(st.integers(0, vocab), min_size=W, max_size=W)))
+        # dyadic probabilities and tau: |p - p'| lands exactly on tau
+        levels = st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.5])
+        verifier = np.array(
+            data.draw(st.lists(st.lists(levels, min_size=vocab + 1, max_size=vocab + 1),
+                               min_size=W, max_size=W))
+        )
+        cfg = VerifyConfig(
+            mode="sjd_pv",
+            window_size=W,
+            tau=data.draw(st.sampled_from([0.125, 0.25, 0.3])),
+            max_phrase_len=data.draw(st.integers(2, 9)),
+        )
+        for t in range(W):
+            expected = _find_phrase(lib, drafts, t, verifier, cfg)
+            assert decoder._find_phrase(lib, drafts, t, verifier, cfg) is expected
+
+    def test_five_thousand_token_phrase_decodes(self):
+        # 4,999 chained rules spelling 5,000 zeros: the trie is built and
+        # walked without recursion, and the walk stops at the window's end
+        rules = tuple(MergeRule(max(k - 1, 0), 0, k, k) for k in range(1, 5000))
+        lib = PhraseLibrary(1, rules, (Phrase((0,) * 5000, 4999, 1),))
+        model = random_markov(2, 4, 0.5, np.random.default_rng(0))
+        cfg = VerifyConfig(mode="sjd_pv", window_size=16)
+        tokens, metrics = decode(model, lib, cfg, 64, np.random.default_rng(1))
+        assert len(tokens) == 64
+        assert metrics.phrase_attempts == 0
 
 
 class TestVerifyPhrase:

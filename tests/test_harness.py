@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from phrasedec import harness
 from phrasedec.harness import (
     CapacityExceeded,
     ConfigInvalid,
@@ -19,7 +20,7 @@ from phrasedec.harness import (
     theory_check,
 )
 from phrasedec.models import markov_contexts
-from phrasedec.phrase_lib import build_library
+from phrasedec.phrase_lib import build_library, write_corpus
 
 
 def small_cfg(**kw):
@@ -76,6 +77,45 @@ class TestPlantedPhraseCorpus:
             if ctx[-1] == first.left
         ]
         assert all(np.argmax(r.probs) == first.right for r in rows)
+
+
+class TestResolveModelAndCorpus:
+    def planted(self, cfg):
+        return planted_phrase_corpus(
+            cfg.vocab_size,
+            cfg.phrase_count,
+            cfg.phrase_len,
+            cfg.corpus_sequences,
+            cfg.corpus_seq_len,
+            cfg.planting_rate,
+            np.random.default_rng([cfg.seed, 0]),
+            concentration=cfg.concentration,
+        )
+
+    def test_planted_without_corpus_file_is_the_generators(self):
+        cfg = small_cfg()
+        corpus, model = self.planted(cfg)
+        resolved_model, resolved_corpus = harness._resolve_model_and_corpus(cfg)
+        assert resolved_model.rows.tobytes() == model.rows.tobytes()
+        assert resolved_corpus == corpus
+
+    def test_planted_with_corpus_file_samples_no_corpus(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.txt"
+        write_corpus([[1, 2, 3, 1, 2]], path)
+        cfg = small_cfg(corpus_path=str(path))
+        _, model = self.planted(cfg)
+        calls = []
+        sample = harness.ancestral_sample
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ancestral_sample", counting)
+        resolved_model, corpus = harness._resolve_model_and_corpus(cfg)
+        assert calls == []
+        assert corpus == [(1, 2, 3, 1, 2)]
+        assert resolved_model.rows.tobytes() == model.rows.tobytes()
 
 
 class TestRunBenchmark:

@@ -351,6 +351,14 @@ class TestSerialization:
             with pytest.raises(UnsupportedLibraryFormat, match="expansion"):
                 load_library(path)
 
+    def test_phrase_stored_twice_rejected(self, tmp_path):
+        # no build stores a rule's phrase twice; a decoder would try it twice
+        rules = (MergeRule(1, 2, 4, 1),)
+        path = tmp_path / "lib.psdl"
+        save_library(PhraseLibrary(4, rules, (Phrase((1, 2), 1, 2), Phrase((1, 2), 1, 7))), path)
+        with pytest.raises(UnsupportedLibraryFormat, match="stores a rule's phrase twice"):
+            load_library(path)
+
 
 def chained_library(n):
     """V=1 and n rules, each extending the last phrase by one token: rule k
@@ -392,8 +400,12 @@ class TestLoaderChecks:
             and expand_symbol(rules, vocab + p.source_rank - 1) == p.tokens
             for p in phrases
         )
-        if valid:
+        once = len({p.source_rank for p in phrases}) == len(phrases)
+        if valid and once:
             assert load_library(path) == lib
+        elif valid:
+            with pytest.raises(UnsupportedLibraryFormat, match="stores a rule's phrase twice"):
+                load_library(path)
         else:
             with pytest.raises(UnsupportedLibraryFormat, match="is not the expansion of rule"):
                 load_library(path)
