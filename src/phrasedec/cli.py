@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Verbs: build-library, decode, bench, sweep-tau, sweep-merges, theory-check,
-gen-model.  Global flags --seed, --config <path> and --out <dir> apply to
-every verb; the config file is a flat key=value text file whose keys mirror
+gen-model.  Global flags --seed, --config <path> and --out <dir> go before
+the verb: bench and the sweeps read all three, theory-check --seed and
+--out, gen-model --seed and --config, decode --seed, build-library none.
+The config file is a flat key=value text file whose keys mirror
 ExperimentConfig.  Bad input (unreadable files, malformed models, libraries,
 corpora or configs) ends with one ``phrasedec: error: ...`` line on stderr
 and exit status 1; bad arguments exit with argparse's status 2.  An

@@ -68,7 +68,7 @@ class VerifyConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise ValueError(f"unknown decode mode {self.mode!r}: must be one of {MODES}")
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
         if not 0.0 < self.tau < 1.0:
@@ -150,6 +150,19 @@ def verify_token(
     return False, sample(residual, rng)
 
 
+def _draft(
+    target: MarkovModel, codes: list[int], greedy: bool, rng: np.random.Generator
+) -> JacobiWindow:
+    """A window drafted from the target rows of the given context codes:
+    each row's argmax in greedy mode, else one inverse-CDF draw over the
+    gathered ``cdf`` rows."""
+    if greedy:
+        drafts = tuple([target.argmax[c] for c in codes])
+    else:
+        drafts = tuple(draw(target.cdf.take(codes, axis=0), rng).tolist())
+    return JacobiWindow(drafts, codes)
+
+
 def _find_phrase(
     lib: PhraseLibrary,
     drafts: TokenSequence,
@@ -224,9 +237,6 @@ def verify_window(
     phrases = cfg.mode == "sjd_pv"
     greedy = cfg.greedy
     fresh_draw = cfg.mode == "jacobi"
-    # greedy mode: one argmax per slot serves both the scan and the refill
-    argmax = target.argmax
-    best = [argmax[c] for c in codes] if greedy else None
 
     committed: list[TokenId] = []
     attempts = accepts = token_accepts = token_rejects = 0
@@ -252,7 +262,7 @@ def verify_window(
         # iff it matches a fresh draw (argmax in greedy mode) from the
         # verifier conditional
         if greedy:
-            emitted = best[t]
+            emitted = target.argmax[codes[t]]
             accepted = emitted == drafted
         elif fresh_draw:
             emitted = draw(target.cdf[codes[t]], rng)
@@ -266,13 +276,6 @@ def verify_window(
             break
         token_accepts += 1
 
-    # Jacobi refill: surviving slots are re-drafted from the verifier rows
-    # just computed; appended slots reuse the last one
-    next_codes = codes[t:] + codes[-1:] * t
-    if greedy:
-        next_drafts = best[t:] + best[-1:] * t
-    else:
-        next_drafts = draw(target.cdf.take(next_codes, axis=0), rng).tolist()
     n = len(committed)
     metrics.nfe += 1
     metrics.tokens_emitted += n
@@ -281,7 +284,9 @@ def verify_window(
     metrics.phrase_accepts += accepts
     metrics.token_accepts += token_accepts
     metrics.token_rejects += token_rejects
-    return tuple(committed), JacobiWindow(tuple(next_drafts), next_codes)
+    # Jacobi refill: surviving slots are re-drafted from the verifier rows
+    # just computed; appended slots reuse the last one
+    return tuple(committed), _draft(target, codes[t:] + codes[-1:] * t, greedy, rng)
 
 
 def decode(
@@ -302,13 +307,7 @@ def decode(
         raise LibraryVocabMismatch(
             f"library vocabulary {lib.vocab_size} exceeds the model's {target.vocab_size}"
         )
-    begin = target.context_code(())
-    codes = [begin] * cfg.window_size
-    if cfg.greedy:
-        drafts = [target.argmax[begin]] * cfg.window_size
-    else:
-        drafts = draw(target.cdf.take(codes, axis=0), rng).tolist()
-    window = JacobiWindow(tuple(drafts), codes)
+    window = _draft(target, [target.context_code(())] * cfg.window_size, cfg.greedy, rng)
 
     committed: list[TokenId] = []
     metrics = DecodeMetrics()

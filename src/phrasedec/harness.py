@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TokenSequence, normalize_rows
-from .decoder import MODES, DecodeMetrics, VerifyConfig, decode
+from .decoder import DecodeMetrics, VerifyConfig, decode
 from .models import (
     MarkovModel,
     ancestral_sample,
@@ -73,20 +73,24 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
-        for mode in self.modes:
-            if mode not in MODES:
-                raise ConfigInvalid(f"unknown decode mode {mode!r}")
         if not self.modes:
             raise ConfigInvalid("at least one decode mode is required")
+        for mode in self.modes:
+            self._verify_config(mode)
         for path in (self.model_path, self.corpus_path):
             if path is not None and not os.path.exists(path):
                 raise ConfigInvalid(f"referenced file does not exist: {path}")
-        if self.decodes < 1 or self.total_len < 1 or self.window_size < 1:
-            raise ConfigInvalid("decodes, total_len and window_size must be >= 1")
+        if self.decodes < 1 or self.total_len < 1:
+            raise ConfigInvalid("decodes and total_len must be >= 1")
         if self.merges < 0:
             raise ConfigInvalid("merges must be >= 0")
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigInvalid("tau must be in (0, 1)")
+
+    def _verify_config(self, mode: str) -> VerifyConfig:
+        """The decoder settings of one mode; bad ones raise ConfigInvalid."""
+        try:
+            return VerifyConfig(mode, self.window_size, self.tau, self.max_phrase_len)
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from exc
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -187,10 +191,6 @@ def _planted_model(
     if not 0.0 < planting_rate <= 1.0:
         raise ConfigInvalid("planting_rate must be in (0, 1]")
     needed = phrase_count * phrase_len
-    if needed > vocab_size * vocab_size:
-        raise CapacityExceeded(
-            f"{needed} phrase tokens exceed the {vocab_size * vocab_size} available contexts"
-        )
     if needed > vocab_size:
         raise CapacityExceeded(
             f"{needed} phrase tokens need disjoint blocks in a vocabulary of {vocab_size}"
@@ -281,18 +281,9 @@ class BenchmarkReport:
 
 
 def _run_mode(
-    model,
-    lib: PhraseLibrary | None,
-    cfg: ExperimentConfig,
-    mode: str,
-    tau: float | None = None,
+    model, lib: PhraseLibrary | None, cfg: ExperimentConfig, mode: str
 ) -> tuple[ModeAggregate, list[TokenSequence]]:
-    vcfg = VerifyConfig(
-        mode=mode,
-        window_size=cfg.window_size,
-        tau=cfg.tau if tau is None else tau,
-        max_phrase_len=cfg.max_phrase_len,
-    )
+    vcfg = cfg._verify_config(mode)
     rows: list[dict] = []
     outputs: list[TokenSequence] = []
     totals = DecodeMetrics()
@@ -399,15 +390,13 @@ def run_tau_sweep(cfg: ExperimentConfig, taus) -> list[dict]:
     cfg.validate()
     model, corpus = _resolve_model_and_corpus(cfg)
     lib = build_library(corpus, cfg.merges, cfg.max_phrase_len, model.vocab_size)
-
-    ref_rng = np.random.default_rng([cfg.seed, 2])
-    reference = [
-        ancestral_sample(model, cfg.total_len, ref_rng) for _ in range(cfg.decodes)
-    ]
+    reference = _ancestral_corpus(
+        model, cfg.decodes, cfg.total_len, np.random.default_rng([cfg.seed, 2])
+    )
 
     rows = []
     for tau in taus:
-        agg, outputs = _run_mode(model, lib, cfg, "sjd_pv", tau=tau)
+        agg, outputs = _run_mode(model, lib, dataclasses.replace(cfg, tau=tau), "sjd_pv")
         divergence = float(marginal_tv(outputs, reference, model.vocab_size).mean())
         rows.append(
             {
@@ -470,12 +459,11 @@ def theory_check(
     l_max: int = 3,
     min_inequality_trials: int = 10**5,
     seed: int = 0,
-    histogram_bins: int = 20,
 ) -> dict:
     """JSON-ready report over the acceptance-rate oracles."""
     rng = np.random.default_rng([seed, 3])
     summary = theory.proposition1_sweep(trials, v_max, l_max, rng)
-    counts, edges = np.histogram(summary.gaps, bins=histogram_bins)
+    counts, edges = np.histogram(summary.gaps, bins=20)
 
     failures = 0
     for _ in range(min_inequality_trials):

@@ -214,16 +214,13 @@ def load_markov(path) -> MarkovModel:
         raise UnsupportedModelFormat(f"unknown model format version {version}")
     if order < 1 or vocab_size < 2:
         raise UnsupportedModelFormat(f"invalid model shape: order {order}, V={vocab_size}")
-    # count contexts only up to what the file could hold, so a corrupt
-    # header cannot ask for an astronomically large table
     row_bytes = vocab_size * 8
     available = (len(data) - offset) // row_bytes
-    contexts, width = 0, 1
-    for _ in range(order + 1):
-        contexts += width
-        width *= vocab_size
-        if contexts > available:
-            break
+    # a model has at least 2**order contexts: rejecting a larger order first
+    # keeps a corrupt header from asking for an astronomically large count
+    if order > available.bit_length():
+        raise UnsupportedModelFormat(f"model file is too short for order {order}")
+    contexts = context_count(order, vocab_size)
     if offset + contexts * row_bytes != len(data):
         raise UnsupportedModelFormat("model file has trailing or missing bytes")
     rows = np.frombuffer(data, dtype="<f8", offset=offset).reshape(contexts, vocab_size)

@@ -378,14 +378,6 @@ def build_library(
     return PhraseLibrary(vocab_size, rules, phrases)
 
 
-def match_prefix(lib: PhraseLibrary, start: TokenId) -> tuple[Phrase, ...]:
-    """All library phrases beginning with `start`, in canonical trial order.
-
-    The decoder walks ``lib.trie`` instead; this is the lookup of the frozen
-    per-slot decoder that tests check the engine against."""
-    return lib.index.get(start, ())
-
-
 def save_library(lib: PhraseLibrary, path) -> None:
     """Write a library in the versioned PSDL binary format (deterministic bytes).
 

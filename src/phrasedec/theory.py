@@ -20,6 +20,9 @@ from .core import CategoricalDistribution, normalize
 # exact joint enumeration is capped at this many outcomes
 ENUMERATION_LIMIT = 10**7
 
+# rounding slack allowed when checking that a rate inequality holds
+_GAP_TOL = 1e-12
+
 
 class EnumerationTooLarge(ValueError):
     """V^L exceeds the exact-enumeration guard."""
@@ -37,10 +40,14 @@ def alpha(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
     return float(np.dot(q.probs[mask], ratios))
 
 
-def alpha_seq(p_list, q_list) -> float:
-    """Token-wise sequence acceptance rate: the product of per-position rates."""
+def _check_pairs(p_list, q_list) -> None:
     if len(p_list) != len(q_list) or not p_list:
         raise ValueError("p_list and q_list must be non-empty and equal length")
+
+
+def alpha_seq(p_list, q_list) -> float:
+    """Token-wise sequence acceptance rate: the product of per-position rates."""
+    _check_pairs(p_list, q_list)
     return float(np.prod([alpha(p, q) for p, q in zip(p_list, q_list)]))
 
 
@@ -51,8 +58,7 @@ def _joint(dists) -> np.ndarray:
 def alpha_phr_exact(p_list, q_list) -> float:
     """Phrase-level acceptance rate E_{x~q}[min(1, prod p_i(x_i)/q_i(x_i))]
     by exact enumeration of all joint outcomes."""
-    if len(p_list) != len(q_list) or not p_list:
-        raise ValueError("p_list and q_list must be non-empty and equal length")
+    _check_pairs(p_list, q_list)
     outcomes = math.prod(d.vocab_size for d in q_list)
     if outcomes > ENUMERATION_LIMIT:
         raise EnumerationTooLarge(f"{outcomes} joint outcomes exceed the guard")
@@ -67,8 +73,7 @@ def alpha_phr_mc(
     p_list, q_list, samples: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the phrase-level rate: (mean, standard error)."""
-    if len(p_list) != len(q_list) or not p_list:
-        raise ValueError("p_list and q_list must be non-empty and equal length")
+    _check_pairs(p_list, q_list)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     ratios = np.ones(samples)
@@ -96,7 +101,7 @@ def min_inequality_check(ratios) -> MinInequalityResult:
         raise ValueError("ratios must be finite and non-negative")
     lhs = min(1.0, float(np.prod(arr)))
     rhs = float(np.prod(np.minimum(1.0, arr)))
-    return MinInequalityResult(lhs, rhs, lhs >= rhs - 1e-12)
+    return MinInequalityResult(lhs, rhs, lhs >= rhs - _GAP_TOL)
 
 
 @dataclass
@@ -125,11 +130,7 @@ def random_instance(
 
 
 def proposition1_sweep(
-    trials: int,
-    v_max: int,
-    l_max: int,
-    rng: np.random.Generator,
-    tolerance: float = 1e-12,
+    trials: int, v_max: int, l_max: int, rng: np.random.Generator
 ) -> Proposition1Summary:
     """Draw random instances and count violations of alpha_phr >= alpha_seq."""
     if v_max < 2 or l_max < 1:
@@ -141,6 +142,6 @@ def proposition1_sweep(
         p_list, q_list = random_instance(vocab_size, length, rng)
         gap = alpha_phr_exact(p_list, q_list) - alpha_seq(p_list, q_list)
         summary.gaps.append(gap)
-        if gap < -tolerance:
+        if gap < -_GAP_TOL:
             summary.violations += 1
     return summary

@@ -29,7 +29,6 @@ from phrasedec.decoder import (
     NonTermination,
     VerifyConfig,
 )
-from phrasedec.phrase_lib import match_prefix
 
 
 def sample(dist: CategoricalDistribution, rng: np.random.Generator) -> int:
@@ -99,7 +98,7 @@ def verify_token(p, q, drafted, rng):
 
 def _find_phrase(lib, drafts, t, neighborhoods, cfg):
     remaining = len(drafts) - t
-    for phrase in match_prefix(lib, drafts[t]):
+    for phrase in lib.index.get(drafts[t], ()):
         n = len(phrase)
         if n > remaining or n > cfg.max_phrase_len:
             continue

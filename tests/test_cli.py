@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from phrasedec import decoder
+from phrasedec import cli, decoder
 from phrasedec.cli import main
 from phrasedec.harness import planted_phrase_corpus
 from phrasedec.models import MarkovModel, random_markov, save_markov
@@ -45,19 +45,33 @@ def test_build_library_zero_merges(workspace, capsys):
     assert (lib.rules, lib.phrases) == ((), ())
 
 
-def test_decode_all_modes(workspace, capsys):
+def test_decode_all_modes(workspace, capsys, monkeypatch):
     tmp_path, corpus_path, model_path = workspace
     lib_path = tmp_path / "lib.psdl"
     main(["build-library", "--corpus", str(corpus_path), "--merges", "32",
           "--out", str(lib_path)])
     capsys.readouterr()
+    returned = []
+
+    def recording(*args):
+        returned.append(decoder.decode(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "decode", recording)
     for extra in (["--mode", "sjd"], ["--mode", "jacobi", "--greedy"],
                   ["--mode", "sjd_pv", "--lib", str(lib_path)]):
         rc = main(["--seed", "3", "decode", "--model", str(model_path),
                    "--length", "40"] + extra)
         assert rc == 0
-        out = capsys.readouterr().out
-        assert len(out.split()) == 40
+        out, err = capsys.readouterr()
+        seq, metrics = returned[-1]
+        assert out.split() == [str(t) for t in seq] and len(seq) == 40
+        # stderr carries the decode's own counters
+        assert json.loads(err) == {
+            key: getattr(metrics, key)
+            for key in ("nfe", "tokens_emitted", "token_accepts", "token_rejects",
+                        "phrase_attempts", "phrase_accepts")
+        }
 
 
 def test_decode_rejects_library_with_larger_vocab(tmp_path, capsys):
@@ -199,6 +213,13 @@ def test_bench(workspace, tmp_path, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert set(report["per_mode"]) == {"sjd", "sjd_pv"}
     assert report["config"]["seed"] == 2
+    # --modes replaces the config's mode list
+    out_dir = tmp_path / "bench_sjd"
+    rc = main(["--seed", "2", "--config", str(cfg), "--out", str(out_dir), "bench",
+               "--modes", "sjd"])
+    assert rc == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert set(report["per_mode"]) == {"sjd"}
 
 
 def test_sweeps(workspace, tmp_path, capsys):
@@ -227,6 +248,11 @@ def test_theory_check(tmp_path, capsys):
     assert rc == 0
     report = json.loads((out_dir / "theory_check.json").read_text())
     assert report["violations"] == 0
+    capsys.readouterr()
+    # without --out the same report goes to stdout
+    rc = main(["--seed", "1", "theory-check", "--trials", "20", "--min-ineq-trials", "100"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_gen_model(tmp_path, capsys):

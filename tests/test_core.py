@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phrasedec.core import (
@@ -189,14 +189,18 @@ class TestSampleOneRowPath:
 
     @given(row=st.lists(WEIGHTS, min_size=1, max_size=9),
            u=st.one_of(st.just(0.0), st.just(BELOW_ONE), st.floats(0.0, 1.0, exclude_max=True)))
+    # a total of exactly the smallest normal float: u * total rounds up to
+    # the total, and the draw, like the oracle's, clamps to a zero entry
+    @example(row=[float(np.finfo(float).tiny), 0.0], u=BELOW_ONE)
     @settings(max_examples=300, deadline=None)
     def test_fixed_uniform_matches_oracle(self, row, u):
         row = np.array(row)
         expected = oracle_draw(row, u)
         assert sample(row, FixedRng(u)) == expected
         assert sample(row[None].repeat(3, axis=0), FixedRng(u)).tolist() == [expected] * 3
-        if row.sum() >= np.finfo(float).tiny:
-            # below 1, u * total stays below a normal total: never a zero entry
+        if row.sum() > np.finfo(float).tiny:
+            # below 1, u * total stays below a total above the smallest
+            # normal float: never a zero entry
             assert row[expected] > 0.0
 
     def test_largest_uniform_skips_trailing_zeros(self):

@@ -42,7 +42,6 @@ from phrasedec.phrase_lib import (
     Phrase,
     PhraseLibrary,
     build_library,
-    match_prefix,
 )
 
 
@@ -147,7 +146,7 @@ def _find_phrase(
     window and has every token inside its slot's neighborhood."""
     limit = min(len(drafts) - t, cfg.max_phrase_len)
     tau = cfg.tau
-    for phrase in match_prefix(lib, drafts[t]):
+    for phrase in lib.index.get(drafts[t], ()):
         tokens = phrase.tokens
         n = len(tokens)
         if n > limit:

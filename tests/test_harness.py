@@ -167,7 +167,7 @@ class TestRunBenchmark:
             assert a.per_mode[mode].rows == b.per_mode[mode].rows
 
     def test_invalid_config(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid, match="unknown decode mode 'warp'"):
             run_benchmark(small_cfg(modes=("warp",)))
         with pytest.raises(ConfigInvalid):
             run_benchmark(small_cfg(model_path="/nonexistent/model.psdm"))
@@ -245,7 +245,18 @@ class TestConfig:
             config_from_mapping({"warp_factor": "9"})
 
     def test_bad_value(self):
-        for key, value in [("seed", "nine"), ("planted", "maybe"), ("tau", "abc")]:
+        for key, value in [
+            ("seed", "nine"),
+            ("planted", "maybe"),
+            ("tau", "abc"),
+            ("tau", "0"),
+            ("tau", "1"),
+            ("window_size", "0"),
+            ("decodes", "0"),
+            ("merges", "-1"),
+            ("max_phrase_len", "1"),
+            ("modes", "sjd,warp"),
+        ]:
             with pytest.raises(ConfigInvalid):
                 config_from_mapping({key: value})
 

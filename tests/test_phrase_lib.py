@@ -19,7 +19,6 @@ from phrasedec.phrase_lib import (
     UnsupportedLibraryFormat,
     build_library,
     load_library,
-    match_prefix,
     read_corpus,
     save_library,
     write_corpus,
@@ -173,11 +172,11 @@ class TestExpandSymbol:
 class TestMatchPrefix:
     def test_direct_hit(self):
         lib = build_library([[1, 2, 1, 2, 3]], merges=1)
-        assert [p.tokens for p in match_prefix(lib, 1)] == [(1, 2)]
+        assert [p.tokens for p in lib.index.get(1, ())] == [(1, 2)]
 
     def test_miss(self):
         lib = build_library([[1, 2, 1, 2, 3]], merges=1)
-        assert match_prefix(lib, 3) == ()
+        assert lib.index.get(3, ()) == ()
 
     def test_ordering_rule(self):
         phrases = (
@@ -185,7 +184,7 @@ class TestMatchPrefix:
             Phrase((1, 2, 3), source_rank=2, corpus_count=5),
         )
         lib = PhraseLibrary(4, (), phrases)
-        assert [p.tokens for p in match_prefix(lib, 1)] == [(1, 2, 3), (1, 2)]
+        assert [p.tokens for p in lib.index.get(1, ())] == [(1, 2, 3), (1, 2)]
 
     def test_bucket_keyed_by_first_token(self):
         rng = np.random.default_rng(1)
@@ -296,13 +295,15 @@ class TestSerialization:
             load_library(path)
 
     @pytest.mark.parametrize(
-        "rules, phrases",
+        "rules, phrases, tail",
         [
-            ([(1, 2, 4)], [()]),
-            ([(1, 2, 4)], [(1, 4)]),
-            ([(1, 2, 5)], [(1, 2)]),
-            ([(1, 4, 4)], [(1, 2)]),
-            ([(1, 2, 4), (5, 3, 5)], [(1, 2)]),
+            ([(1, 2, 4)], [()], b""),
+            ([(1, 2, 4)], [(1, 4)], b""),
+            ([(1, 2, 5)], [(1, 2)], b""),
+            ([(1, 4, 4)], [(1, 2)], b""),
+            ([(1, 2, 4), (5, 3, 5)], [(1, 2)], b""),
+            # a valid library followed by one stray byte
+            ([(1, 2, 4)], [(1, 2)], b"\0"),
         ],
         ids=[
             "empty_phrase",
@@ -310,9 +311,10 @@ class TestSerialization:
             "result_not_next_symbol",
             "right_names_itself",
             "left_names_later_symbol",
+            "trailing_byte",
         ],
     )
-    def test_impossible_content_rejected(self, tmp_path, rules, phrases):
+    def test_impossible_content_rejected(self, tmp_path, rules, phrases, tail):
         parts = [b"PSDL", struct.pack("<HII", 1, 4, len(rules))]
         parts += [struct.pack("<III", *rule) for rule in rules]
         parts.append(struct.pack("<I", len(phrases)))
@@ -320,7 +322,7 @@ class TestSerialization:
             parts.append(struct.pack(f"<H{len(tokens)}I", len(tokens), *tokens))
             parts.append(struct.pack("<IQ", 1, 2))
         path = tmp_path / "lib.psdl"
-        path.write_bytes(b"".join(parts))
+        path.write_bytes(b"".join(parts) + tail)
         with pytest.raises(UnsupportedLibraryFormat):
             load_library(path)
 
