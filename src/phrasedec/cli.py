@@ -142,19 +142,7 @@ def _run(args) -> int:
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         seq, metrics = decode(model, lib, cfg, args.length, rng)
         print(" ".join(str(t) for t in seq))
-        print(
-            json.dumps(
-                {
-                    "nfe": metrics.nfe,
-                    "tokens_emitted": metrics.tokens_emitted,
-                    "token_accepts": metrics.token_accepts,
-                    "token_rejects": metrics.token_rejects,
-                    "phrase_attempts": metrics.phrase_attempts,
-                    "phrase_accepts": metrics.phrase_accepts,
-                }
-            ),
-            file=sys.stderr,
-        )
+        print(json.dumps(metrics.counts()), file=sys.stderr)
         return 0
 
     if args.command == "bench":

@@ -17,7 +17,8 @@ were drawn from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -79,22 +80,23 @@ class VerifyConfig:
 
 @dataclass
 class DecodeMetrics:
+    # the int counters, in the order reports print them, then the list
     nfe: int = 0
     tokens_emitted: int = 0
-    tokens_per_iteration: list[int] = field(default_factory=list)
-    phrase_attempts: int = 0
-    phrase_accepts: int = 0
     token_accepts: int = 0
     token_rejects: int = 0
+    phrase_attempts: int = 0
+    phrase_accepts: int = 0
+    tokens_per_iteration: list[int] = field(default_factory=list)
+
+    def counts(self) -> dict[str, int]:
+        """The int counters by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
 
     def merge(self, other: "DecodeMetrics") -> None:
-        self.nfe += other.nfe
-        self.tokens_emitted += other.tokens_emitted
-        self.tokens_per_iteration.extend(other.tokens_per_iteration)
-        self.phrase_attempts += other.phrase_attempts
-        self.phrase_accepts += other.phrase_accepts
-        self.token_accepts += other.token_accepts
-        self.token_rejects += other.token_rejects
+        # adds the counters and extends tokens_per_iteration in place
+        for f in fields(self):
+            setattr(self, f.name, operator.iadd(getattr(self, f.name), getattr(other, f.name)))
 
     @property
     def iterations(self) -> int:
@@ -223,9 +225,8 @@ def verify_window(
     (one NFE) into metrics.  Token-wise scanning stops at the first
     rejection; a committed phrase jumps the scan forward by its length.
     Raises ValueError if a draft has zero probability under its drafter row.
+    sjd_pv mode needs lib; ``decode`` checks that once per decode.
     """
-    if cfg.mode == "sjd_pv" and lib is None:
-        raise ValueError("sjd_pv mode requires a phrase library")
     drafts, drafter = window.drafts, window.codes
     rows = target.rows
     # one Python float per slot: far fewer NumPy calls than a fancy index
@@ -300,9 +301,13 @@ def decode(
 
     The first window is drafted from the target's begin-context conditional;
     the final window is truncated so exactly total_len tokens are returned.
+    Raises ValueError, before any draft, for sjd_pv mode without a library
+    and LibraryVocabMismatch for a library wider than the model.
     """
     if total_len < 1:
         raise ValueError("total_len must be >= 1")
+    if cfg.mode == "sjd_pv" and lib is None:
+        raise ValueError("sjd_pv mode requires a phrase library")
     if lib is not None and lib.vocab_size > target.vocab_size:
         raise LibraryVocabMismatch(
             f"library vocabulary {lib.vocab_size} exceeds the model's {target.vocab_size}"

@@ -22,9 +22,9 @@ from .decoder import DecodeMetrics, VerifyConfig, decode
 from .models import (
     MarkovModel,
     ancestral_sample,
-    context_codes,
     context_count,
     load_markov,
+    markov_contexts,
     random_markov,
 )
 from .phrase_lib import (
@@ -46,8 +46,10 @@ class CapacityExceeded(ValueError):
     """Requested phrases do not fit the vocabulary's transition contexts."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment's settings, checked whole when built; immutable after."""
+
     seed: int = 0
     # model source: an explicit PSDM file, the planted-phrase generator, or
     # a plain random Markov model (planted=False, no model_path)
@@ -72,7 +74,7 @@ class ExperimentConfig:
     max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN
     out_dir: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.modes:
             raise ConfigInvalid("at least one decode mode is required")
         for mode in self.modes:
@@ -84,6 +86,10 @@ class ExperimentConfig:
             raise ConfigInvalid("decodes and total_len must be >= 1")
         if self.merges < 0:
             raise ConfigInvalid("merges must be >= 0")
+        if self.planted and self.model_path is None and self.order != 2:
+            raise ConfigInvalid(
+                "the planted model is order 2; order applies only with planted=false"
+            )
 
     def _verify_config(self, mode: str) -> VerifyConfig:
         """The decoder settings of one mode; bad ones raise ConfigInvalid."""
@@ -91,11 +97,6 @@ class ExperimentConfig:
             return VerifyConfig(mode, self.window_size, self.tau, self.max_phrase_len)
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from exc
-
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["modes"] = list(self.modes)
-        return d
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -146,9 +147,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigInvalid(f"bad value for {key!r}: {value!r}") from exc
         kwargs[key] = value
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def planted_phrase_corpus(
@@ -202,10 +201,11 @@ def _planted_model(
     successor[blocks[:, :-1] + 1] = blocks[:, 1:]
 
     order = 2
-    # one noise row per context, in markov_contexts order; a context's code
-    # modulo V + 1 is its last token + 1 (PAD -> 0)
+    # one noise row per context, in markov_contexts order; a context's last
+    # token + 1 (PAD -> 0) picks its planted successor
     rows = rng.dirichlet(np.full(vocab_size, concentration), size=context_count(order, vocab_size))
-    nxt = successor[context_codes(order, vocab_size) % (vocab_size + 1)]
+    last = np.array([ctx[-1] for ctx in markov_contexts(order, vocab_size)])
+    nxt = successor[last + 1]
     planted = np.flatnonzero(nxt >= 0)
     rows[planted] *= 1.0 - planting_rate
     rows[planted, nxt[planted]] += planting_rate
@@ -260,24 +260,13 @@ class ModeAggregate:
     wall_clock_s: float
     rows: list[dict] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class BenchmarkReport:
-    config: dict
+    report_version: int
+    config: ExperimentConfig
     per_mode: dict[str, ModeAggregate]
     acceleration: dict[str, float]
-    report_version: int = REPORT_VERSION
-
-    def as_dict(self) -> dict:
-        return {
-            "report_version": self.report_version,
-            "config": self.config,
-            "per_mode": {m: agg.as_dict() for m, agg in self.per_mode.items()},
-            "acceleration": self.acceleration,
-        }
 
 
 def _run_mode(
@@ -295,19 +284,9 @@ def _run_mode(
         )
         outputs.append(seq)
         totals.merge(metrics)
-        rows.append(
-            {
-                "mode": mode,
-                "run": run,
-                "nfe": metrics.nfe,
-                "iterations": metrics.iterations,
-                "tokens_emitted": metrics.tokens_emitted,
-                "token_accepts": metrics.token_accepts,
-                "token_rejects": metrics.token_rejects,
-                "phrase_attempts": metrics.phrase_attempts,
-                "phrase_accepts": metrics.phrase_accepts,
-            }
-        )
+        # the counters follow; nfe keeps its place ahead of iterations
+        row = {"mode": mode, "run": run, "nfe": metrics.nfe, "iterations": metrics.iterations}
+        rows.append(row | metrics.counts())
     wall = time.perf_counter() - start
     token_trials = totals.token_accepts + totals.token_rejects
     agg = ModeAggregate(
@@ -333,7 +312,6 @@ def _run_mode(
 
 def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
     """Matched-seed decodes for each configured mode over one target model."""
-    cfg.validate()
     model, corpus = _resolve_model_and_corpus(cfg)
     lib = None
     if "sjd_pv" in cfg.modes:
@@ -349,7 +327,7 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
         mode: (base_nfe / agg.mean_nfe if agg.mean_nfe else float("nan"))
         for mode, agg in per_mode.items()
     }
-    report = BenchmarkReport(cfg.as_dict(), per_mode, acceleration)
+    report = BenchmarkReport(REPORT_VERSION, cfg, per_mode, acceleration)
     if cfg.out_dir:
         _write_report(report, cfg.out_dir)
     return report
@@ -358,7 +336,7 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
 def _write_report(report: BenchmarkReport, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
-        json.dump(report.as_dict(), f, indent=2)
+        json.dump(dataclasses.asdict(report), f, indent=2)
         f.write("\n")
     rows = [row for agg in report.per_mode.values() for row in agg.rows]
     emit_plot_data(rows, os.path.join(out_dir, "report.csv"))
@@ -387,7 +365,7 @@ def run_tau_sweep(cfg: ExperimentConfig, taus) -> list[dict]:
         raise ConfigInvalid("tau grid must be non-empty")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigInvalid("tau grid must be strictly ascending")
-    cfg.validate()
+    grid = [dataclasses.replace(cfg, tau=tau) for tau in taus]
     model, corpus = _resolve_model_and_corpus(cfg)
     lib = build_library(corpus, cfg.merges, cfg.max_phrase_len, model.vocab_size)
     reference = _ancestral_corpus(
@@ -395,12 +373,12 @@ def run_tau_sweep(cfg: ExperimentConfig, taus) -> list[dict]:
     )
 
     rows = []
-    for tau in taus:
-        agg, outputs = _run_mode(model, lib, dataclasses.replace(cfg, tau=tau), "sjd_pv")
+    for point in grid:
+        agg, outputs = _run_mode(model, lib, point, "sjd_pv")
         divergence = float(marginal_tv(outputs, reference, model.vocab_size).mean())
         rows.append(
             {
-                "tau": tau,
+                "tau": point.tau,
                 "mean_nfe": agg.mean_nfe,
                 "phrase_accept_rate": agg.phrase_accept_rate,
                 "seq_divergence": divergence,
@@ -417,16 +395,16 @@ def run_merge_sweep(cfg: ExperimentConfig, merge_grid) -> list[dict]:
     merge_grid = list(merge_grid)
     if not merge_grid:
         raise ConfigInvalid("merge grid must be non-empty")
-    cfg.validate()
+    grid = [dataclasses.replace(cfg, merges=merges) for merges in merge_grid]
     model, corpus = _resolve_model_and_corpus(cfg)
 
     rows = []
-    for merges in merge_grid:
-        lib = build_library(corpus, merges, cfg.max_phrase_len, model.vocab_size)
-        agg, _ = _run_mode(model, lib, cfg, "sjd_pv")
+    for point in grid:
+        lib = build_library(corpus, point.merges, cfg.max_phrase_len, model.vocab_size)
+        agg, _ = _run_mode(model, lib, point, "sjd_pv")
         rows.append(
             {
-                "merges": merges,
+                "merges": point.merges,
                 "library_size": len(lib.phrases),
                 "mean_nfe": agg.mean_nfe,
                 "phrase_hit_rate": (

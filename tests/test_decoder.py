@@ -306,11 +306,32 @@ class TestVerifyWindow:
         assert committed[:3] == drafts
 
     def test_sjd_pv_requires_library(self):
+        # checked once, by decode, before the first window is drafted
         model = random_markov(1, 2, 1.0, np.random.default_rng(0))
-        window = JacobiWindow((0,), window_codes(model, (), (0,)))
-        with pytest.raises(ValueError):
-            verify_window((), window, model, None, VerifyConfig(mode="sjd_pv"),
-                          np.random.default_rng(0), DecodeMetrics())
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sjd_pv mode requires a phrase library"):
+            decode(model, None, VerifyConfig(mode="sjd_pv"), 8, rng)
+        assert rng.bit_generator.state == state
+
+
+class TestDecodeMetrics:
+    COUNTERS = ("nfe", "tokens_emitted", "token_accepts", "token_rejects",
+                "phrase_attempts", "phrase_accepts")
+
+    def test_counts_are_the_int_counters_in_report_order(self):
+        metrics = DecodeMetrics(*range(1, 7), tokens_per_iteration=[3, 4])
+        assert list(metrics.counts().items()) == list(zip(self.COUNTERS, range(1, 7)))
+
+    def test_merge_adds_counters_and_extends_iterations(self):
+        totals = DecodeMetrics(*range(1, 7), tokens_per_iteration=[3])
+        part = DecodeMetrics(*range(10, 70, 10), tokens_per_iteration=[5, 6])
+        iterations = totals.tokens_per_iteration
+        totals.merge(part)
+        assert totals.counts() == dict(zip(self.COUNTERS, (11, 22, 33, 44, 55, 66)))
+        assert totals.tokens_per_iteration == [3, 5, 6]
+        assert totals.tokens_per_iteration is iterations
+        assert part.tokens_per_iteration == [5, 6]
 
 
 def sparse_markov(order, vocab, zeros, seed):

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from phrasedec import harness
+from phrasedec.decoder import decode
 from phrasedec.harness import (
     CapacityExceeded,
     ConfigInvalid,
@@ -143,6 +145,7 @@ class TestRunBenchmark:
         cfg = small_cfg(out_dir=str(tmp_path))
         report = run_benchmark(cfg)
         data = json.loads((tmp_path / "report.json").read_text())
+        assert list(data) == ["report_version", "config", "per_mode", "acceleration"]
         assert data["report_version"] == 1
         assert data["config"]["seed"] == cfg.seed
         with open(tmp_path / "report.csv", newline="") as f:
@@ -184,6 +187,22 @@ class TestSweeps:
             run_tau_sweep(small_cfg(), [0.02, 0.01])
         with pytest.raises(ConfigInvalid):
             run_tau_sweep(small_cfg(), [])
+
+    def test_bad_grid_point_raises_before_any_decode(self, monkeypatch):
+        decodes = []
+
+        def counting(*args):
+            decodes.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(harness, "decode", counting)
+        for sweep, grid, message in (
+            (run_tau_sweep, [0.01, 1.5], r"tau must be in \(0, 1\)"),
+            (run_merge_sweep, [16, -1], "merges must be >= 0"),
+        ):
+            with pytest.raises(ConfigInvalid, match=message):
+                sweep(small_cfg(decodes=2), grid)
+        assert decodes == []
 
     def test_merge_zero_equals_sjd(self):
         cfg = small_cfg(modes=("sjd",))
@@ -256,9 +275,19 @@ class TestConfig:
             ("merges", "-1"),
             ("max_phrase_len", "1"),
             ("modes", "sjd,warp"),
+            ("order", "3"),  # the planted model is order 2
         ]:
             with pytest.raises(ConfigInvalid):
                 config_from_mapping({key: value})
+
+    def test_checked_when_built_and_frozen(self):
+        with pytest.raises(ConfigInvalid, match=r"tau must be in \(0, 1\)"):
+            ExperimentConfig(tau=1.5)
+        cfg = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.tau = 0.5
+        # order applies with planted=false
+        assert ExperimentConfig(planted=False, order=3).order == 3
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "broken.cfg"
