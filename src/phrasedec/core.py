@@ -142,7 +142,12 @@ def draw(cdf: np.ndarray, rng: np.random.Generator) -> int | np.ndarray:
     if cdf.ndim == 1:
         # a binary search of the sorted cdf counts the entries <= u * total
         return min(int(cdf.searchsorted(rng.random() * cdf[-1], "right")), len(cdf) - 1)
-    u = rng.random(len(cdf))
+    return pick(cdf, rng.random(len(cdf)))
+
+
+def pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``draw``'s rule on a ``(W, V)`` batch of cumulative rows, row j
+    taking the given uniform ``u[j]``; returns an integer array."""
     above = cdf > (u * cdf[:, -1])[:, None]
     # cdf is sorted, so the first True is the count of entries <= u * total;
     # forcing the last entry clamps a u that rounds up to the total to V - 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .core import TokenSequence, normalize_rows
 from .decoder import DecodeMetrics, VerifyConfig, decode
 from .models import (
     MarkovModel,
-    ancestral_sample,
+    ancestral_corpus,
     context_count,
     load_markov,
     markov_contexts,
@@ -42,7 +43,7 @@ class ConfigInvalid(ValueError):
     """Experiment configuration is inconsistent or references missing files."""
 
 
-class CapacityExceeded(ValueError):
+class CapacityExceeded(ConfigInvalid):
     """Requested phrases do not fit the vocabulary's transition contexts."""
 
 
@@ -86,10 +87,25 @@ class ExperimentConfig:
             raise ConfigInvalid("decodes and total_len must be >= 1")
         if self.merges < 0:
             raise ConfigInvalid("merges must be >= 0")
-        if self.planted and self.model_path is None and self.order != 2:
-            raise ConfigInvalid(
-                "the planted model is order 2; order applies only with planted=false"
+        # the generator settings, checked only where a generator reads them
+        if self.model_path is None and self.planted:
+            if self.order != 2:
+                raise ConfigInvalid(
+                    "the planted model is order 2; order applies only with planted=false"
+                )
+            _check_planted(
+                self.vocab_size,
+                self.phrase_count,
+                self.phrase_len,
+                self.planting_rate,
+                self.concentration,
             )
+        elif self.model_path is None:
+            if self.order < 1:
+                raise ConfigInvalid("order must be >= 1")
+            _check_dirichlet(self.vocab_size, self.concentration)
+        if self.corpus_path is None:
+            _check_corpus_size(self.corpus_sequences, self.corpus_seq_len)
 
     def _verify_config(self, mode: str) -> VerifyConfig:
         """The decoder settings of one mode; bad ones raise ConfigInvalid."""
@@ -170,7 +186,10 @@ def planted_phrase_corpus(
     unambiguous; the context-specific noise makes verifier and drafter rows
     differ mildly during decoding, which is the regime phrase verification
     exploits.  The corpus is ``sequences`` ancestral samples of the model,
-    drawn from rng after the model.
+    drawn from rng after the model, all in lockstep (``ancestral_corpus``).
+
+    Bad settings raise ConfigInvalid, and more phrase tokens than the
+    vocabulary holds CapacityExceeded, before rng is drawn from.
     """
     model = _planted_model(vocab_size, phrase_count, phrase_len, planting_rate, rng, concentration)
     return _ancestral_corpus(model, sequences, seq_len, rng), model
@@ -185,16 +204,8 @@ def _planted_model(
     concentration: float,
 ) -> MarkovModel:
     """The planted generator's model (see ``planted_phrase_corpus``)."""
-    if phrase_len < 2:
-        raise ConfigInvalid("phrase_len must be >= 2")
-    if not 0.0 < planting_rate <= 1.0:
-        raise ConfigInvalid("planting_rate must be in (0, 1]")
+    _check_planted(vocab_size, phrase_count, phrase_len, planting_rate, concentration)
     needed = phrase_count * phrase_len
-    if needed > vocab_size:
-        raise CapacityExceeded(
-            f"{needed} phrase tokens need disjoint blocks in a vocabulary of {vocab_size}"
-        )
-
     blocks = rng.permutation(vocab_size)[:needed].reshape(phrase_count, phrase_len)
     # successor[a + 1] is the phrase token that follows token a, or -1
     successor = np.full(vocab_size + 1, -1)
@@ -212,13 +223,51 @@ def _planted_model(
     return MarkovModel(order, vocab_size, normalize_rows(rows))
 
 
+def _check_dirichlet(vocab_size: int, concentration: float) -> None:
+    """The rules both model generators share; a bad setting raises ConfigInvalid."""
+    if vocab_size < 2:
+        raise ConfigInvalid("vocab_size must be >= 2")
+    if not (math.isfinite(concentration) and concentration > 0):
+        raise ConfigInvalid("concentration must be finite and > 0")
+
+
+def _check_planted(
+    vocab_size: int,
+    phrase_count: int,
+    phrase_len: int,
+    planting_rate: float,
+    concentration: float,
+) -> None:
+    """The planted generator's rules: a bad setting raises ConfigInvalid,
+    more phrase tokens than the vocabulary holds CapacityExceeded."""
+    if phrase_len < 2:
+        raise ConfigInvalid("phrase_len must be >= 2")
+    if not 0.0 < planting_rate <= 1.0:
+        raise ConfigInvalid("planting_rate must be in (0, 1]")
+    if phrase_count < 0:
+        raise ConfigInvalid("phrase_count must be >= 0")
+    needed = phrase_count * phrase_len
+    if needed > vocab_size:
+        raise CapacityExceeded(
+            f"{needed} phrase tokens need disjoint blocks in a vocabulary of {vocab_size}"
+        )
+    _check_dirichlet(vocab_size, concentration)
+
+
+def _check_corpus_size(sequences: int, seq_len: int) -> None:
+    if sequences < 1 or seq_len < 1:
+        raise ConfigInvalid("sequences and seq_len must be >= 1")
+
+
 def _ancestral_corpus(
     model: MarkovModel, sequences: int, seq_len: int, rng: np.random.Generator
 ) -> list[TokenSequence]:
-    """``sequences`` ancestral samples of ``seq_len`` tokens each."""
-    if sequences < 1 or seq_len < 1:
-        raise ConfigInvalid("sequences and seq_len must be >= 1")
-    return [ancestral_sample(model, seq_len, rng) for _ in range(sequences)]
+    """``sequences`` ancestral samples of ``seq_len`` tokens each, drawn in
+    lockstep by ``models.ancestral_corpus``: the same tokens and generator
+    state as ``sequences`` calls of ``ancestral_sample``.  Sizes below 1
+    raise ConfigInvalid."""
+    _check_corpus_size(sequences, seq_len)
+    return ancestral_corpus(model, sequences, seq_len, rng)
 
 
 def _resolve_model_and_corpus(

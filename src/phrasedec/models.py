@@ -5,7 +5,8 @@ These stand in for a large autoregressive backbone at desk scale.  A model
 maps a prefix to a categorical conditional over the next token.  The decoder
 and ``ancestral_sample`` read a ``MarkovModel``'s dense ``rows`` array and its
 cumulative copy ``cdf`` directly, indexed by a rolling context code, so their
-cost per token does not depend on prefix length.
+cost per token does not depend on prefix length.  ``ancestral_corpus`` draws
+many independent samples in lockstep, one row gather per position.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     InvalidWeight,
     TokenSequence,
     normalize_rows,
+    pick,
 )
 
 # begin-of-sequence padding context symbol; deliberately outside [0, V) so the
@@ -173,6 +175,31 @@ def ancestral_sample(
         out.append(tok)
         code = (code * base + tok + 1) % contexts
     return tuple(out)
+
+
+def ancestral_corpus(
+    model: MarkovModel, sequences: int, length: int, rng: np.random.Generator
+) -> list[TokenSequence]:
+    """``sequences`` independent ancestral samples of ``length`` tokens,
+    drawn in lockstep.
+
+    All uniforms come from one ``rng.random((sequences, length))`` call, the
+    stream of ``sequences`` calls of ``ancestral_sample``, so the tokens and
+    the generator's final state are theirs too.  Each position gathers the
+    ``cdf`` rows of every sequence's context at once and applies
+    ``core.pick`` to them.
+    """
+    if sequences < 0 or length < 0:
+        raise ValueError("sequences and length must be >= 0")
+    base, contexts = model.vocab_size + 1, model.rows.shape[0]
+    u = rng.random((sequences, length))
+    out = np.empty((sequences, length), dtype=np.intp)
+    codes = np.zeros(sequences, dtype=np.intp)
+    for t in range(length):
+        tok = pick(model.cdf.take(codes, axis=0), u[:, t])
+        out[:, t] = tok
+        codes = (codes * base + tok + 1) % contexts
+    return [tuple(seq) for seq in out.tolist()]
 
 
 def random_markov(

@@ -21,7 +21,7 @@ from phrasedec.harness import (
     run_tau_sweep,
     theory_check,
 )
-from phrasedec.models import markov_contexts
+from phrasedec.models import markov_contexts, random_markov, save_markov
 from phrasedec.phrase_lib import build_library, write_corpus
 
 
@@ -47,6 +47,21 @@ class TestPlantedPhraseCorpus:
     def test_capacity_exceeded(self):
         with pytest.raises(CapacityExceeded):
             planted_phrase_corpus(4, 3, 2, 5, 20, 0.9, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "args, concentration",
+        [
+            ((16, 3, 4, 10, 50, 0.9), -1.0),
+            ((16, 3, 4, 10, 50, 0.9), float("nan")),
+            ((1, 0, 2, 10, 50, 0.9), 0.3),
+            ((16, 3, 1, 10, 50, 0.9), 0.3),
+        ],
+    )
+    def test_bad_settings_raise_before_drawing(self, args, concentration):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigInvalid):
+            planted_phrase_corpus(*args, rng, concentration=concentration)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_deterministic_continuation_at_rate_one(self):
         corpus, model = planted_phrase_corpus(
@@ -107,13 +122,13 @@ class TestResolveModelAndCorpus:
         cfg = small_cfg(corpus_path=str(path))
         _, model = self.planted(cfg)
         calls = []
-        sample = harness.ancestral_sample
+        sample = harness.ancestral_corpus
 
         def counting(*args, **kwargs):
             calls.append(args)
             return sample(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "ancestral_sample", counting)
+        monkeypatch.setattr(harness, "ancestral_corpus", counting)
         resolved_model, corpus = harness._resolve_model_and_corpus(cfg)
         assert calls == []
         assert corpus == [(1, 2, 3, 1, 2)]
@@ -276,9 +291,40 @@ class TestConfig:
             ("max_phrase_len", "1"),
             ("modes", "sjd,warp"),
             ("order", "3"),  # the planted model is order 2
+            ("concentration", "-1"),
+            ("concentration", "nan"),
+            ("phrase_len", "1"),
+            ("planting_rate", "0"),
+            ("phrase_count", "7"),  # 35 phrase tokens in a vocabulary of 32
+            ("corpus_sequences", "0"),
+            ("corpus_seq_len", "0"),
         ]:
             with pytest.raises(ConfigInvalid):
                 config_from_mapping({key: value})
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({"vocab_size": "1"}, "vocab_size must be >= 2"),
+            ({"vocab_size": "0"}, "vocab_size must be >= 2"),
+            ({"concentration": "inf"}, "concentration must be finite and > 0"),
+            ({"order": "0"}, "order must be >= 1"),
+        ],
+    )
+    def test_bad_random_model_value(self, mapping, message):
+        with pytest.raises(ConfigInvalid, match=message):
+            config_from_mapping({"planted": "false"} | mapping)
+
+    def test_generator_values_checked_only_where_read(self, tmp_path):
+        # a model file: no generator runs; a corpus file: no corpus is sampled
+        model_path = tmp_path / "model.psdm"
+        save_markov(random_markov(1, 2, 1.0, np.random.default_rng(0)), model_path)
+        corpus_path = tmp_path / "corpus.txt"
+        write_corpus([[0, 1]], corpus_path)
+        cfg = ExperimentConfig(model_path=str(model_path), vocab_size=1, concentration=-1.0)
+        assert cfg.vocab_size == 1
+        cfg = ExperimentConfig(corpus_path=str(corpus_path), corpus_sequences=0)
+        assert cfg.corpus_sequences == 0
 
     def test_checked_when_built_and_frozen(self):
         with pytest.raises(ConfigInvalid, match=r"tau must be in \(0, 1\)"):

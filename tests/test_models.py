@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phrasedec.core import CategoricalDistribution, InvalidWeight, normalize
+from test_core import BELOW_ONE, FixedRng
+from test_samplers import sparse_model
+from phrasedec.core import CategoricalDistribution, InvalidWeight, draw, normalize
 from phrasedec.models import (
     PAD,
     MarkovModel,
     UnsupportedModelFormat,
+    ancestral_corpus,
     ancestral_sample,
     batched_conditionals,
     load_markov,
@@ -98,6 +101,50 @@ class TestAncestralSample:
             abs(counts.get(seq, 0) / runs - p) for seq, p in exact.items()
         )
         assert tv < 0.01
+
+
+class TestAncestralCorpus:
+    @given(
+        order=st.integers(1, 3),
+        vocab=st.integers(2, 6),
+        zeros=st.sampled_from([0.0, 0.5, 0.8]),
+        trailing=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+        sequences=st.integers(0, 5),
+        length=st.integers(0, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lockstep_equals_one_sample_at_a_time(
+        self, order, vocab, zeros, trailing, seed, sequences, length
+    ):
+        model = sparse_model(order, vocab, zeros, min(trailing, vocab - 1), seed)
+        lockstep, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+        corpus = ancestral_corpus(model, sequences, length, lockstep)
+        assert corpus == [ancestral_sample(model, length, one_by_one) for _ in range(sequences)]
+        assert all(type(tok) is int for seq in corpus for tok in seq)
+        assert lockstep.random() == one_by_one.random()
+
+    @pytest.mark.parametrize(
+        "u, expected",
+        [
+            # the largest uniform a generator returns skips the trailing zeros
+            (BELOW_ONE, 1),
+            # a uniform that reaches the total clamps to the last token, V - 1
+            (1.0, 3),
+        ],
+    )
+    def test_fixed_uniform_draws_as_draw_and_ancestral_sample(self, u, expected):
+        row = [0.25, 0.75, 0.0, 0.0]
+        model = order1_model({tok: row for tok in range(4)}, begin=row)
+        corpus = ancestral_corpus(model, 3, 5, FixedRng(u))
+        assert corpus == [(expected,) * 5] * 3
+        assert corpus[0] == ancestral_sample(model, 5, FixedRng(u))
+        assert draw(model.cdf[0], FixedRng(u)) == expected
+
+    def test_negative_size_rejected(self, two_state):
+        for sequences, length in [(-1, 4), (4, -1)]:
+            with pytest.raises(ValueError, match="must be >= 0"):
+                ancestral_corpus(two_state, sequences, length, np.random.default_rng(0))
 
 
 class TestRandomMarkov:
