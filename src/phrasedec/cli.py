@@ -76,10 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge-grid", default="256,1024,2048")
 
     p = sub.add_parser("theory-check", help="acceptance-rate oracle report")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=non_negative_int, default=1000)
     p.add_argument("--v-max", type=int, default=8)
     p.add_argument("--l-max", type=int, default=3)
-    p.add_argument("--min-ineq-trials", type=int, default=100000)
+    p.add_argument("--min-ineq-trials", type=non_negative_int, default=100000)
 
     p = sub.add_parser("gen-model", help="write the config's model and corpus")
     p.add_argument("--model-out", required=True)

@@ -487,7 +487,11 @@ def theory_check(
     min_inequality_trials: int = 10**5,
     seed: int = 0,
 ) -> dict:
-    """JSON-ready report over the acceptance-rate oracles."""
+    """JSON-ready report over the acceptance-rate oracles.
+
+    A negative trial count raises ValueError before any trial runs."""
+    if min_inequality_trials < 0:
+        raise ValueError(f"min_inequality_trials must be >= 0, got {min_inequality_trials}")
     rng = np.random.default_rng([seed, 3])
     summary = theory.proposition1_sweep(trials, v_max, l_max, rng)
     counts, edges = np.histogram(summary.gaps, bins=20)

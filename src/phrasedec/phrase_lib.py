@@ -209,12 +209,61 @@ def _counted_pairs(x: np.ndarray, sep: int, base: int) -> tuple[np.ndarray, np.n
     return pos, left[pos] * base + right[pos]
 
 
+def _slot_key(codes: np.ndarray, base: int) -> np.ndarray:
+    """Keys that order pair codes by the pair's larger symbol m, then by code.
+
+    Pair (l, m) with l < m has key m * 2 * base + l and pair (m, r) with
+    r <= m has key m * 2 * base + base + r.  A key is below 2 * base**2, so
+    it fits in int64 for every base below 2**31.
+    """
+    left, right = np.divmod(codes, base)
+    m = np.maximum(left, right)
+    return m * (2 * base) + np.where(left < right, left, base + right)
+
+
 def _even_offsets(same: np.ndarray) -> np.ndarray:
     """For sorted positions of equal pairs, which lie at an even offset from
     the start of their run of consecutive positions."""
     breaks = np.concatenate(([True], same[1:] - same[:-1] != 1))
     run_start = np.maximum.accumulate(np.where(breaks, same, 0))
     return (same - run_start) % 2 == 0
+
+
+# how many positions past a site's window _run_bounds reads to find where
+# a run ends, before it searches the whole corpus
+_REACH = 4
+# the positions _run_bounds reads from a site h: each end of its window
+# (h-1 and h+2), then _REACH positions outward from it
+_OUTWARD = np.array([-1 - np.arange(_REACH + 1), 2 + np.arange(_REACH + 1)])
+
+
+def _run_edges(x: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in x starts, then len(x)."""
+    edge = np.ones(len(x) + 1, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
+
+
+def _run_bounds(x: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each site h, where the run of equal symbols holding x[h-1]
+    starts and where the run holding x[h+2] stops (one past its end).
+
+    Each run is followed outward for _REACH positions; only when some run
+    goes on past them all are the run edges of all of x searched.  x must
+    start and end with a separator.
+    """
+    # Reads past an end of x wrap to its other end.  Only a run of
+    # separators can reach an end, so its bound is clipped to that end.
+    near = x.take(hit[:, None, None] + _OUTWARD, mode="wrap")
+    differs = near[..., 1:] != near[..., :1]
+    if not differs.any(axis=2).all():
+        edge = _run_edges(x)
+        return (
+            edge[np.searchsorted(edge, hit - 1, "right") - 1],
+            edge[np.searchsorted(edge, hit + 2, "right")],
+        )
+    steps = differs.argmax(axis=2)  # equal symbols before the first that differs
+    return np.maximum(hit - 1 - steps[:, 0], 0), np.minimum(hit + 3 + steps[:, 1], len(x))
 
 
 def _rewrite(x: np.ndarray, sites: np.ndarray, symbol: int) -> np.ndarray:
@@ -226,23 +275,29 @@ def _rewrite(x: np.ndarray, sites: np.ndarray, symbol: int) -> np.ndarray:
 class _PairCounts:
     """The flat corpus and the count of every pair in it, kept across merges.
 
-    ``keys`` holds pair codes in ascending order and ``counts`` their counts
-    (zero once a pair has gone).  A merge recounts only the pairs in windows
-    around its sites, before and after the rewrite, and adds the difference.
-    ``x`` must start with a separator.
+    Each pair seen so far has a slot: its key (``_slot_key``), its code
+    ``left * base + right`` and its count (zero once the pair has gone), in
+    ``keys``, ``codes`` and ``counts``, in ascending key order.  Every pair a
+    merge creates holds the new symbol, the largest so far, so new slots
+    append at the end.  A merge recounts only the pairs in windows around
+    its sites, before and after the rewrite, and adds the difference to the
+    slots they name; ``_run_bounds`` finds the windows' ends next to the
+    sites.  ``x`` must start and end with a separator, and merges must
+    create symbols in ascending order.
     """
 
     def __init__(self, x: np.ndarray, sep: int, base: int) -> None:
         self.x, self.sep, self.base = x, sep, base
-        self.keys, self.counts = np.unique(_counted_pairs(x, sep, base)[1], return_counts=True)
+        codes, counts = np.unique(_counted_pairs(x, sep, base)[1], return_counts=True)
+        keys = _slot_key(codes, base)
+        order = np.argsort(keys)
+        self.keys, self.codes, self.counts = keys[order], codes[order], counts[order]
 
     def best(self) -> int | None:
         """Code of the most frequent pair (the smallest on ties), or None
         when no pair occurs twice."""
-        if not len(self.counts):
-            return None
-        i = int(np.argmax(self.counts))
-        return int(self.keys[i]) if self.counts[i] >= 2 else None
+        top = self.counts.max(initial=0)
+        return int(self.codes[self.counts == top].min()) if top >= 2 else None
 
     def merge(self, code: int, symbol: int) -> None:
         """Replace every counted occurrence of pair ``code`` with ``symbol``."""
@@ -255,11 +310,7 @@ class _PairCounts:
         # A site h changes the pairs of x[h-1 : h+3] (h >= 1: x[0] is a
         # separator).  Widened to whole runs of equal symbols, a window's
         # runs start where they start in x, so their parities recount right.
-        edge = np.ones(len(x) + 1, dtype=bool)
-        np.not_equal(x[1:], x[:-1], out=edge[1:-1])
-        edge = np.flatnonzero(edge)  # where each run starts, then len(x)
-        start = edge[np.searchsorted(edge, hit - 1, "right") - 1]
-        stop = edge[np.searchsorted(edge, hit + 2, "right")]
+        start, stop = _run_bounds(x, hit)
         # overlapping windows join; each is copied out with a separator after it
         opens = np.concatenate(([True], start[1:] >= stop[:-1]))
         lo = start[opens]
@@ -275,16 +326,18 @@ class _PairCounts:
         # pairs of the old windows leave the counts, pairs of the new enter
         pos, codes = _counted_pairs(np.concatenate((window, merged)), sep, base)
         old = np.searchsorted(pos, len(window))
-        keys, counts = self.keys, self.counts
-        at = np.searchsorted(keys, codes)
-        known = keys.take(at, mode="clip") == codes
-        counts -= np.bincount(at[:old], minlength=len(counts))
-        counts += np.bincount(at[old:][known[old:]], minlength=len(counts))
-        # only pairs with the new symbol are new
-        fresh, fresh_n = np.unique(codes[~known], return_counts=True)
-        at = np.searchsorted(keys, fresh)
-        self.keys = np.insert(keys, at, fresh)
-        self.counts = np.insert(counts, at, fresh_n)
+        at = np.searchsorted(self.keys, _slot_key(codes, base))
+        np.subtract.at(self.counts, at[:old], 1)
+        # a pair not yet in the table holds the new symbol, so its slot
+        # sorts after every other; among such pairs code order is slot order
+        known = at[old:] < len(self.keys)
+        np.add.at(self.counts, at[old:][known], 1)
+        fresh = np.sort(codes[old:][~known])
+        edge = _run_edges(fresh)
+        fresh = fresh[edge[:-1]]
+        self.keys = np.concatenate((self.keys, _slot_key(fresh, base)))
+        self.codes = np.concatenate((self.codes, fresh))
+        self.counts = np.concatenate((self.counts, edge[1:] - edge[:-1]))
 
 
 def _phrase_lengths(rules, vocab_size: int, limit: int) -> list[int]:
@@ -331,10 +384,11 @@ def build_library(
 
     The corpus is one flat int64 array with separators between sequences.
     Pairs are counted once; each merge then recounts only the windows
-    around its sites (``_PairCounts``), so it costs O(sites + touched runs)
-    for counting plus a few O(tokens) NumPy passes (finding the sites and
-    run edges, deleting the merged halves) instead of a sort of every pair
-    code.  Memory is a few arrays of corpus length.
+    around its sites, whose runs end near them, and updates only the pair
+    slots those windows name (``_PairCounts``).  So a merge costs
+    O(sites + touched runs) for counting, two O(tokens) NumPy passes
+    (finding the sites, deleting the merged halves) and an O(pairs) search
+    for the best pair.  Memory is a few arrays of corpus length.
     """
     if merges < 0:
         raise ValueError("merges must be >= 0")

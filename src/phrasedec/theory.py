@@ -133,6 +133,8 @@ def proposition1_sweep(
     trials: int, v_max: int, l_max: int, rng: np.random.Generator
 ) -> Proposition1Summary:
     """Draw random instances and count violations of alpha_phr >= alpha_seq."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if v_max < 2 or l_max < 1:
         raise ValueError("need v_max >= 2 and l_max >= 1")
     summary = Proposition1Summary(trials=trials, violations=0)

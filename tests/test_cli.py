@@ -255,6 +255,16 @@ def test_theory_check(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == report
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--min-ineq-trials"])
+def test_theory_check_rejects_negative_trial_counts(tmp_path, capsys, flag):
+    out_dir = tmp_path / "theory"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--out", str(out_dir), "theory-check", flag, "-3"])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be >= 0, got -3" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_gen_model(tmp_path, capsys):
     # the default config's planted model and corpus, byte for byte as before
     # gen-model and bench shared one resolver (NumPy's Dirichlet and

@@ -3,9 +3,11 @@
 ``_PairCounts`` keeps every pair count across merges and recounts only the
 windows around each merge's sites.  After every merge its counts must equal
 a fresh count of the rewritten corpus, taken here by a plain Python scan.
-The golden hashes pin the ``.psdl`` bytes of both benchmark workloads'
-libraries, recorded from the builder that recounted the whole corpus on
-every merge.
+The windows reach to the ends of runs of equal symbols, found next to each
+site by ``_run_bounds``; it must agree with a search for run edges over the
+whole corpus.  The golden hashes pin the ``.psdl`` bytes of both benchmark
+workloads' libraries, recorded from the builder that recounted the whole
+corpus on every merge.
 """
 
 import hashlib
@@ -16,8 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_builder as ref
 from phrasedec.harness import ExperimentConfig, _resolve_model_and_corpus
-from phrasedec.phrase_lib import _PairCounts, build_library, save_library
+from phrasedec.phrase_lib import (
+    _REACH,
+    _PairCounts,
+    _run_bounds,
+    _slot_key,
+    build_library,
+    save_library,
+)
 
 SYMBOLS = st.integers(0, 3)
 # long runs of one symbol, and cycles such as abab whose merges make runs
@@ -59,7 +69,7 @@ def python_merge(x, a, b, symbol):
 
 
 def carried(counts: _PairCounts) -> Counter:
-    pairs = (divmod(int(k), counts.base) for k in counts.keys)
+    pairs = (divmod(int(c), counts.base) for c in counts.codes)
     return Counter({p: int(c) for p, c in zip(pairs, counts.counts) if c})
 
 
@@ -87,9 +97,72 @@ def test_carried_counts_equal_a_fresh_count_after_every_merge(seqs):
         assert counts.x.tolist() == x
         assert carried(counts) == python_counts(x, sep)
         assert (counts.counts >= 0).all()
+        assert (counts.keys == _slot_key(counts.codes, counts.base)).all()
         assert (counts.keys[1:] > counts.keys[:-1]).all()
     assert max(python_counts(x, sep).values(), default=0) < 2
     assert symbol <= sep
+
+
+def test_slot_keys_order_pairs_by_larger_symbol_then_code():
+    for base in (7, 2**31 - 1):
+        # every pair of some symbols below the separator base - 1
+        symbols = sorted({0, 1, 2, 3, base // 2, base - 3, base - 2})
+        pairs = [(l, r) for l in symbols for r in symbols]
+        codes = np.array([l * base + r for l, r in pairs], dtype=np.int64)
+        keys = _slot_key(codes, base)
+        assert (keys >= 0).all()
+        assert [pairs[i] for i in np.argsort(keys)] == sorted(pairs, key=lambda p: (max(p), p))
+        assert len(set(keys.tolist())) == len(pairs)
+
+
+SEP = 3
+# runs of 1 to 3 * _REACH equal symbols; a run of SEP is a run of empty
+# sequences, and a SEP first or last puts a site next to the frame
+RUN_CORPORA = st.lists(
+    st.tuples(st.integers(0, SEP), st.integers(1, 3 * _REACH)), min_size=2, max_size=8
+).map(lambda runs: [SEP] + [s for s, n in runs for _ in range(n)] + [SEP])
+
+
+def edge_search(x, hit):
+    """Run bounds from the edges of every run in x."""
+    edge = [0] + [i for i in range(1, len(x)) if x[i] != x[i - 1]] + [len(x)]
+    start = [max(e for e in edge if e <= h - 1) for h in hit]
+    stop = [min(e for e in edge if e > h + 2) for h in hit]
+    return start, stop
+
+
+@given(x=RUN_CORPORA, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_run_bounds_equal_a_whole_corpus_edge_search(x, data):
+    # sites are positions h with x[h-1 : h+3] inside x, the first real
+    # position 1 among them
+    sites = data.draw(st.sets(st.integers(1, len(x) - 3), min_size=1))
+    if data.draw(st.booleans()):
+        sites.add(1)
+    hit = np.array(sorted(sites))
+    start, stop = _run_bounds(np.array(x, dtype=np.int64), hit)
+    assert (start.tolist(), stop.tolist()) == edge_search(x, hit)
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        # runs far longer than _REACH send merges to the whole-corpus edge
+        # search, and every merge makes a run of its new symbol
+        [[0] * n for n in (1, 2, 3, 5, 8, 13, 64, 255, 256)],
+        # (0, 1) merges first and shortens a run of 9 zeros that reaches
+        # past _REACH; (0, 0) then keeps its 4 and wins its tie with (2, 3)
+        [[0] * 9 + [1]] + [[0, 1]] * 6 + [[2, 3]] * 4,
+    ],
+    ids=["one_token", "long_run_before_a_site"],
+)
+def test_run_heavy_corpora_match_the_reference_builder(tmp_path, corpus):
+    got = build_library(corpus, 64)
+    want = ref.build_library(corpus, 64)
+    assert got == want
+    for name, lib in (("got", got), ("want", want)):
+        save_library(lib, tmp_path / f"{name}.psdl")
+    assert (tmp_path / "got.psdl").read_bytes() == (tmp_path / "want.psdl").read_bytes()
 
 
 GOLDEN = {

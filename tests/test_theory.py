@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phrasedec.core import CategoricalDistribution, normalize
+from phrasedec.harness import theory_check
 from phrasedec.theory import (
     EnumerationTooLarge,
     alpha,
@@ -122,6 +123,16 @@ class TestProposition1:
         assert summary.trials == 300
         assert summary.violations == 0
         assert summary.min_gap >= -1e-12
+
+    def test_rejects_a_negative_trial_count(self):
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            proposition1_sweep(-3, 8, 3, np.random.default_rng(3))
+        assert proposition1_sweep(0, 8, 3, np.random.default_rng(3)).trials == 0
+
+    @pytest.mark.parametrize("trials, min_ineq_trials", [(-3, 50), (20, -5), (-3, -5)])
+    def test_theory_check_rejects_a_negative_trial_count(self, trials, min_ineq_trials):
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            theory_check(trials=trials, min_inequality_trials=min_ineq_trials)
 
     def test_identical_distributions_gap_zero(self):
         gap = alpha_phr_exact([P, P], [P, P]) - alpha_seq([P, P], [P, P])
