@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="phrasedec",
         description="Phrase-level speculative Jacobi decoding engine",
     )
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    parser.add_argument("--seed", type=non_negative_int, default=None, help="master RNG seed")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", dest="out_dir", default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -76,10 +76,14 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
         if not self.modes:
             raise ConfigInvalid("at least one decode mode is required")
-        for mode in self.modes:
+        for i, mode in enumerate(self.modes):
             self._verify_config(mode)
+            if mode in self.modes[:i]:
+                raise ConfigInvalid(f"decode mode {mode!r} is repeated")
         for path in (self.model_path, self.corpus_path):
             if path is not None and not os.path.exists(path):
                 raise ConfigInvalid(f"referenced file does not exist: {path}")

@@ -160,19 +160,25 @@ def ancestral_sample(
 
     All uniforms come from one ``rng.random(length)`` call, the stream of
     ``length`` one-row draws.  Each token is ``core.draw``'s rule on its
-    context's ``cdf`` row, found by a binary search of the flat table.
+    context's ``cdf`` row: a binary search of the flat table between the
+    row's bounds for ``u`` times the row total, clamped to ``V - 1``.  The
+    loop does only that rule's work per token: one ``bisect_right`` call, a
+    comparison for the clamp, the append and the context-code update.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     V, base, contexts = model.vocab_size, model.vocab_size + 1, model.rows.shape[0]
+    top = V - 1
     cdf = memoryview(model.cdf.reshape(-1))
     out: list[int] = []
+    append = out.append
     code = 0
     for u in rng.random(length).tolist():
         lo = code * V
-        hi = lo + V
-        tok = min(bisect_right(cdf, u * cdf[hi - 1], lo, hi) - lo, V - 1)
-        out.append(tok)
+        tok = bisect_right(cdf, u * cdf[lo + top], lo, lo + V) - lo
+        if tok > top:
+            tok = top
+        append(tok)
         code = (code * base + tok + 1) % contexts
     return tuple(out)
 

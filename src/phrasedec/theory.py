@@ -132,11 +132,25 @@ def random_instance(
 def proposition1_sweep(
     trials: int, v_max: int, l_max: int, rng: np.random.Generator
 ) -> Proposition1Summary:
-    """Draw random instances and count violations of alpha_phr >= alpha_seq."""
+    """Draw random instances and count violations of alpha_phr >= alpha_seq.
+
+    A grid whose largest instance, ``v_max ** l_max`` joint outcomes, passes
+    ``ENUMERATION_LIMIT`` raises EnumerationTooLarge before rng is drawn from.
+    """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if v_max < 2 or l_max < 1:
         raise ValueError("need v_max >= 2 and l_max >= 1")
+    # the product stops once it passes the limit, so a large l_max costs
+    # at most log2(ENUMERATION_LIMIT) steps
+    outcomes = 1
+    for _ in range(l_max):
+        outcomes *= v_max
+        if outcomes > ENUMERATION_LIMIT:
+            raise EnumerationTooLarge(
+                f"v_max={v_max}, l_max={l_max}: the largest instance has more than "
+                f"{ENUMERATION_LIMIT} joint outcomes"
+            )
     summary = Proposition1Summary(trials=trials, violations=0)
     for _ in range(trials):
         vocab_size = int(rng.integers(2, v_max + 1))

@@ -265,6 +265,54 @@ def test_theory_check_rejects_negative_trial_counts(tmp_path, capsys, flag):
     assert not out_dir.exists()
 
 
+def test_theory_check_rejects_a_too_large_grid(tmp_path, capsys):
+    # a grid whose largest instance passes the enumeration guard fails
+    # before any trial runs
+    out_dir = tmp_path / "theory"
+    rc = main(["--seed", "0", "--out", str(out_dir), "theory-check", "--trials", "50",
+               "--v-max", "64", "--l-max", "8", "--min-ineq-trials", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phrasedec: error: v_max=64, l_max=8") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["decode", "--model", "model.psdm"],
+        ["gen-model", "--model-out", "model.psdm"],
+        ["bench"],
+        ["theory-check"],
+    ],
+)
+def test_negative_seed_is_a_bad_argument(tmp_path, capsys, verb):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--seed", "-1", "--out", str(out_dir), *verb])
+    assert exit_info.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "settings, flags, message",
+    [
+        ("seed=-1\n", [], "seed must be >= 0"),
+        ("modes=sjd,sjd\n", [], "decode mode 'sjd' is repeated"),
+        ("", ["--modes", "sjd,sjd_pv,sjd"], "decode mode 'sjd' is repeated"),
+    ],
+)
+def test_bench_rejects_a_bad_config(tmp_path, capsys, settings, flags, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(settings, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = main(["--config", str(cfg), "--out", str(out_dir), "bench", *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"phrasedec: error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_gen_model(tmp_path, capsys):
     # the default config's planted model and corpus, byte for byte as before
     # gen-model and bench shared one resolver (NumPy's Dirichlet and

@@ -335,6 +335,21 @@ class TestConfig:
         # order applies with planted=false
         assert ExperimentConfig(planted=False, order=3).order == 3
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigInvalid, match="seed must be >= 0"):
+            ExperimentConfig(seed=-1)
+        with pytest.raises(ConfigInvalid, match="seed must be >= 0"):
+            config_from_mapping({"seed": "-1"})
+        assert ExperimentConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize(
+        "modes, repeated",
+        [("sjd,sjd", "sjd"), ("sjd_pv,sjd,sjd_pv", "sjd_pv"), ("jacobi,sjd,sjd", "sjd")],
+    )
+    def test_repeated_mode(self, modes, repeated):
+        with pytest.raises(ConfigInvalid, match=f"decode mode '{repeated}' is repeated"):
+            config_from_mapping({"modes": modes})
+
     def test_bad_line(self, tmp_path):
         path = tmp_path / "broken.cfg"
         path.write_text("this is not a pair\n", encoding="utf-8")

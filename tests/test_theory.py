@@ -129,6 +129,24 @@ class TestProposition1:
             proposition1_sweep(-3, 8, 3, np.random.default_rng(3))
         assert proposition1_sweep(0, 8, 3, np.random.default_rng(3)).trials == 0
 
+    @pytest.mark.parametrize(
+        "v_max, l_max", [(64, 8), (10, 8), (2, 24), (2, 10**12), (3163, 2)]
+    )
+    def test_too_large_grid_raises_before_any_draw(self, v_max, l_max):
+        # v_max ** l_max passes the guard: nothing is drawn, so a draw that
+        # would reach an over-large instance is never made
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(EnumerationTooLarge, match=f"v_max={v_max}, l_max={l_max}"):
+            proposition1_sweep(50, v_max, l_max, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("v_max, l_max", [(10, 7), (2, 23), (3162, 2)])
+    def test_grid_at_the_guard_runs(self, v_max, l_max):
+        # the largest instances of these grids hold at most 10**7 outcomes
+        assert v_max**l_max <= 10**7
+        assert proposition1_sweep(0, v_max, l_max, np.random.default_rng(3)).trials == 0
+
     @pytest.mark.parametrize("trials, min_ineq_trials", [(-3, 50), (20, -5), (-3, -5)])
     def test_theory_check_rejects_a_negative_trial_count(self, trials, min_ineq_trials):
         with pytest.raises(ValueError, match="trials must be >= 0"):
