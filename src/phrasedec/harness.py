@@ -493,7 +493,9 @@ def theory_check(
 ) -> dict:
     """JSON-ready report over the acceptance-rate oracles.
 
-    A negative trial count raises ValueError before any trial runs."""
+    A negative trial count or seed raises ValueError before any trial runs."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if min_inequality_trials < 0:
         raise ValueError(f"min_inequality_trials must be >= 0, got {min_inequality_trials}")
     rng = np.random.default_rng([seed, 3])

@@ -42,7 +42,8 @@ class UnsupportedLibraryFormat(ValueError):
 
 class LibraryTooLarge(ValueError):
     """A library holds a symbol id or a phrase length that the PSDL
-    format's fixed-width fields cannot store."""
+    format's fixed-width fields cannot store, or a corpus is too large for
+    the builder's int64 pair scores."""
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,8 @@ def _counted_pairs(x: np.ndarray, sep: int, base: int) -> tuple[np.ndarray, np.n
     left, right = x[:-1], x[1:]
     paired = (left != sep) & (right != sep)
     same = np.flatnonzero(paired & (left == right))
-    paired[same[~_even_offsets(same)]] = False
+    if len(same):
+        paired[same[~_even_offsets(same[1:] - same[:-1] == 1)]] = False
     pos = np.flatnonzero(paired)
     return pos, left[pos] * base + right[pos]
 
@@ -214,27 +216,35 @@ def _slot_key(codes: np.ndarray, base: int) -> np.ndarray:
 
     Pair (l, m) with l < m has key m * 2 * base + l and pair (m, r) with
     r <= m has key m * 2 * base + base + r.  A key is below 2 * base**2, so
-    it fits in int64 for every base below 2**31.
+    it fits in int64 for every base up to 2**31.
     """
     left, right = np.divmod(codes, base)
     m = np.maximum(left, right)
     return m * (2 * base) + np.where(left < right, left, base + right)
 
 
-def _even_offsets(same: np.ndarray) -> np.ndarray:
-    """For sorted positions of equal pairs, which lie at an even offset from
-    the start of their run of consecutive positions."""
-    breaks = np.concatenate(([True], same[1:] - same[:-1] != 1))
-    run_start = np.maximum.accumulate(np.where(breaks, same, 0))
-    return (same - run_start) % 2 == 0
+def _score_shift(base: int) -> int:
+    """Bits of a pair code: a slot's score is count << shift | (mask - code)."""
+    return (base * base - 1).bit_length()
 
 
-# how many positions past a site's window _run_bounds reads to find where
-# a run ends, before it searches the whole corpus
+def _even_offsets(follows: np.ndarray) -> np.ndarray:
+    """For one or more equal pairs in order, given whether each after the
+    first directly follows the one before it, which lie at an even offset
+    from the start of their run of directly following pairs."""
+    order = np.arange(len(follows) + 1)
+    run_start = np.maximum.accumulate(np.where(np.concatenate(([True], ~follows)), order, 0))
+    return (order - run_start) % 2 == 0
+
+
+# the value of a cell whose symbol merged into the live cell before it
+_DEAD = -1
+# the value of the cell past each end of the corpus: neither a symbol nor
+# the separator, so a walk along a run of separators stops before it
+_FRAME = -2
+# how many cells past a site's window _run_bounds walks to find where a
+# run ends, before it searches the whole corpus
 _REACH = 4
-# the positions _run_bounds reads from a site h: each end of its window
-# (h-1 and h+2), then _REACH positions outward from it
-_OUTWARD = np.array([-1 - np.arange(_REACH + 1), 2 + np.arange(_REACH + 1)])
 
 
 def _run_edges(x: np.ndarray) -> np.ndarray:
@@ -244,100 +254,177 @@ def _run_edges(x: np.ndarray) -> np.ndarray:
     return np.flatnonzero(edge)
 
 
-def _run_bounds(x: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each site h, where the run of equal symbols holding x[h-1]
-    starts and where the run holding x[h+2] stops (one past its end).
+def _run_end(cells: np.ndarray, link: np.ndarray, at: np.ndarray) -> np.ndarray | None:
+    """The last cell of each run of equal symbols followed from ``at`` along
+    ``link``, or None when some run goes on for more than _REACH links."""
+    end, symbol = at, cells[at]
+    for _ in range(_REACH):
+        step = link[end]
+        going = cells[step] == symbol
+        if not going.any():
+            return end
+        end = np.where(going, step, end)
+    return None
 
-    Each run is followed outward for _REACH positions; only when some run
-    goes on past them all are the run edges of all of x searched.  x must
-    start and end with a separator.
+
+def _run_bounds(
+    cells: np.ndarray, nxt: np.ndarray, prv: np.ndarray, hit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each site h, the cell where the run of equal symbols holding the
+    live cell before h starts, and one past the cell where the run holding
+    the second live cell after h ends.
+
+    ``nxt`` and ``prv`` link the live cells, and a frame cell past each end
+    links to itself.  Each run is followed _REACH links outward; only when
+    some run goes on past them all are the run edges of all live cells
+    searched.
     """
-    # Reads past an end of x wrap to its other end.  Only a run of
-    # separators can reach an end, so its bound is clipped to that end.
-    near = x.take(hit[:, None, None] + _OUTWARD, mode="wrap")
-    differs = near[..., 1:] != near[..., :1]
-    if not differs.any(axis=2).all():
-        edge = _run_edges(x)
-        return (
-            edge[np.searchsorted(edge, hit - 1, "right") - 1],
-            edge[np.searchsorted(edge, hit + 2, "right")],
-        )
-    steps = differs.argmax(axis=2)  # equal symbols before the first that differs
-    return np.maximum(hit - 1 - steps[:, 0], 0), np.minimum(hit + 3 + steps[:, 1], len(x))
-
-
-def _rewrite(x: np.ndarray, sites: np.ndarray, symbol: int) -> np.ndarray:
-    """x with the pair at each site replaced by symbol (x is overwritten)."""
-    x[sites] = symbol
-    return np.delete(x, sites + 1)
+    before, after = prv[hit], nxt[nxt[hit]]
+    start = _run_end(cells, prv, before)
+    stop = None if start is None else _run_end(cells, nxt, after)
+    if stop is None:
+        live = np.flatnonzero(cells >= 0)
+        edge = _run_edges(cells[live])
+        left, right = np.searchsorted(live, (before, after))
+        start = live[edge[np.searchsorted(edge, left, "right") - 1]]
+        stop = live[edge[np.searchsorted(edge, right, "right")] - 1]
+    return start, stop + 1
 
 
 class _PairCounts:
-    """The flat corpus and the count of every pair in it, kept across merges.
+    """The corpus, rewritten in place, and the count of every pair in it,
+    kept across merges.
+
+    The corpus is held in ``cells``, one per original position, between two
+    frame cells.  A merge writes its symbol into the left cell of each site
+    and marks the right one dead; ``nxt`` and ``prv`` link the live cells,
+    and ``placed[m]`` holds the cells where symbol m was written (a raw
+    token's are found on first use).  Every pair a merge creates holds the
+    new symbol, the largest so far, so a pair's sites are found among the
+    cells of its larger symbol.
 
     Each pair seen so far has a slot: its key (``_slot_key``), its code
     ``left * base + right`` and its count (zero once the pair has gone), in
-    ``keys``, ``codes`` and ``counts``, in ascending key order.  Every pair a
-    merge creates holds the new symbol, the largest so far, so new slots
-    append at the end.  A merge recounts only the pairs in windows around
-    its sites, before and after the rewrite, and adds the difference to the
+    ``keys``, ``codes`` and ``counts``, in ascending key order.  New slots
+    append at the end of arrays whose capacity doubles.  A slot's score,
+    ``count << shift | (mask - code)``, is highest for the best pair, so one
+    argmax finds it.  A merge recounts only the pairs in windows around its
+    sites, before and after the rewrite, and adds the difference to the
     slots they name; ``_run_bounds`` finds the windows' ends next to the
-    sites.  ``x`` must start and end with a separator, and merges must
-    create symbols in ascending order.
+    sites.  ``x`` must start and end with a separator, merges must create
+    symbols in ascending order, and a count << shift must fit in int64.
     """
 
     def __init__(self, x: np.ndarray, sep: int, base: int) -> None:
-        self.x, self.sep, self.base = x, sep, base
+        self.sep, self.base = sep, base
+        self.shift = _score_shift(base)
+        self.cells = np.concatenate(([_FRAME], x, [_FRAME]))
+        cell = np.arange(len(self.cells))
+        self.nxt = np.minimum(cell + 1, len(self.cells) - 1)
+        self.prv = np.maximum(cell - 1, 0)
+        self.placed: dict[int, np.ndarray] = {}
         codes, counts = np.unique(_counted_pairs(x, sep, base)[1], return_counts=True)
-        keys = _slot_key(codes, base)
-        order = np.argsort(keys)
-        self.keys, self.codes, self.counts = keys[order], codes[order], counts[order]
+        order = np.argsort(_slot_key(codes, base))
+        # rows of keys, codes and scores, filled up to size
+        self.slots = np.empty((3, max(len(codes), 1)), dtype=np.int64)
+        self.size = 0
+        self._append(codes[order], counts[order])
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self.slots[0, : self.size]
+
+    @property
+    def codes(self) -> np.ndarray:
+        return self.slots[1, : self.size]
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self.slots[2, : self.size] >> self.shift
+
+    @property
+    def x(self) -> np.ndarray:
+        """The live symbols in order, separators included."""
+        cells = self.cells[1:-1]
+        return cells[cells != _DEAD]
+
+    def _append(self, codes: np.ndarray, counts: np.ndarray) -> None:
+        """Add slots for codes in key order, after every slot there is."""
+        at = self.size
+        stop = at + len(codes)
+        if stop > self.slots.shape[1]:
+            grown = np.empty((3, max(stop, 2 * self.slots.shape[1])), dtype=np.int64)
+            grown[:, :at] = self.slots[:, :at]
+            self.slots = grown
+        rows = self.slots[:, at:stop]
+        rows[0] = _slot_key(codes, self.base)
+        rows[1] = codes
+        rows[2] = counts << self.shift | ((1 << self.shift) - 1 - codes)
+        self.size = stop
 
     def best(self) -> int | None:
         """Code of the most frequent pair (the smallest on ties), or None
         when no pair occurs twice."""
-        top = self.counts.max(initial=0)
-        return int(self.codes[self.counts == top].min()) if top >= 2 else None
+        if not self.size:
+            return None
+        top = self.slots[2, : self.size].argmax()
+        return int(self.slots[1, top]) if self.slots[2, top] >> self.shift >= 2 else None
 
     def merge(self, code: int, symbol: int) -> None:
         """Replace every counted occurrence of pair ``code`` with ``symbol``."""
-        x, sep, base = self.x, self.sep, self.base
+        cells, nxt, prv, sep, base = self.cells, self.nxt, self.prv, self.sep, self.base
         a, b = divmod(code, base)
-        hit = np.flatnonzero(x[:-1] == a)
-        hit = hit[x[hit + 1] == b]
+        m = max(a, b)
+        at = self.placed.get(m)
+        if at is None:
+            at = np.flatnonzero(cells == m)
+        at = self.placed[m] = at[cells[at] == m]
+        if a >= b:  # m is the left symbol of each site
+            hit = at[cells[nxt[at]] == b]
+        else:  # m is the right one
+            hit = prv[at]
+            hit = hit[cells[hit] == a]
         if a == b:
-            hit = hit[_even_offsets(hit)]
-        # A site h changes the pairs of x[h-1 : h+3] (h >= 1: x[0] is a
-        # separator).  Widened to whole runs of equal symbols, a window's
-        # runs start where they start in x, so their parities recount right.
-        start, stop = _run_bounds(x, hit)
-        # overlapping windows join; each is copied out with a separator after it
+            hit = hit[_even_offsets(nxt[hit[:-1]] == hit[1:])]
+        # A site h changes the pairs of its cell, the live cell before it
+        # and the two after it.  Widened to whole runs of equal symbols, a
+        # window's runs start where they start in the corpus, so their
+        # parities recount right.
+        start, stop = _run_bounds(cells, nxt, prv, hit)
+        # overlapping windows join; each is cut from the cells with a
+        # separator after it, before and after the rewrite
         opens = np.concatenate(([True], start[1:] >= stop[:-1]))
         lo = start[opens]
         width = stop[np.append(opens[1:], True)] - lo + 1
         ends = np.cumsum(width)
-        shift = lo - ends + width
-        window = x.take(np.arange(ends[-1]) + np.repeat(shift, width), mode="clip")
+        cut = np.arange(ends[-1]) + np.repeat(lo - ends + width, width)
+        window = cells[cut]
+        right = nxt[hit]
+        after = nxt[right]
+        cells[hit] = symbol
+        cells[right] = _DEAD
+        nxt[hit] = after
+        prv[after] = hit
+        self.placed[symbol] = hit
+        window = np.concatenate((window, cells[cut]))
         window[ends - 1] = sep
-        local = hit - shift[np.cumsum(opens) - 1]
-        merged = _rewrite(window.copy(), local, symbol)
-        self.x = _rewrite(x, hit, symbol)
+        window[ends[-1] + ends - 1] = sep
+        live = window != _DEAD
+        window = window[live]
 
         # pairs of the old windows leave the counts, pairs of the new enter
-        pos, codes = _counted_pairs(np.concatenate((window, merged)), sep, base)
-        old = np.searchsorted(pos, len(window))
+        pos, codes = _counted_pairs(window, sep, base)
+        old = np.searchsorted(pos, np.count_nonzero(live[: ends[-1]]))
         at = np.searchsorted(self.keys, _slot_key(codes, base))
-        np.subtract.at(self.counts, at[:old], 1)
+        step = 1 << self.shift
+        np.subtract.at(self.slots[2], at[:old], step)
         # a pair not yet in the table holds the new symbol, so its slot
         # sorts after every other; among such pairs code order is slot order
-        known = at[old:] < len(self.keys)
-        np.add.at(self.counts, at[old:][known], 1)
+        known = at[old:] < self.size
+        np.add.at(self.slots[2], at[old:][known], step)
         fresh = np.sort(codes[old:][~known])
         edge = _run_edges(fresh)
-        fresh = fresh[edge[:-1]]
-        self.keys = np.concatenate((self.keys, _slot_key(fresh, base)))
-        self.codes = np.concatenate((self.codes, fresh))
-        self.counts = np.concatenate((self.counts, edge[1:] - edge[:-1]))
+        self._append(fresh[edge[:-1]], edge[1:] - edge[:-1])
 
 
 def _phrase_lengths(rules, vocab_size: int, limit: int) -> list[int]:
@@ -382,13 +469,16 @@ def build_library(
     provenance.  Each kept phrase is spelled from its rule (``_spell``), so
     no rule's expansion is built unless it is kept.
 
-    The corpus is one flat int64 array with separators between sequences.
-    Pairs are counted once; each merge then recounts only the windows
-    around its sites, whose runs end near them, and updates only the pair
-    slots those windows name (``_PairCounts``).  So a merge costs
-    O(sites + touched runs) for counting, two O(tokens) NumPy passes
-    (finding the sites, deleting the merged halves) and an O(pairs) search
-    for the best pair.  Memory is a few arrays of corpus length.
+    The corpus is one flat int64 array with separators between sequences,
+    rewritten in place.  Pairs are counted once; each merge then finds its
+    sites among the cells of the pair's larger symbol, recounts only the
+    windows around them, whose runs end near them, and updates only the
+    pair slots those windows name (``_PairCounts``).  So a merge costs
+    O(listed cells of its larger symbol + touched cells) and one argmax
+    over the pair slots; only a raw token's first use and a run too long
+    to follow locally read the whole corpus.  Memory is a few arrays of
+    corpus length.  A corpus whose pair counts could overflow the slots'
+    int64 scores raises LibraryTooLarge before any merge.
     """
     if merges < 0:
         raise ValueError("merges must be >= 0")
@@ -404,6 +494,12 @@ def build_library(
     # every merge removes at least two symbols, which bounds the symbol count
     sep = first_merged + min(merges, len(dense) // 2)
     base = sep + 1
+    # no pair occurs more often than every other token, and a pair slot's
+    # score, count << shift | (mask - code), must fit in int64
+    if (len(dense) // 2 + 1) << _score_shift(base) > 1 << 63:
+        raise LibraryTooLarge(
+            f"pair counts over {len(dense)} tokens and {base} symbols do not fit in int64"
+        )
     # a separator before every sequence and after the last
     x = np.full(len(dense) + len(seqs) + 1, sep, dtype=np.int64)
     x[np.arange(len(dense)) + np.repeat(np.arange(1, len(seqs) + 1), lengths)] = dense
@@ -416,13 +512,12 @@ def build_library(
             break
         counts.merge(best, first_merged + len(pairs))
         pairs.append(divmod(best, base))
-    x = counts.x
 
     names = raw.tolist() + [vocab_size + k for k in range(len(pairs))]
     rules = tuple(
         MergeRule(names[a], names[b], vocab_size + k, k + 1) for k, (a, b) in enumerate(pairs)
     )
-    symbol_counts = np.bincount(x, minlength=base)[first_merged:]
+    symbol_counts = np.bincount(counts.x, minlength=base)[first_merged:]
     sizes = _phrase_lengths(rules, vocab_size, max_phrase_len)
     phrases = tuple(
         Phrase(_spell(rules, vocab_size, rule.result), rule.rank, int(symbol_counts[k]))

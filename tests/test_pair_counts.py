@@ -4,10 +4,10 @@
 windows around each merge's sites.  After every merge its counts must equal
 a fresh count of the rewritten corpus, taken here by a plain Python scan.
 The windows reach to the ends of runs of equal symbols, found next to each
-site by ``_run_bounds``; it must agree with a search for run edges over the
-whole corpus.  The golden hashes pin the ``.psdl`` bytes of both benchmark
-workloads' libraries, recorded from the builder that recounted the whole
-corpus on every merge.
+site by ``_run_bounds`` along the links between live cells; it must agree
+with a search for run edges over the live symbols.  The golden hashes pin
+the ``.psdl`` bytes of both benchmark workloads' libraries, recorded from
+the builder that recounted the whole corpus on every merge.
 """
 
 import hashlib
@@ -19,11 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_builder as ref
+from phrasedec import phrase_lib
 from phrasedec.harness import ExperimentConfig, _resolve_model_and_corpus
 from phrasedec.phrase_lib import (
+    _DEAD,
+    _FRAME,
     _REACH,
+    LibraryTooLarge,
     _PairCounts,
     _run_bounds,
+    _score_shift,
     _slot_key,
     build_library,
     save_library,
@@ -115,6 +120,31 @@ def test_slot_keys_order_pairs_by_larger_symbol_then_code():
         assert len(set(keys.tolist())) == len(pairs)
 
 
+# base 2**30: the codes of (LO, HI) and (HI, LO) lie within 2**31 of
+# 1 << shift, and a count of 7 fills the top bits of an int64 score
+BASE = 2**30
+HI, LO = BASE - 2, BASE - 3
+
+
+@pytest.mark.parametrize(
+    "pairs, want",
+    [
+        ({(HI, LO): 7, (LO, HI): 7, (1, 2): 6}, (LO, HI)),
+        ({(HI, LO): 7, (LO, HI): 6, (1, 2): 6}, (HI, LO)),
+        # (1, 2) has the smaller slot key, (0, HI) the smaller code
+        ({(HI, LO): 6, (1, 2): 7, (0, HI): 7}, (0, HI)),
+    ],
+    ids=["tie_near_the_shift", "count_first", "code_not_key"],
+)
+def test_ties_at_the_top_count_go_to_the_smallest_code_near_the_score_shift(pairs, want):
+    assert _score_shift(BASE) == 60
+    sep = BASE - 1
+    x = [sep] + [s for pair, n in pairs.items() for _ in range(n) for s in (*pair, sep)]
+    counts = _PairCounts(np.array(x, dtype=np.int64), sep, BASE)
+    assert carried(counts) == pairs
+    assert divmod(counts.best(), BASE) == want
+
+
 SEP = 3
 # runs of 1 to 3 * _REACH equal symbols; a run of SEP is a run of empty
 # sequences, and a SEP first or last puts a site next to the frame
@@ -124,24 +154,49 @@ RUN_CORPORA = st.lists(
 
 
 def edge_search(x, hit):
-    """Run bounds from the edges of every run in x."""
+    """Run bounds, as indices into x, from the edges of every run in x."""
     edge = [0] + [i for i in range(1, len(x)) if x[i] != x[i - 1]] + [len(x)]
     start = [max(e for e in edge if e <= h - 1) for h in hit]
     stop = [min(e for e in edge if e > h + 2) for h in hit]
     return start, stop
 
 
+def linked_cells(x, dead):
+    """Cells holding the live symbols x with dead[i] dead cells before x[i]
+    and dead[-1] after the last, between two frame cells, and their links.
+
+    A dead cell's links point past the cells, so reading one fails."""
+    cells, live = [_FRAME], []
+    for symbol, n in zip(x + [None], dead):
+        cells += [_DEAD] * n
+        if symbol is not None:
+            live.append(len(cells))
+            cells.append(symbol)
+    cells.append(_FRAME)
+    nxt = np.full(len(cells), 2 * len(cells))
+    prv = nxt.copy()
+    chain = [0] + live + [len(cells) - 1]
+    nxt[chain] = chain[1:] + chain[-1:]
+    prv[chain] = chain[:1] + chain[:-1]
+    return np.array(cells, dtype=np.int64), nxt, prv, live
+
+
 @given(x=RUN_CORPORA, data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_run_bounds_equal_a_whole_corpus_edge_search(x, data):
-    # sites are positions h with x[h-1 : h+3] inside x, the first real
-    # position 1 among them
+    # dead cells anywhere: next to sites and next to either frame cell
+    dead = data.draw(st.lists(st.integers(0, 2), min_size=len(x) + 1, max_size=len(x) + 1))
+    cells, nxt, prv, live = linked_cells(x, dead)
+    # sites are live indices h with x[h-1 : h+3] inside x, the first real
+    # index 1 among them
     sites = data.draw(st.sets(st.integers(1, len(x) - 3), min_size=1))
     if data.draw(st.booleans()):
         sites.add(1)
-    hit = np.array(sorted(sites))
-    start, stop = _run_bounds(np.array(x, dtype=np.int64), hit)
-    assert (start.tolist(), stop.tolist()) == edge_search(x, hit)
+    hit = sorted(sites)
+    start, stop = _run_bounds(cells, nxt, prv, np.array([live[h] for h in hit]))
+    want_start, want_stop = edge_search(x, hit)
+    assert start.tolist() == [live[i] for i in want_start]
+    assert stop.tolist() == [live[i - 1] + 1 for i in want_stop]
 
 
 @pytest.mark.parametrize(
@@ -191,3 +246,14 @@ def test_benchmark_libraries_keep_their_bytes(tmp_path, workloads, workload, mer
     path = tmp_path / "lib.psdl"
     save_library(build_library(corpus, merges, vocab_size=model.vocab_size), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[workload, merges]
+
+
+def test_a_corpus_too_large_for_the_pair_scores_raises_before_any_merge(monkeypatch):
+    # 2M distinct tokens and a merge budget of 1M: base is 3M + 1, so a code
+    # takes 44 bits and a count of 1M does not fit in the other 19
+    def no_counts(*args):
+        raise AssertionError("pairs were counted")
+
+    monkeypatch.setattr(phrase_lib, "_PairCounts", no_counts)
+    with pytest.raises(LibraryTooLarge, match="2000000 tokens and 3000001 symbols"):
+        build_library([np.arange(2_000_000)], 1_000_000)

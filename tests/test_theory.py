@@ -152,6 +152,10 @@ class TestProposition1:
         with pytest.raises(ValueError, match="trials must be >= 0"):
             theory_check(trials=trials, min_inequality_trials=min_ineq_trials)
 
+    def test_theory_check_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            theory_check(trials=5, min_inequality_trials=5, seed=-1)
+
     def test_identical_distributions_gap_zero(self):
         gap = alpha_phr_exact([P, P], [P, P]) - alpha_seq([P, P], [P, P])
         assert gap == pytest.approx(0.0, abs=1e-12)
