@@ -7,9 +7,11 @@ the verb: bench and the sweeps read all three, theory-check --seed and
 The config file is a flat key=value text file whose keys mirror
 ExperimentConfig.  Bad input (unreadable files, malformed models, libraries,
 corpora or configs) ends with one ``phrasedec: error: ...`` line on stderr
-and exit status 1; bad arguments exit with argparse's status 2.  An
-arithmetic fault inside the verifier (``DegenerateResidual``) ends with one
-``phrasedec: internal error: ...`` line and exit status 1.
+and exit status 1, before the generator draws if a planted setting or
+corpus size is bad; bad arguments (a grid token that is not a number among
+them) exit with argparse's status 2.  An arithmetic fault inside the
+verifier (``DegenerateResidual``) ends with one ``phrasedec: internal
+error: ...`` line and exit status 1.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def _comma_list(text: str, parse) -> list:
+    """Comma-separated values read by ``parse``; a bad one is an argument error."""
+    try:
+        return [parse(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phrasedec",
@@ -53,16 +63,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-library", help="learn a phrase library from a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--merges", type=non_negative_int, default=256)
+    p.add_argument("--merges", type=non_negative_int, default=harness.ExperimentConfig.merges)
     p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PHRASE_LEN)
     p.add_argument("--out", dest="library_out", required=True)
 
     p = sub.add_parser("decode", help="decode one sequence and print metrics")
     p.add_argument("--model", required=True, help="PSDM model file")
-    p.add_argument("--mode", choices=MODES, default="sjd")
-    p.add_argument("--length", type=int, default=256)
-    p.add_argument("--window", type=int, default=16)
-    p.add_argument("--tau", type=float, default=0.01)
+    p.add_argument("--mode", choices=MODES, default=VerifyConfig.mode)
+    p.add_argument("--length", type=int, default=harness.ExperimentConfig.total_len)
+    p.add_argument("--window", type=int, default=VerifyConfig.window_size)
+    p.add_argument("--tau", type=float, default=VerifyConfig.tau)
     p.add_argument("--lib", default=None, help="PSDL library file (sjd_pv mode)")
     p.add_argument("--greedy", action="store_true")
 
@@ -70,16 +80,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default=None, help="comma-separated mode list")
 
     p = sub.add_parser("sweep-tau", help="neighborhood-threshold ablation")
-    p.add_argument("--taus", default="0.005,0.01,0.02,0.05")
+    p.add_argument("--taus", type=lambda t: _comma_list(t, float), default="0.005,0.01,0.02,0.05")
 
     p = sub.add_parser("sweep-merges", help="merge-iteration ablation")
-    p.add_argument("--merge-grid", default="256,1024,2048")
+    p.add_argument("--merge-grid", type=lambda t: _comma_list(t, int), default="256,1024,2048")
 
-    p = sub.add_parser("theory-check", help="acceptance-rate oracle report")
-    p.add_argument("--trials", type=non_negative_int, default=1000)
-    p.add_argument("--v-max", type=int, default=8)
-    p.add_argument("--l-max", type=int, default=3)
-    p.add_argument("--min-ineq-trials", type=non_negative_int, default=100000)
+    # a flag left out is absent from the namespace, so theory_check's default holds
+    p = sub.add_parser(
+        "theory-check", help="acceptance-rate oracle report", argument_default=argparse.SUPPRESS
+    )
+    p.add_argument("--trials", type=non_negative_int)
+    p.add_argument("--v-max", type=int)
+    p.add_argument("--l-max", type=int)
+    p.add_argument("--min-ineq-trials", dest="min_inequality_trials", type=non_negative_int)
 
     p = sub.add_parser("gen-model", help="write the config's model and corpus")
     p.add_argument("--model-out", required=True)
@@ -158,8 +171,7 @@ def _run(args) -> int:
 
     if args.command == "sweep-tau":
         cfg = _experiment_config(args)
-        taus = [float(v) for v in args.taus.split(",") if v.strip()]
-        for row in harness.run_tau_sweep(cfg, taus):
+        for row in harness.run_tau_sweep(cfg, args.taus):
             print(
                 f"tau={row['tau']}: mean NFE {row['mean_nfe']:.2f}, "
                 f"phrase accept rate {row['phrase_accept_rate']:.3f}, "
@@ -169,8 +181,7 @@ def _run(args) -> int:
 
     if args.command == "sweep-merges":
         cfg = _experiment_config(args)
-        grid = [int(v) for v in args.merge_grid.split(",") if v.strip()]
-        for row in harness.run_merge_sweep(cfg, grid):
+        for row in harness.run_merge_sweep(cfg, args.merge_grid):
             print(
                 f"M={row['merges']}: library {row['library_size']}, "
                 f"mean NFE {row['mean_nfe']:.2f}, "
@@ -179,13 +190,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "theory-check":
-        report = harness.theory_check(
-            trials=args.trials,
-            v_max=args.v_max,
-            l_max=args.l_max,
-            min_inequality_trials=args.min_ineq_trials,
-            seed=args.seed if args.seed is not None else 0,
-        )
+        given = ("trials", "v_max", "l_max", "min_inequality_trials", "seed")
+        kwargs = {k: getattr(args, k) for k in given if getattr(args, k, None) is not None}
+        report = harness.theory_check(**kwargs)
         text = json.dumps(report, indent=2)
         if args.out_dir:
             os.makedirs(args.out_dir, exist_ok=True)

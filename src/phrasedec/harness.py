@@ -192,11 +192,14 @@ def planted_phrase_corpus(
     exploits.  The corpus is ``sequences`` ancestral samples of the model,
     drawn from rng after the model, all in lockstep (``ancestral_corpus``).
 
-    Bad settings raise ConfigInvalid, and more phrase tokens than the
-    vocabulary holds CapacityExceeded, before rng is drawn from.
+    Every setting and both corpus sizes are checked here, before rng is
+    drawn from: a bad one raises ConfigInvalid, and more phrase tokens than
+    the vocabulary holds CapacityExceeded.
     """
+    _check_planted(vocab_size, phrase_count, phrase_len, planting_rate, concentration)
+    _check_corpus_size(sequences, seq_len)
     model = _planted_model(vocab_size, phrase_count, phrase_len, planting_rate, rng, concentration)
-    return _ancestral_corpus(model, sequences, seq_len, rng), model
+    return ancestral_corpus(model, sequences, seq_len, rng), model
 
 
 def _planted_model(
@@ -207,8 +210,7 @@ def _planted_model(
     rng: np.random.Generator,
     concentration: float,
 ) -> MarkovModel:
-    """The planted generator's model (see ``planted_phrase_corpus``)."""
-    _check_planted(vocab_size, phrase_count, phrase_len, planting_rate, concentration)
+    """The planted generator's model (see ``planted_phrase_corpus``) for checked settings."""
     needed = phrase_count * phrase_len
     blocks = rng.permutation(vocab_size)[:needed].reshape(phrase_count, phrase_len)
     # successor[a + 1] is the phrase token that follows token a, or -1
@@ -263,17 +265,6 @@ def _check_corpus_size(sequences: int, seq_len: int) -> None:
         raise ConfigInvalid("sequences and seq_len must be >= 1")
 
 
-def _ancestral_corpus(
-    model: MarkovModel, sequences: int, seq_len: int, rng: np.random.Generator
-) -> list[TokenSequence]:
-    """``sequences`` ancestral samples of ``seq_len`` tokens each, drawn in
-    lockstep by ``models.ancestral_corpus``: the same tokens and generator
-    state as ``sequences`` calls of ``ancestral_sample``.  Sizes below 1
-    raise ConfigInvalid."""
-    _check_corpus_size(sequences, seq_len)
-    return ancestral_corpus(model, sequences, seq_len, rng)
-
-
 def _resolve_model_and_corpus(
     cfg: ExperimentConfig,
 ) -> tuple[MarkovModel, list[TokenSequence]]:
@@ -297,7 +288,7 @@ def _resolve_model_and_corpus(
         model = random_markov(cfg.order, cfg.vocab_size, cfg.concentration, rng)
     if cfg.corpus_path is not None:
         return model, read_corpus(cfg.corpus_path)
-    return model, _ancestral_corpus(model, cfg.corpus_sequences, cfg.corpus_seq_len, rng)
+    return model, ancestral_corpus(model, cfg.corpus_sequences, cfg.corpus_seq_len, rng)
 
 
 @dataclass
@@ -421,7 +412,7 @@ def run_tau_sweep(cfg: ExperimentConfig, taus) -> list[dict]:
     grid = [dataclasses.replace(cfg, tau=tau) for tau in taus]
     model, corpus = _resolve_model_and_corpus(cfg)
     lib = build_library(corpus, cfg.merges, cfg.max_phrase_len, model.vocab_size)
-    reference = _ancestral_corpus(
+    reference = ancestral_corpus(
         model, cfg.decodes, cfg.total_len, np.random.default_rng([cfg.seed, 2])
     )
 

@@ -6,7 +6,7 @@ import pytest
 
 from phrasedec import cli, decoder
 from phrasedec.cli import main
-from phrasedec.harness import planted_phrase_corpus
+from phrasedec.harness import ExperimentConfig, planted_phrase_corpus
 from phrasedec.models import MarkovModel, random_markov, save_markov
 from phrasedec.phrase_lib import load_library, write_corpus
 
@@ -239,6 +239,62 @@ def test_sweeps(workspace, tmp_path, capsys):
                "--merge-grid", "0,32"])
     assert rc == 0
     assert (out_dir / "merge_sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "verb, message",
+    [
+        (["sweep-tau", "--taus", "0.01,abc"],
+         "argument --taus: could not convert string to float: 'abc'"),
+        (["sweep-merges", "--merge-grid", "8,x"],
+         "argument --merge-grid: invalid literal for int() with base 10: 'x'"),
+        (["sweep-merges", "--merge-grid", "8,1.5"],
+         "argument --merge-grid: invalid literal for int() with base 10: '1.5'"),
+    ],
+    ids=["tau_word", "merge_word", "merge_fraction"],
+)
+def test_a_grid_token_that_is_not_a_number_is_a_bad_argument(tmp_path, capsys, verb, message):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--out", str(out_dir), *verb])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1
+    assert err.endswith(f": error: {message}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "verb, message",
+    [
+        (["sweep-tau", "--taus", "0.01,1.5"], "tau must be in (0, 1)"),
+        (["sweep-merges", "--merge-grid", "16,-1"], "merges must be >= 0"),
+    ],
+    ids=["tau_above_one", "negative_merges"],
+)
+def test_a_grid_value_out_of_range_is_a_bad_config(tmp_path, capsys, verb, message):
+    out_dir = tmp_path / "out"
+    rc = main(["--out", str(out_dir), *verb])
+    assert rc == 1
+    assert capsys.readouterr().err == f"phrasedec: error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_left_out_flags_keep_the_owners_defaults(monkeypatch):
+    # theory-check passes only the flags it was given
+    calls = []
+    monkeypatch.setattr(cli.harness, "theory_check", lambda **kw: calls.append(kw) or {})
+    assert main(["theory-check"]) == 0
+    assert main(["--seed", "4", "theory-check", "--v-max", "5", "--min-ineq-trials", "7"]) == 0
+    assert calls == [{}, {"v_max": 5, "min_inequality_trials": 7, "seed": 4}]
+    # decode and build-library read theirs from VerifyConfig and ExperimentConfig
+    args = cli._build_parser().parse_args(["decode", "--model", "m"])
+    assert (args.mode, args.window, args.tau) == (
+        decoder.VerifyConfig.mode, decoder.VerifyConfig.window_size, decoder.VerifyConfig.tau
+    )
+    assert args.length == ExperimentConfig().total_len
+    args = cli._build_parser().parse_args(["build-library", "--corpus", "c", "--out", "o"])
+    assert args.merges == ExperimentConfig().merges
 
 
 def test_theory_check(tmp_path, capsys):

@@ -55,6 +55,9 @@ class TestPlantedPhraseCorpus:
             ((16, 3, 4, 10, 50, 0.9), float("nan")),
             ((1, 0, 2, 10, 50, 0.9), 0.3),
             ((16, 3, 1, 10, 50, 0.9), 0.3),
+            # corpus sizes, checked before the model is drawn
+            ((16, 3, 4, 0, 50, 0.9), 0.3),
+            ((16, 3, 4, 10, 0, 0.9), 0.3),
         ],
     )
     def test_bad_settings_raise_before_drawing(self, args, concentration):
