@@ -152,7 +152,9 @@ def _run(args) -> int:
             max_phrase_len=max(map(len, phrases), default=DEFAULT_MAX_PHRASE_LEN),
             greedy=args.greedy,
         )
-        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+        rng = np.random.default_rng(
+            harness.ExperimentConfig.seed if args.seed is None else args.seed
+        )
         seq, metrics = decode(model, lib, cfg, args.length, rng)
         print(" ".join(str(t) for t in seq))
         print(json.dumps(metrics.counts()), file=sys.stderr)

@@ -15,17 +15,19 @@ import numpy as np
 TokenId = int
 TokenSequence = tuple[int, ...]
 
-# log of the smallest positive double.  exp() of anything at or below this
-# underflows to 0, so the floor doubles as the deterministic-reject sentinel
-# for zero-probability tokens.
-LOG_FLOOR = -745.0
+# below the log of half the smallest positive double (about -745.13), so
+# exp() of anything at or below it is exactly 0.0 and the floor doubles as
+# the deterministic-reject sentinel for zero-probability tokens: even a
+# uniform draw of 0.0 does not pass ``exp(score) > u``.
+LOG_FLOOR = -746.0
 
 # absolute tolerance on sum(probs) == 1
 PROB_SUM_TOL = 1e-9
 
 
 class InvalidWeight(ValueError):
-    """A weight vector contains a negative or non-finite entry."""
+    """A weight or probability vector has a negative or non-finite entry, or
+    a probability row does not sum to 1."""
 
 
 class AllZeroWeights(ValueError):
@@ -53,13 +55,7 @@ class CategoricalDistribution:
         arr = np.ascontiguousarray(probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("probs must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidWeight("probabilities must be finite")
-        if np.any(arr < 0):
-            raise InvalidWeight("probabilities must be non-negative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        _check_rows(arr, "probabilities")
         arr.setflags(write=False)
         self.probs = arr
 
@@ -93,11 +89,27 @@ def normalize(weights) -> CategoricalDistribution:
     arr = np.ascontiguousarray(weights, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidWeight("weights must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidWeight("weights must be finite")
-    if np.any(arr < 0):
-        raise InvalidWeight("weights must be non-negative")
+    # the signs are checked before scaling, which a negative total would hide
+    _check_rows(arr, "weights", summed=False)
     return CategoricalDistribution(normalize_rows(arr))
+
+
+def _check_rows(rows: np.ndarray, what: str, summed: bool = True) -> None:
+    """The rule for probability rows: every entry of the ``(..., V)`` array
+    rows is finite and non-negative and, if summed, every row sums to 1
+    within PROB_SUM_TOL.  A failure raises InvalidWeight naming what, and
+    for a 2-D array the row whose sum is furthest from 1."""
+    if not np.all(np.isfinite(rows)) or np.any(rows < 0):
+        raise InvalidWeight(f"{what} must be finite and non-negative")
+    if not summed:
+        return
+    sums = rows.sum(axis=-1)
+    error = np.abs(sums - 1.0)
+    if np.any(error > PROB_SUM_TOL):
+        if rows.ndim == 1:
+            raise InvalidWeight(f"{what} sum to {float(sums)}, not 1")
+        bad = int(np.argmax(error))
+        raise InvalidWeight(f"{what}: row {bad} sums to {sums[bad]}, not 1")
 
 
 def normalize_rows(weights: np.ndarray) -> np.ndarray:

@@ -91,25 +91,34 @@ class ExperimentConfig:
             raise ConfigInvalid("decodes and total_len must be >= 1")
         if self.merges < 0:
             raise ConfigInvalid("merges must be >= 0")
-        # the generator settings, checked only where a generator reads them
-        if self.model_path is None and self.planted:
-            if self.order != 2:
-                raise ConfigInvalid(
-                    "the planted model is order 2; order applies only with planted=false"
-                )
-            _check_planted(
-                self.vocab_size,
-                self.phrase_count,
-                self.phrase_len,
-                self.planting_rate,
-                self.concentration,
-            )
-        elif self.model_path is None:
-            if self.order < 1:
+        # the generator rules, checked only where a generator reads them;
+        # planted_phrase_corpus checks its arguments through them too
+        if self.model_path is None:
+            if self.planted:
+                if self.order != 2:
+                    raise ConfigInvalid(
+                        "the planted model is order 2; order applies only with planted=false"
+                    )
+                if self.phrase_len < 2:
+                    raise ConfigInvalid("phrase_len must be >= 2")
+                if not 0.0 < self.planting_rate <= 1.0:
+                    raise ConfigInvalid("planting_rate must be in (0, 1]")
+                if self.phrase_count < 0:
+                    raise ConfigInvalid("phrase_count must be >= 0")
+                needed = self.phrase_count * self.phrase_len
+                if needed > self.vocab_size:
+                    raise CapacityExceeded(
+                        f"{needed} phrase tokens need disjoint blocks in a vocabulary of "
+                        f"{self.vocab_size}"
+                    )
+            elif self.order < 1:
                 raise ConfigInvalid("order must be >= 1")
-            _check_dirichlet(self.vocab_size, self.concentration)
-        if self.corpus_path is None:
-            _check_corpus_size(self.corpus_sequences, self.corpus_seq_len)
+            if self.vocab_size < 2:
+                raise ConfigInvalid("vocab_size must be >= 2")
+            if not (math.isfinite(self.concentration) and self.concentration > 0):
+                raise ConfigInvalid("concentration must be finite and > 0")
+        if self.corpus_path is None and (self.corpus_sequences < 1 or self.corpus_seq_len < 1):
+            raise ConfigInvalid("sequences and seq_len must be >= 1")
 
     def _verify_config(self, mode: str) -> VerifyConfig:
         """The decoder settings of one mode; bad ones raise ConfigInvalid."""
@@ -192,27 +201,29 @@ def planted_phrase_corpus(
     exploits.  The corpus is ``sequences`` ancestral samples of the model,
     drawn from rng after the model, all in lockstep (``ancestral_corpus``).
 
-    Every setting and both corpus sizes are checked here, before rng is
-    drawn from: a bad one raises ConfigInvalid, and more phrase tokens than
-    the vocabulary holds CapacityExceeded.
+    Every setting and both corpus sizes are checked, by the rules of
+    ``ExperimentConfig``, before rng is drawn from: a bad one raises
+    ConfigInvalid, and more phrase tokens than the vocabulary holds
+    CapacityExceeded.
     """
-    _check_planted(vocab_size, phrase_count, phrase_len, planting_rate, concentration)
-    _check_corpus_size(sequences, seq_len)
-    model = _planted_model(vocab_size, phrase_count, phrase_len, planting_rate, rng, concentration)
+    cfg = ExperimentConfig(
+        vocab_size=vocab_size,
+        concentration=concentration,
+        phrase_count=phrase_count,
+        phrase_len=phrase_len,
+        planting_rate=planting_rate,
+        corpus_sequences=sequences,
+        corpus_seq_len=seq_len,
+    )
+    model = _planted_model(cfg, rng)
     return ancestral_corpus(model, sequences, seq_len, rng), model
 
 
-def _planted_model(
-    vocab_size: int,
-    phrase_count: int,
-    phrase_len: int,
-    planting_rate: float,
-    rng: np.random.Generator,
-    concentration: float,
-) -> MarkovModel:
-    """The planted generator's model (see ``planted_phrase_corpus``) for checked settings."""
-    needed = phrase_count * phrase_len
-    blocks = rng.permutation(vocab_size)[:needed].reshape(phrase_count, phrase_len)
+def _planted_model(cfg: ExperimentConfig, rng: np.random.Generator) -> MarkovModel:
+    """The planted generator's model (see ``planted_phrase_corpus``) for a
+    planted config."""
+    vocab_size, count, length = cfg.vocab_size, cfg.phrase_count, cfg.phrase_len
+    blocks = rng.permutation(vocab_size)[: count * length].reshape(count, length)
     # successor[a + 1] is the phrase token that follows token a, or -1
     successor = np.full(vocab_size + 1, -1)
     successor[blocks[:, :-1] + 1] = blocks[:, 1:]
@@ -220,49 +231,14 @@ def _planted_model(
     order = 2
     # one noise row per context, in markov_contexts order; a context's last
     # token + 1 (PAD -> 0) picks its planted successor
-    rows = rng.dirichlet(np.full(vocab_size, concentration), size=context_count(order, vocab_size))
+    alpha = np.full(vocab_size, cfg.concentration)
+    rows = rng.dirichlet(alpha, size=context_count(order, vocab_size))
     last = np.array([ctx[-1] for ctx in markov_contexts(order, vocab_size)])
     nxt = successor[last + 1]
     planted = np.flatnonzero(nxt >= 0)
-    rows[planted] *= 1.0 - planting_rate
-    rows[planted, nxt[planted]] += planting_rate
+    rows[planted] *= 1.0 - cfg.planting_rate
+    rows[planted, nxt[planted]] += cfg.planting_rate
     return MarkovModel(order, vocab_size, normalize_rows(rows))
-
-
-def _check_dirichlet(vocab_size: int, concentration: float) -> None:
-    """The rules both model generators share; a bad setting raises ConfigInvalid."""
-    if vocab_size < 2:
-        raise ConfigInvalid("vocab_size must be >= 2")
-    if not (math.isfinite(concentration) and concentration > 0):
-        raise ConfigInvalid("concentration must be finite and > 0")
-
-
-def _check_planted(
-    vocab_size: int,
-    phrase_count: int,
-    phrase_len: int,
-    planting_rate: float,
-    concentration: float,
-) -> None:
-    """The planted generator's rules: a bad setting raises ConfigInvalid,
-    more phrase tokens than the vocabulary holds CapacityExceeded."""
-    if phrase_len < 2:
-        raise ConfigInvalid("phrase_len must be >= 2")
-    if not 0.0 < planting_rate <= 1.0:
-        raise ConfigInvalid("planting_rate must be in (0, 1]")
-    if phrase_count < 0:
-        raise ConfigInvalid("phrase_count must be >= 0")
-    needed = phrase_count * phrase_len
-    if needed > vocab_size:
-        raise CapacityExceeded(
-            f"{needed} phrase tokens need disjoint blocks in a vocabulary of {vocab_size}"
-        )
-    _check_dirichlet(vocab_size, concentration)
-
-
-def _check_corpus_size(sequences: int, seq_len: int) -> None:
-    if sequences < 1 or seq_len < 1:
-        raise ConfigInvalid("sequences and seq_len must be >= 1")
 
 
 def _resolve_model_and_corpus(
@@ -276,14 +252,7 @@ def _resolve_model_and_corpus(
     if cfg.model_path is not None:
         model = load_markov(cfg.model_path)
     elif cfg.planted:
-        model = _planted_model(
-            cfg.vocab_size,
-            cfg.phrase_count,
-            cfg.phrase_len,
-            cfg.planting_rate,
-            rng,
-            cfg.concentration,
-        )
+        model = _planted_model(cfg, rng)
     else:
         model = random_markov(cfg.order, cfg.vocab_size, cfg.concentration, rng)
     if cfg.corpus_path is not None:
@@ -313,6 +282,11 @@ class BenchmarkReport:
     acceleration: dict[str, float]
 
 
+def _rate(x: float, y: float) -> float:
+    """x / y, or 0.0 where y is 0."""
+    return x / y if y else 0.0
+
+
 def _run_mode(
     model, lib: PhraseLibrary | None, cfg: ExperimentConfig, mode: str
 ) -> tuple[ModeAggregate, list[TokenSequence]]:
@@ -323,67 +297,76 @@ def _run_mode(
     start = time.perf_counter()
     for run in range(cfg.decodes):
         rng = np.random.default_rng([cfg.seed, 1, run])
-        seq, metrics = decode(
-            model, lib if mode == "sjd_pv" else None, vcfg, cfg.total_len, rng
-        )
+        seq, metrics = decode(model, lib, vcfg, cfg.total_len, rng)
         outputs.append(seq)
         totals.merge(metrics)
         # the counters follow; nfe keeps its place ahead of iterations
         row = {"mode": mode, "run": run, "nfe": metrics.nfe, "iterations": metrics.iterations}
         rows.append(row | metrics.counts())
     wall = time.perf_counter() - start
-    token_trials = totals.token_accepts + totals.token_rejects
     agg = ModeAggregate(
         mode=mode,
         runs=cfg.decodes,
         mean_nfe=totals.nfe / cfg.decodes,
-        mean_tokens_per_iteration=(
-            totals.tokens_emitted / totals.nfe if totals.nfe else 0.0
-        ),
-        token_accept_rate=(totals.token_accepts / token_trials if token_trials else 0.0),
+        mean_tokens_per_iteration=_rate(totals.tokens_emitted, totals.nfe),
+        token_accept_rate=_rate(totals.token_accepts, totals.token_accepts + totals.token_rejects),
         phrase_attempts=totals.phrase_attempts,
         phrase_accepts=totals.phrase_accepts,
-        phrase_accept_rate=(
-            totals.phrase_accepts / totals.phrase_attempts
-            if totals.phrase_attempts
-            else 0.0
-        ),
+        phrase_accept_rate=_rate(totals.phrase_accepts, totals.phrase_attempts),
         wall_clock_s=wall,
         rows=rows,
     )
     return agg, outputs
 
 
+def _run_grid(
+    grid: list[ExperimentConfig], modes: tuple[str, ...]
+) -> tuple[MarkovModel, list[tuple]]:
+    """Run every mode at every grid point, over the model and corpus of the
+    grid's first point; the points may differ only in tau and merges.
+
+    Returns the model and, per point, ``(point, library, runs)``, where runs
+    lists ``_run_mode``'s ``(aggregate, outputs)`` in mode order.  Only when
+    sjd_pv runs is a library built, once per distinct merge budget; it is
+    passed to every mode (``decode`` reads it only in sjd_pv).
+    """
+    model, corpus = _resolve_model_and_corpus(grid[0])
+    libraries: dict[int, PhraseLibrary] = {}
+    points = []
+    for point in grid:
+        if "sjd_pv" in modes and point.merges not in libraries:
+            libraries[point.merges] = build_library(
+                corpus, point.merges, point.max_phrase_len, model.vocab_size
+            )
+        lib = libraries.get(point.merges)
+        points.append((point, lib, [_run_mode(model, lib, point, mode) for mode in modes]))
+    return model, points
+
+
+def _write_csv(cfg: ExperimentConfig, name: str, rows: list[dict]) -> list[dict]:
+    """Write rows to the CSV file name in cfg.out_dir, if one is set; return rows."""
+    if cfg.out_dir:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        emit_plot_data(rows, os.path.join(cfg.out_dir, name))
+    return rows
+
+
 def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
     """Matched-seed decodes for each configured mode over one target model."""
-    model, corpus = _resolve_model_and_corpus(cfg)
-    lib = None
-    if "sjd_pv" in cfg.modes:
-        lib = build_library(corpus, cfg.merges, cfg.max_phrase_len, model.vocab_size)
-
-    per_mode: dict[str, ModeAggregate] = {}
-    for mode in cfg.modes:
-        per_mode[mode], _ = _run_mode(model, lib, cfg, mode)
-
-    base = cfg.modes[0]
-    base_nfe = per_mode[base].mean_nfe
+    _, [(_, _, runs)] = _run_grid([cfg], cfg.modes)
+    per_mode = {agg.mode: agg for agg, _ in runs}
+    base_nfe = per_mode[cfg.modes[0]].mean_nfe
     acceleration = {
         mode: (base_nfe / agg.mean_nfe if agg.mean_nfe else float("nan"))
         for mode, agg in per_mode.items()
     }
     report = BenchmarkReport(REPORT_VERSION, cfg, per_mode, acceleration)
+    _write_csv(cfg, "report.csv", [row for agg in per_mode.values() for row in agg.rows])
     if cfg.out_dir:
-        _write_report(report, cfg.out_dir)
+        with open(os.path.join(cfg.out_dir, "report.json"), "w", encoding="utf-8") as f:
+            json.dump(dataclasses.asdict(report), f, indent=2)
+            f.write("\n")
     return report
-
-
-def _write_report(report: BenchmarkReport, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
-        json.dump(dataclasses.asdict(report), f, indent=2)
-        f.write("\n")
-    rows = [row for agg in report.per_mode.values() for row in agg.rows]
-    emit_plot_data(rows, os.path.join(out_dir, "report.csv"))
 
 
 def marginal_tv(seqs_a, seqs_b, vocab_size: int) -> np.ndarray:
@@ -409,59 +392,40 @@ def run_tau_sweep(cfg: ExperimentConfig, taus) -> list[dict]:
         raise ConfigInvalid("tau grid must be non-empty")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigInvalid("tau grid must be strictly ascending")
-    grid = [dataclasses.replace(cfg, tau=tau) for tau in taus]
-    model, corpus = _resolve_model_and_corpus(cfg)
-    lib = build_library(corpus, cfg.merges, cfg.max_phrase_len, model.vocab_size)
+    model, points = _run_grid([dataclasses.replace(cfg, tau=tau) for tau in taus], ("sjd_pv",))
     reference = ancestral_corpus(
         model, cfg.decodes, cfg.total_len, np.random.default_rng([cfg.seed, 2])
     )
-
-    rows = []
-    for point in grid:
-        agg, outputs = _run_mode(model, lib, point, "sjd_pv")
-        divergence = float(marginal_tv(outputs, reference, model.vocab_size).mean())
-        rows.append(
-            {
-                "tau": point.tau,
-                "mean_nfe": agg.mean_nfe,
-                "phrase_accept_rate": agg.phrase_accept_rate,
-                "seq_divergence": divergence,
-            }
-        )
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        emit_plot_data(rows, os.path.join(cfg.out_dir, "tau_sweep.csv"))
-    return rows
+    rows = [
+        {
+            "tau": point.tau,
+            "mean_nfe": agg.mean_nfe,
+            "phrase_accept_rate": agg.phrase_accept_rate,
+            "seq_divergence": float(marginal_tv(outputs, reference, model.vocab_size).mean()),
+        }
+        for point, _, [(agg, outputs)] in points
+    ]
+    return _write_csv(cfg, "tau_sweep.csv", rows)
 
 
 def run_merge_sweep(cfg: ExperimentConfig, merge_grid) -> list[dict]:
-    """Rebuild the library per merge budget and benchmark on matched seeds."""
+    """One phrase-verification benchmark row per merge budget, with fixed
+    seeds and a shared model and corpus across rows."""
     merge_grid = list(merge_grid)
     if not merge_grid:
         raise ConfigInvalid("merge grid must be non-empty")
     grid = [dataclasses.replace(cfg, merges=merges) for merges in merge_grid]
-    model, corpus = _resolve_model_and_corpus(cfg)
-
-    rows = []
-    for point in grid:
-        lib = build_library(corpus, point.merges, cfg.max_phrase_len, model.vocab_size)
-        agg, _ = _run_mode(model, lib, point, "sjd_pv")
-        rows.append(
-            {
-                "merges": point.merges,
-                "library_size": len(lib.phrases),
-                "mean_nfe": agg.mean_nfe,
-                "phrase_hit_rate": (
-                    agg.phrase_accepts / (agg.mean_nfe * cfg.decodes)
-                    if agg.mean_nfe
-                    else 0.0
-                ),
-            }
-        )
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        emit_plot_data(rows, os.path.join(cfg.out_dir, "merge_sweep.csv"))
-    return rows
+    _, points = _run_grid(grid, ("sjd_pv",))
+    rows = [
+        {
+            "merges": point.merges,
+            "library_size": len(lib.phrases),
+            "mean_nfe": agg.mean_nfe,
+            "phrase_hit_rate": _rate(agg.phrase_accepts, agg.mean_nfe * cfg.decodes),
+        }
+        for point, lib, [(agg, _)] in points
+    ]
+    return _write_csv(cfg, "merge_sweep.csv", rows)
 
 
 def emit_plot_data(rows, out_path) -> None:

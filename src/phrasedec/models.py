@@ -18,10 +18,9 @@ from bisect import bisect_right
 import numpy as np
 
 from .core import (
-    PROB_SUM_TOL,
     CategoricalDistribution,
-    InvalidWeight,
     TokenSequence,
+    _check_rows,
     normalize_rows,
     pick,
 )
@@ -99,12 +98,7 @@ class MarkovModel:
                 f"expected {contexts} transition rows of width {vocab_size}, "
                 f"got shape {stack.shape}"
             )
-        if not np.all(np.isfinite(stack)) or np.any(stack < 0):
-            raise InvalidWeight("transition probabilities must be finite and non-negative")
-        sums = stack.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > PROB_SUM_TOL):
-            bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise InvalidWeight(f"transition row {bad} sums to {sums[bad]}, not 1")
+        _check_rows(stack, "transition probabilities")
         rows = np.zeros(((vocab_size + 1) ** order, vocab_size))
         rows[context_codes(order, vocab_size)] = stack
         rows.setflags(write=False)

@@ -35,6 +35,16 @@ def test_build_library(workspace, capsys):
     assert all(len(p) <= 6 for p in lib.phrases)
 
 
+def test_decode_seed_defaults_to_the_config_seed(workspace, capsys):
+    _, _, model_path = workspace
+    tokens = []
+    for seed in ([], ["--seed", str(ExperimentConfig.seed)]):
+        assert main([*seed, "decode", "--model", str(model_path), "--length", "48"]) == 0
+        tokens.append(capsys.readouterr().out)
+    assert tokens[0] == tokens[1]
+    assert len(tokens[0].split()) == 48
+
+
 def test_build_library_zero_merges(workspace, capsys):
     tmp_path, corpus_path, _ = workspace
     out = tmp_path / "lib.psdl"

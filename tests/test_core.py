@@ -66,6 +66,26 @@ class TestCategoricalDistribution:
         with pytest.raises(InvalidWeight):
             CategoricalDistribution([1.2, -0.2])
 
+    @pytest.mark.parametrize(
+        "build, row, message",
+        [
+            (CategoricalDistribution, [0.5, 0.5 + 1e-6], "probabilities sum to 1.0000"),
+            (CategoricalDistribution, [0.5, float("nan")], "probabilities must be finite"),
+            (normalize, [1.0, -0.5], "weights must be finite and non-negative"),
+            (normalize, [1.0, float("inf")], "weights must be finite and non-negative"),
+            # the total overflows, so the scaled row is all zeros
+            pytest.param(
+                normalize,
+                [1e308, 1e308],
+                "probabilities sum to 0.0, not 1",
+                marks=pytest.mark.filterwarnings("ignore:overflow"),
+            ),
+        ],
+    )
+    def test_every_bad_row_is_an_invalid_weight(self, build, row, message):
+        with pytest.raises(InvalidWeight, match=message):
+            build(row)
+
     def test_immutable(self):
         d = CategoricalDistribution([0.5, 0.5])
         with pytest.raises(ValueError):

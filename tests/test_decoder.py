@@ -219,6 +219,22 @@ class TestVerifyPhrase:
         rng = np.random.default_rng(1)
         assert not any(verify_phrase(LOG_FLOOR, rng) for _ in range(1000))
 
+    @pytest.mark.parametrize("score", [LOG_FLOOR, LOG_FLOOR - 1.0, float("-inf")])
+    def test_floor_rejects_a_zero_uniform(self, score):
+        # a zero-probability phrase stays rejected even when the uniform is
+        # exactly 0.0, and the test still draws exactly one uniform
+        class ZeroUniform:
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                return 0.0
+
+        rng = ZeroUniform()
+        assert math.exp(LOG_FLOOR) == 0.0
+        assert not verify_phrase(score, rng)
+        assert rng.draws == 1
+
     def test_monte_carlo_frequency(self):
         rng = np.random.default_rng(2)
         n = 10**5

@@ -58,13 +58,24 @@ class TestPlantedPhraseCorpus:
             # corpus sizes, checked before the model is drawn
             ((16, 3, 4, 0, 50, 0.9), 0.3),
             ((16, 3, 4, 10, 0, 0.9), 0.3),
+            ((16, 3, 4, 10, 50, 0.0), 0.3),
+            ((16, -1, 4, 10, 50, 0.9), 0.3),
+            ((4, 3, 2, 5, 20, 0.9), 0.3),  # more phrase tokens than the vocabulary
         ],
     )
     def test_bad_settings_raise_before_drawing(self, args, concentration):
+        # the generator checks its arguments by the config's rules, before
+        # drawing: the same error type and message either way
         rng = np.random.default_rng(0)
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid) as generator:
             planted_phrase_corpus(*args, rng, concentration=concentration)
         assert rng.random() == np.random.default_rng(0).random()
+        names = ("vocab_size", "phrase_count", "phrase_len", "corpus_sequences",
+                 "corpus_seq_len", "planting_rate")
+        with pytest.raises(ConfigInvalid) as config:
+            ExperimentConfig(**dict(zip(names, args)), concentration=concentration)
+        assert type(generator.value) is type(config.value)
+        assert str(generator.value) == str(config.value)
 
     def test_deterministic_continuation_at_rate_one(self):
         corpus, model = planted_phrase_corpus(
@@ -221,6 +232,38 @@ class TestSweeps:
             with pytest.raises(ConfigInvalid, match=message):
                 sweep(small_cfg(decodes=2), grid)
         assert decodes == []
+
+    @pytest.mark.parametrize(
+        "run, builds",
+        [
+            (lambda cfg: run_benchmark(dataclasses.replace(cfg, modes=("sjd",))), []),
+            (run_benchmark, [64]),
+            (lambda cfg: run_tau_sweep(cfg, [0.01, 0.02, 0.05]), [64]),
+            (lambda cfg: run_merge_sweep(cfg, [8, 8, 16, 8, 0]), [8, 16, 0]),
+        ],
+    )
+    def test_one_library_per_distinct_merge_budget(self, monkeypatch, run, builds):
+        budgets = []
+
+        def counting(corpus, merges, *args):
+            budgets.append(merges)
+            return build_library(corpus, merges, *args)
+
+        monkeypatch.setattr(harness, "build_library", counting)
+        run(small_cfg(decodes=1, total_len=32))
+        assert budgets == builds
+
+    def test_repeated_budget_keeps_its_row(self):
+        rows = run_merge_sweep(small_cfg(decodes=2), [8, 8, 16])
+        assert [row["merges"] for row in rows] == [8, 8, 16]
+        assert rows[0] == rows[1]
+
+    def test_runners_agree_on_one_point(self):
+        cfg = small_cfg(modes=("sjd", "sjd_pv"))
+        bench = run_benchmark(cfg).per_mode["sjd_pv"].mean_nfe
+        [tau] = run_tau_sweep(cfg, [cfg.tau])
+        [merges] = run_merge_sweep(cfg, [cfg.merges])
+        assert bench == tau["mean_nfe"] == merges["mean_nfe"]
 
     def test_merge_zero_equals_sjd(self):
         cfg = small_cfg(modes=("sjd",))

@@ -49,6 +49,13 @@ class TestConditional:
         with pytest.raises(ValueError):
             MarkovModel(1, 2, [normalize([1, 1]).probs])
 
+    def test_bad_row_is_named(self):
+        rows = [[0.5, 0.5], [0.9, 0.1], [0.7, 0.2]]
+        with pytest.raises(InvalidWeight, match="transition probabilities: row 2 sums to 0.8"):
+            MarkovModel(1, 2, rows)
+        with pytest.raises(InvalidWeight, match="must be finite and non-negative"):
+            MarkovModel(1, 2, [[0.5, 0.5], [1.5, -0.5], [0.7, 0.3]])
+
 
 class TestBatchedConditionals:
     def test_single_position(self, two_state):
