@@ -126,10 +126,11 @@ def phrase_acceptance_score(
 
 
 def verify_phrase(score: float, rng: np.random.Generator) -> bool:
-    """Stochastic joint test: accept iff exp(score) exceeds a uniform draw."""
+    """Stochastic joint test: accept iff exp(score) exceeds a uniform draw.
+    A score at ``phrase_acceptance_score``'s floor has exp 0.0: never accepted."""
     if score >= 0.0:
         return True
-    return math.exp(max(score, LOG_FLOOR)) > rng.random()
+    return math.exp(score) > rng.random()
 
 
 def verify_token(
@@ -222,8 +223,9 @@ def verify_window(
 
     Only the last ``target.order`` tokens of prefix are read.  Returns the
     committed tokens and the refilled next window, and counts the iteration
-    (one NFE) into metrics.  Token-wise scanning stops at the first
-    rejection; a committed phrase jumps the scan forward by its length.
+    (one NFE) and each test's outcome into metrics as it happens.  Token-wise
+    scanning stops at the first rejection; a committed phrase jumps the scan
+    forward by its length.
     Raises ValueError if a draft has zero probability under its drafter row.
     sjd_pv mode needs lib; ``decode`` checks that once per decode.
     """
@@ -240,22 +242,20 @@ def verify_window(
     fresh_draw = cfg.mode == "jacobi"
 
     committed: list[TokenId] = []
-    attempts = accepts = token_accepts = token_rejects = 0
     t = 0
     while t < W:
         if phrases:
             phrase = _find_phrase(lib, drafts, t, verifier, cfg)
             if phrase is not None:
-                attempts += 1
-                n = len(phrase)
+                metrics.phrase_attempts += 1
                 try:
                     score = phrase_acceptance_score(verifier, t, rows, drafter, phrase)
                 except DrafterZeroProb:
                     score = None  # non-verifiable: fall back to the token path
                 if score is not None and verify_phrase(score, rng):
-                    accepts += 1
+                    metrics.phrase_accepts += 1
                     committed.extend(phrase.tokens)
-                    t += n
+                    t += len(phrase)
                     continue
 
         drafted = drafts[t]
@@ -273,18 +273,14 @@ def verify_window(
         committed.append(emitted)
         t += 1
         if not accepted:
-            token_rejects = 1
+            metrics.token_rejects += 1
             break
-        token_accepts += 1
+        metrics.token_accepts += 1
 
     n = len(committed)
     metrics.nfe += 1
     metrics.tokens_emitted += n
     metrics.tokens_per_iteration.append(n)
-    metrics.phrase_attempts += attempts
-    metrics.phrase_accepts += accepts
-    metrics.token_accepts += token_accepts
-    metrics.token_rejects += token_rejects
     # Jacobi refill: surviving slots are re-drafted from the verifier rows
     # just computed; appended slots reuse the last one
     return tuple(committed), _draft(target, codes[t:] + codes[-1:] * t, greedy, rng)
@@ -316,12 +312,10 @@ def decode(
 
     committed: list[TokenId] = []
     metrics = DecodeMetrics()
-    iterations = 0
     while len(committed) < total_len:
-        iterations += 1
-        if iterations > 10 * total_len:
+        if metrics.nfe >= 10 * total_len:
             raise NonTermination(
-                f"no convergence after {iterations - 1} iterations "
+                f"no convergence after {metrics.nfe} iterations "
                 f"({len(committed)}/{total_len} tokens committed)"
             )
         out, window = verify_window(

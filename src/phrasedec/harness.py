@@ -28,15 +28,14 @@ from .models import (
     markov_contexts,
     random_markov,
 )
-from .phrase_lib import (
-    DEFAULT_MAX_PHRASE_LEN,
-    PhraseLibrary,
-    build_library,
-    read_corpus,
-)
+from .phrase_lib import PhraseLibrary, build_library, read_corpus
 from . import theory
 
 REPORT_VERSION = 1
+
+# the most entries a generated model table, and the most tokens a sampled
+# corpus, may hold
+GENERATOR_LIMIT = 2**26
 
 
 class ConfigInvalid(ValueError):
@@ -69,10 +68,10 @@ class ExperimentConfig:
     modes: tuple[str, ...] = ("sjd", "sjd_pv")
     total_len: int = 256
     decodes: int = 50
-    window_size: int = 16
-    tau: float = 0.01
+    window_size: int = VerifyConfig.window_size
+    tau: float = VerifyConfig.tau
     merges: int = 256
-    max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN
+    max_phrase_len: int = VerifyConfig.max_phrase_len
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -117,8 +116,22 @@ class ExperimentConfig:
                 raise ConfigInvalid("vocab_size must be >= 2")
             if not (math.isfinite(self.concentration) and self.concentration > 0):
                 raise ConfigInvalid("concentration must be finite and > 0")
-        if self.corpus_path is None and (self.corpus_sequences < 1 or self.corpus_seq_len < 1):
-            raise ConfigInvalid("sequences and seq_len must be >= 1")
+            # any base >= 3 to the limit's bit length passes it, so the power
+            # is capped there and a huge order builds no huge int
+            power = min(self.order, GENERATOR_LIMIT.bit_length())
+            if (self.vocab_size + 1) ** power * self.vocab_size > GENERATOR_LIMIT:
+                raise ConfigInvalid(
+                    f"vocab_size={self.vocab_size}, order={self.order}: the model table "
+                    f"has more than {GENERATOR_LIMIT} entries"
+                )
+        if self.corpus_path is None:
+            if self.corpus_sequences < 1 or self.corpus_seq_len < 1:
+                raise ConfigInvalid("sequences and seq_len must be >= 1")
+            if self.corpus_sequences * self.corpus_seq_len > GENERATOR_LIMIT:
+                raise ConfigInvalid(
+                    f"a corpus of {self.corpus_sequences} x {self.corpus_seq_len} tokens "
+                    f"has more than {GENERATOR_LIMIT}"
+                )
 
     def _verify_config(self, mode: str) -> VerifyConfig:
         """The decoder settings of one mode; bad ones raise ConfigInvalid."""
@@ -187,7 +200,7 @@ def planted_phrase_corpus(
     seq_len: int,
     planting_rate: float,
     rng: np.random.Generator,
-    concentration: float = 0.3,
+    concentration: float = ExperimentConfig.concentration,
 ) -> tuple[list[TokenSequence], MarkovModel]:
     """Synthesize a corpus whose generating model deterministically continues
     planted multi-token phrases.
@@ -356,10 +369,7 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
     _, [(_, _, runs)] = _run_grid([cfg], cfg.modes)
     per_mode = {agg.mode: agg for agg, _ in runs}
     base_nfe = per_mode[cfg.modes[0]].mean_nfe
-    acceleration = {
-        mode: (base_nfe / agg.mean_nfe if agg.mean_nfe else float("nan"))
-        for mode, agg in per_mode.items()
-    }
+    acceleration = {mode: base_nfe / agg.mean_nfe for mode, agg in per_mode.items()}
     report = BenchmarkReport(REPORT_VERSION, cfg, per_mode, acceleration)
     _write_csv(cfg, "report.csv", [row for agg in per_mode.values() for row in agg.rows])
     if cfg.out_dir:

@@ -303,21 +303,23 @@ class _PairCounts:
     new symbol, the largest so far, so a pair's sites are found among the
     cells of its larger symbol.
 
-    Each pair seen so far has a slot: its key (``_slot_key``), its code
-    ``left * base + right`` and its count (zero once the pair has gone), in
-    ``keys``, ``codes`` and ``counts``, in ascending key order.  New slots
-    append at the end of arrays whose capacity doubles.  A slot's score,
-    ``count << shift | (mask - code)``, is highest for the best pair, so one
-    argmax finds it.  A merge recounts only the pairs in windows around its
-    sites, before and after the rewrite, and adds the difference to the
-    slots they name; ``_run_bounds`` finds the windows' ends next to the
-    sites.  ``x`` must start and end with a separator, merges must create
-    symbols in ascending order, and a count << shift must fit in int64.
+    Each pair seen so far has a slot, in ascending key order: its key
+    (``_slot_key``) and its score ``count << shift | (mask - code)``, of
+    its code ``left * base + right`` and its count (zero once the pair has
+    gone); ``keys``, ``codes`` and ``counts`` read them.  New slots append
+    at the end of arrays whose capacity doubles.  The best pair has the
+    highest score, so one max finds it.  A merge recounts only the pairs in
+    windows around its sites, before and after the rewrite, and adds the
+    difference to the slots they name; ``_run_bounds`` finds the windows'
+    ends next to the sites.  ``x`` must start and end with a separator,
+    merges must create symbols in ascending order, and a count << shift
+    must fit in int64.
     """
 
     def __init__(self, x: np.ndarray, sep: int, base: int) -> None:
         self.sep, self.base = sep, base
         self.shift = _score_shift(base)
+        self.mask = (1 << self.shift) - 1
         self.cells = np.concatenate(([_FRAME], x, [_FRAME]))
         cell = np.arange(len(self.cells))
         self.nxt = np.minimum(cell + 1, len(self.cells) - 1)
@@ -325,8 +327,8 @@ class _PairCounts:
         self.placed: dict[int, np.ndarray] = {}
         codes, counts = np.unique(_counted_pairs(x, sep, base)[1], return_counts=True)
         order = np.argsort(_slot_key(codes, base))
-        # rows of keys, codes and scores, filled up to size
-        self.slots = np.empty((3, max(len(codes), 1)), dtype=np.int64)
+        # rows of keys and scores, filled up to size
+        self.slots = np.empty((2, max(len(codes), 1)), dtype=np.int64)
         self.size = 0
         self._append(codes[order], counts[order])
 
@@ -336,11 +338,11 @@ class _PairCounts:
 
     @property
     def codes(self) -> np.ndarray:
-        return self.slots[1, : self.size]
+        return self.mask - (self.slots[1, : self.size] & self.mask)
 
     @property
     def counts(self) -> np.ndarray:
-        return self.slots[2, : self.size] >> self.shift
+        return self.slots[1, : self.size] >> self.shift
 
     @property
     def x(self) -> np.ndarray:
@@ -353,13 +355,12 @@ class _PairCounts:
         at = self.size
         stop = at + len(codes)
         if stop > self.slots.shape[1]:
-            grown = np.empty((3, max(stop, 2 * self.slots.shape[1])), dtype=np.int64)
+            grown = np.empty((2, max(stop, 2 * self.slots.shape[1])), dtype=np.int64)
             grown[:, :at] = self.slots[:, :at]
             self.slots = grown
         rows = self.slots[:, at:stop]
         rows[0] = _slot_key(codes, self.base)
-        rows[1] = codes
-        rows[2] = counts << self.shift | ((1 << self.shift) - 1 - codes)
+        rows[1] = counts << self.shift | (self.mask - codes)
         self.size = stop
 
     def best(self) -> int | None:
@@ -367,8 +368,8 @@ class _PairCounts:
         when no pair occurs twice."""
         if not self.size:
             return None
-        top = self.slots[2, : self.size].argmax()
-        return int(self.slots[1, top]) if self.slots[2, top] >> self.shift >= 2 else None
+        score = int(self.slots[1, : self.size].max())
+        return self.mask - (score & self.mask) if score >> self.shift >= 2 else None
 
     def merge(self, code: int, symbol: int) -> None:
         """Replace every counted occurrence of pair ``code`` with ``symbol``."""
@@ -417,11 +418,11 @@ class _PairCounts:
         old = np.searchsorted(pos, np.count_nonzero(live[: ends[-1]]))
         at = np.searchsorted(self.keys, _slot_key(codes, base))
         step = 1 << self.shift
-        np.subtract.at(self.slots[2], at[:old], step)
+        np.subtract.at(self.slots[1], at[:old], step)
         # a pair not yet in the table holds the new symbol, so its slot
         # sorts after every other; among such pairs code order is slot order
         known = at[old:] < self.size
-        np.add.at(self.slots[2], at[old:][known], step)
+        np.add.at(self.slots[1], at[old:][known], step)
         fresh = np.sort(codes[old:][~known])
         edge = _run_edges(fresh)
         self._append(fresh[edge[:-1]], edge[1:] - edge[:-1])

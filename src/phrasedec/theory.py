@@ -141,16 +141,13 @@ def proposition1_sweep(
         raise ValueError(f"trials must be >= 0, got {trials}")
     if v_max < 2 or l_max < 1:
         raise ValueError("need v_max >= 2 and l_max >= 1")
-    # the product stops once it passes the limit, so a large l_max costs
-    # at most log2(ENUMERATION_LIMIT) steps
-    outcomes = 1
-    for _ in range(l_max):
-        outcomes *= v_max
-        if outcomes > ENUMERATION_LIMIT:
-            raise EnumerationTooLarge(
-                f"v_max={v_max}, l_max={l_max}: the largest instance has more than "
-                f"{ENUMERATION_LIMIT} joint outcomes"
-            )
+    # any v_max >= 2 to the limit's bit length passes it, so the power is
+    # capped there and a huge l_max builds no huge int
+    if v_max ** min(l_max, ENUMERATION_LIMIT.bit_length()) > ENUMERATION_LIMIT:
+        raise EnumerationTooLarge(
+            f"v_max={v_max}, l_max={l_max}: the largest instance has more than "
+            f"{ENUMERATION_LIMIT} joint outcomes"
+        )
     summary = Proposition1Summary(trials=trials, violations=0)
     for _ in range(trials):
         vocab_size = int(rng.integers(2, v_max + 1))

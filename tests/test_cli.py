@@ -379,6 +379,27 @@ def test_bench_rejects_a_bad_config(tmp_path, capsys, settings, flags, message):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        "planted=false\norder=4\nvocab_size=2000\n",
+        "planted=false\norder=6\nvocab_size=1000\n",
+        "corpus_sequences=1000000\ncorpus_seq_len=1000000\n",
+    ],
+)
+def test_gen_model_rejects_an_oversized_generator(tmp_path, capsys, settings):
+    # fails when the config is built: no table or corpus is allocated
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(settings, encoding="utf-8")
+    model_out, corpus_out = tmp_path / "m.psdm", tmp_path / "c.txt"
+    rc = main(["--config", str(cfg), "gen-model",
+               "--model-out", str(model_out), "--corpus-out", str(corpus_out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phrasedec: error: ") and err.count("\n") == 1
+    assert not model_out.exists() and not corpus_out.exists()
+
+
 def test_gen_model(tmp_path, capsys):
     # the default config's planted model and corpus, byte for byte as before
     # gen-model and bench shared one resolver (NumPy's Dirichlet and

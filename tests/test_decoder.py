@@ -440,15 +440,19 @@ class TestDecode:
 
     def test_non_termination_guard(self, monkeypatch):
         model = random_markov(1, 2, 1.0, np.random.default_rng(0))
+        calls = []
 
         def stuck(prefix, window, target, lib, cfg, rng, metrics):
+            calls.append(1)
             metrics.nfe += 1
             metrics.tokens_per_iteration.append(0)
             return (), window
 
         monkeypatch.setattr(decoder, "verify_window", stuck)
-        with pytest.raises(NonTermination):
+        with pytest.raises(NonTermination, match="no convergence after 40 iterations"):
             decode(model, None, VerifyConfig(mode="sjd"), 4, np.random.default_rng(0))
+        # the guard's bound, 10 * total_len NFEs, read from metrics.nfe
+        assert len(calls) == 10 * 4
 
     def test_phrase_mode_reduces_nfe_on_planted_benchmark(self):
         from phrasedec.harness import planted_phrase_corpus

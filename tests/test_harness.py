@@ -355,11 +355,32 @@ class TestConfig:
             ({"vocab_size": "0"}, "vocab_size must be >= 2"),
             ({"concentration": "inf"}, "concentration must be finite and > 0"),
             ({"order": "0"}, "order must be >= 1"),
+            # a 227 PiB table, or NumPy's "array is too big", without the size rule
+            ({"order": "4", "vocab_size": "2000"}, "the model table has more than"),
+            ({"order": "6", "vocab_size": "1000"}, "the model table has more than"),
+            ({"order": str(10**9)}, "the model table has more than"),  # no huge int
+            (
+                {"corpus_sequences": "1000000", "corpus_seq_len": "1000000"},
+                "a corpus of 1000000 x 1000000 tokens has more than",
+            ),
         ],
     )
     def test_bad_random_model_value(self, mapping, message):
         with pytest.raises(ConfigInvalid, match=message):
             config_from_mapping({"planted": "false"} | mapping)
+
+    def test_generator_size_limit_is_inclusive(self):
+        limit = harness.GENERATOR_LIMIT
+        assert ExperimentConfig(corpus_sequences=limit // 256, corpus_seq_len=256)
+        with pytest.raises(ConfigInvalid, match=f"corpus .* more than {limit}"):
+            ExperimentConfig(corpus_sequences=limit // 256 + 1, corpus_seq_len=256)
+        # (V + 1) ** order * V entries: the planted table is order 2
+        assert ExperimentConfig(vocab_size=405)
+        with pytest.raises(ConfigInvalid, match=f"model table has more than {limit}"):
+            ExperimentConfig(vocab_size=406)
+        assert ExperimentConfig(planted=False, order=3, vocab_size=89)
+        with pytest.raises(ConfigInvalid, match=f"model table has more than {limit}"):
+            ExperimentConfig(planted=False, order=3, vocab_size=90)
 
     def test_generator_values_checked_only_where_read(self, tmp_path):
         # a model file: no generator runs; a corpus file: no corpus is sampled
@@ -371,6 +392,13 @@ class TestConfig:
         assert cfg.vocab_size == 1
         cfg = ExperimentConfig(corpus_path=str(corpus_path), corpus_sequences=0)
         assert cfg.corpus_sequences == 0
+        # neither does the size rule
+        cfg = ExperimentConfig(model_path=str(model_path), planted=False, order=6, vocab_size=1000)
+        assert cfg.order == 6
+        cfg = ExperimentConfig(
+            corpus_path=str(corpus_path), corpus_sequences=10**6, corpus_seq_len=10**6
+        )
+        assert cfg.corpus_seq_len == 10**6
 
     def test_checked_when_built_and_frozen(self):
         with pytest.raises(ConfigInvalid, match=r"tau must be in \(0, 1\)"):
