@@ -12,6 +12,11 @@ neighborhood test per node it reaches, accept tests on scalars read in place
 and one inverse-CDF refill that gathers rows of the model's cumulative
 table.  A window is its drafts and the context codes of the target rows they
 were drawn from.
+
+A window is checked where it enters the decoder, not on every iteration:
+``verify_window`` checks each window it did not draft itself, and the
+windows ``_draft`` returns skip the check, since both of its rules pick a
+token of positive probability under the row drawn from.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,10 +58,28 @@ class LibraryVocabMismatch(ValueError):
 
 class JacobiWindow(NamedTuple):
     """Draft buffer: W candidate tokens, and for each the context code of
-    the target row it was drawn from (its drafter row)."""
+    the target row it was drawn from (its drafter row).
+
+    ``verify_window`` checks a window built outside the decoder, or rebuilt
+    from a returned one (``_replace``), before any draw; the windows the
+    decoder drafts itself are not checked again."""
 
     drafts: TokenSequence
-    codes: list[int]
+    codes: Sequence[int]
+
+
+class _DrawnWindow(JacobiWindow):
+    """A window ``_draft`` drew: each draft came from its own drafter row,
+    so it has positive probability there, and its fields are tuples.
+
+    A window rebuilt from it (``_replace``, ``_make``) is a plain, checked
+    ``JacobiWindow``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> JacobiWindow:
+        return JacobiWindow._make(iterable)
 
 
 @dataclass(frozen=True)
@@ -113,7 +136,7 @@ def in_neighborhood(
 
 
 def phrase_acceptance_score(
-    verifier: np.ndarray, t: int, rows: np.ndarray, drafter: list[int], phrase: Phrase
+    verifier: np.ndarray, t: int, rows: np.ndarray, drafter: Sequence[int], phrase: Phrase
 ) -> float:
     """Joint log acceptance score of the phrase placed at slot t: the sum over
     its tokens v_k of log p/q, with p = verifier[t + k, v_k] from the
@@ -158,12 +181,38 @@ def _draft(
 ) -> JacobiWindow:
     """A window drafted from the target rows of the given context codes:
     each row's argmax in greedy mode, else one inverse-CDF draw over the
-    gathered ``cdf`` rows."""
+    gathered ``cdf`` rows.
+
+    Either rule picks a token of positive probability under its row (a
+    draw lands where the row's ``cdf`` rises), so the window is a
+    ``_DrawnWindow``."""
     if greedy:
         drafts = tuple([target.argmax[c] for c in codes])
     else:
         drafts = tuple(draw(target.cdf.take(codes, axis=0), rng).tolist())
-    return JacobiWindow(drafts, codes)
+    return _DrawnWindow(drafts, tuple(codes))
+
+
+def _check_window(window: JacobiWindow, rows: np.ndarray) -> None:
+    """Raise ValueError, naming the fault, for a window that fails one of
+    the checks in ``verify_window``'s Raises line, in that order."""
+    drafts, codes = window
+    contexts, V = rows.shape
+    if not drafts:
+        raise ValueError("draft window must contain at least one token")
+    if len(codes) != len(drafts):
+        raise ValueError(
+            f"window has {len(drafts)} draft tokens but {len(codes)} drafter codes"
+        )
+    for v in drafts:
+        if not 0 <= v < V:
+            raise ValueError(f"draft token {v} is outside [0, {V})")
+    for c in codes:
+        if not 0 <= c < contexts:
+            raise ValueError(f"drafter code {c} is outside [0, {contexts})")
+    # one Python float per slot: far fewer NumPy calls than a fancy index
+    if min(map(rows.item, codes, drafts)) <= 0.0:
+        raise ValueError("a draft token has zero drafter probability")
 
 
 def _find_phrase(
@@ -226,14 +275,18 @@ def verify_window(
     (one NFE) and each test's outcome into metrics as it happens.  Token-wise
     scanning stops at the first rejection; a committed phrase jumps the scan
     forward by its length.
-    Raises ValueError if a draft has zero probability under its drafter row.
-    sjd_pv mode needs lib; ``decode`` checks that once per decode.
+    Raises ValueError, before any draw and in every mode, for a window the
+    decoder did not draft (built by hand, or rebuilt from a returned one)
+    that is empty, has drafts and codes of different lengths, holds a token
+    outside ``[0, V)`` or a code outside ``[0, len(target.rows))``, or has a
+    draft of zero probability under its drafter row.  A window returned by
+    ``verify_window`` is not checked again: it must come back with the same
+    target.  sjd_pv mode needs lib; ``decode`` checks that once per decode.
     """
-    drafts, drafter = window.drafts, window.codes
     rows = target.rows
-    # one Python float per slot: far fewer NumPy calls than a fancy index
-    if min(map(rows.item, drafter, drafts)) <= 0.0:
-        raise ValueError("a draft token has zero drafter probability")
+    if type(window) is not _DrawnWindow:
+        _check_window(window, rows)
+    drafts, drafter = window
     W = len(drafts)
     codes = window_codes(target, prefix, drafts)
     verifier = batched_conditionals(target, codes)

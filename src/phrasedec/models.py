@@ -6,7 +6,8 @@ maps a prefix to a categorical conditional over the next token.  The decoder
 and ``ancestral_sample`` read a ``MarkovModel``'s dense ``rows`` array and its
 cumulative copy ``cdf`` directly, indexed by a rolling context code, so their
 cost per token does not depend on prefix length.  ``ancestral_corpus`` draws
-many independent samples in lockstep, one row gather per position.
+many independent samples in lockstep, one row gather per position, and
+``exact_marginals`` gives the exact law of each position with no draw.
 """
 
 from __future__ import annotations
@@ -200,6 +201,31 @@ def ancestral_corpus(
         out[:, t] = tok
         codes = (codes * base + tok + 1) % contexts
     return [tuple(seq) for seq in out.tolist()]
+
+
+def exact_marginals(model: MarkovModel, length: int) -> np.ndarray:
+    """The exact ``(length, V)`` marginals of an ancestral sample: row t is
+    the law of its token t.
+
+    Forward propagation over context codes, with no draw: the probability
+    mass of every code starts on the begin context, code 0, and each step
+    takes ``joint = mass[:, None] * rows``, reads the marginal as its column
+    sums and moves each cell's mass to the code its token leads to with one
+    ``bincount``.
+    """
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    V, contexts = model.vocab_size, model.rows.shape[0]
+    # the code after appending token v to code c, for every (c, v) cell
+    dest = ((np.arange(contexts)[:, None] * (V + 1) + np.arange(V) + 1) % contexts).ravel()
+    mass = np.zeros(contexts)
+    mass[0] = 1.0
+    out = np.empty((length, V))
+    for t in range(length):
+        joint = mass[:, None] * model.rows
+        out[t] = joint.sum(axis=0)
+        mass = np.bincount(dest, joint.ravel(), contexts)
+    return out
 
 
 def random_markov(

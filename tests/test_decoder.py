@@ -30,9 +30,12 @@ from phrasedec.decoder import (
     verify_token,
     verify_window,
 )
+from phrasedec.harness import ExperimentConfig, planted_phrase_corpus
 from phrasedec.models import (
     MarkovModel,
     ancestral_sample,
+    context_codes,
+    exact_marginals,
     markov_contexts,
     random_markov,
     window_codes,
@@ -331,6 +334,81 @@ class TestVerifyWindow:
         assert rng.bit_generator.state == state
 
 
+class TestWindowBoundary:
+    """verify_window checks a window it did not draft, before any draw and in
+    every mode; the windows the decoder drafts are not checked again."""
+
+    # order 1, V=3: code 0 is the begin context, whose row gives token 0 no mass
+    MODEL = MarkovModel(
+        1, 3, [[0.0, 0.5, 0.5], [0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.4, 0.3, 0.3]]
+    )
+
+    @pytest.mark.parametrize(
+        "drafts, codes, message",
+        [
+            ((), [], "draft window must contain at least one token"),
+            ((1, 2), [0], "window has 2 draft tokens but 1 drafter codes"),
+            ((1,), [0, 1], "window has 1 draft tokens but 2 drafter codes"),
+            ((1, -1), [0, 2], r"draft token -1 is outside \[0, 3\)"),
+            ((1, 3), [0, 2], r"draft token 3 is outside \[0, 3\)"),
+            ((1, 2), [0, -1], r"drafter code -1 is outside \[0, 4\)"),
+            ((1, 2), [0, 4], r"drafter code 4 is outside \[0, 4\)"),
+            ((0, 2), [0, 1], "a draft token has zero drafter probability"),
+        ],
+    )
+    def test_malformed_window_rejected_before_any_draw(self, drafts, codes, message):
+        window = JacobiWindow(drafts, codes)
+        lib = PhraseLibrary(3, (), ())
+        for mode in MODES:
+            for greedy in (False, True):
+                rng = np.random.default_rng(0)
+                state = rng.bit_generator.state
+                metrics = DecodeMetrics()
+                with pytest.raises(ValueError, match=message):
+                    verify_window((), window, self.MODEL, lib,
+                                  VerifyConfig(mode=mode, greedy=greedy), rng, metrics)
+                assert rng.bit_generator.state == state
+                assert metrics == DecodeMetrics()
+
+    def test_window_rebuilt_from_a_drafted_one_is_checked(self):
+        model = self.MODEL
+        cfg = VerifyConfig(mode="sjd", window_size=3)
+        rng = np.random.default_rng(0)
+        # the first window decode drafts, from the begin context, and its refill
+        begin = decoder._draft(model, [model.context_code(())] * 3, False, rng)
+        _, refill = verify_window((), begin, model, None, cfg, rng, DecodeMetrics())
+        for rebuilt, message in [
+            (begin._replace(drafts=(0,) * 3), "a draft token has zero drafter probability"),
+            (refill._replace(drafts=(1, 2, -1)), "draft token -1 is outside"),
+            (refill._replace(codes=refill.codes[:2]), "window has 3 draft tokens but 2"),
+            (refill._replace(codes=(4,) * 3), "drafter code 4 is outside"),
+        ]:
+            assert type(rebuilt) is JacobiWindow
+            with pytest.raises(ValueError, match=message):
+                verify_window((1,), rebuilt, model, None, cfg, rng, DecodeMetrics())
+
+    def test_checked_and_drafted_windows_verify_alike(self, monkeypatch):
+        checks = []
+        check = decoder._check_window
+        monkeypatch.setattr(decoder, "_check_window", lambda *a: checks.append(a) or check(*a))
+        model = random_markov(2, 5, 0.5, np.random.default_rng(3))
+        lib = PhraseLibrary(5, (), (Phrase((1, 2), 1, 1),))
+        for mode in MODES:
+            for greedy in (False, True):
+                cfg = VerifyConfig(mode=mode, window_size=4, greedy=greedy)
+                decode(model, lib, cfg, 40, np.random.default_rng(1))
+                assert checks == []  # decode drafts every window it verifies
+                drafted = decoder._draft(model, [0] * 4, greedy, np.random.default_rng(2))
+                runs = []
+                for window in (drafted, JacobiWindow(*drafted)):
+                    rng, metrics = np.random.default_rng(5), DecodeMetrics()
+                    out = verify_window((), window, model, lib, cfg, rng, metrics)
+                    runs.append((out, metrics, rng.random()))
+                assert len(checks) == 1  # only the hand-built copy
+                checks.clear()
+                assert runs[0] == runs[1]
+
+
 class TestDecodeMetrics:
     COUNTERS = ("nfe", "tokens_emitted", "token_accepts", "token_rejects",
                 "phrase_attempts", "phrase_accepts")
@@ -394,6 +472,121 @@ class TestRefillDrafts:
             assert min(drafter_probs) > 0.0
 
 
+class TestDraftInvariant:
+    """Each rule of ``_draft`` picks a token of positive probability under
+    its row, the fact that lets verify_window skip checking the windows the
+    decoder drafts."""
+
+    # order 1, V=5; every row is zero at both ends.  The begin row's 1e-300
+    # is lost to its cumulative sum, and the last row's 1e-300 is its first
+    # positive entry
+    ROWS = [
+        [0.0, 0.5, 0.5, 1e-300, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.3, 0.0, 0.7, 0.0],
+        [0.0, 0.25, 0.5, 0.25, 0.0],
+        [0.0, 0.6, 0.4, 0.0, 0.0],
+        [0.0, 1e-300, 0.0, 1.0, 0.0],
+    ]
+
+    @pytest.mark.parametrize(
+        "greedy, u, tokens",
+        [
+            (False, 0.0, [1, 2, 1, 1, 1, 1]),
+            (False, BELOW_ONE, [2, 2, 3, 3, 2, 3]),
+            (True, 0.0, [1, 2, 3, 2, 1, 3]),
+            (True, BELOW_ONE, [1, 2, 3, 2, 1, 3]),
+        ],
+    )
+    def test_begin_and_zero_edged_rows(self, greedy, u, tokens):
+        model = MarkovModel(1, 5, self.ROWS)
+        begin = model.context_code(())
+        for codes in ([begin] * 4, list(range(len(self.ROWS)))):
+            window = decoder._draft(model, codes, greedy, FixedRng(u))
+            assert type(window) is decoder._DrawnWindow
+            assert window.codes == tuple(codes)
+            assert list(window.drafts) == [tokens[c] for c in codes]
+            assert min(model.rows[c, d] for c, d in zip(window.codes, window.drafts)) > 0.0
+
+    @given(
+        order=st.integers(1, 2),
+        vocab=st.integers(2, 6),
+        zeros=st.sampled_from([0.0, 0.5, 0.8]),
+        seed=st.integers(0, 2**16),
+        greedy=st.booleans(),
+        u=st.sampled_from([None, 0.0, BELOW_ONE]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_reachable_row(self, order, vocab, zeros, seed, greedy, u):
+        model = sparse_markov(order, vocab, zeros, seed)
+        codes = context_codes(order, vocab).tolist()
+        rng = np.random.default_rng(seed) if u is None else FixedRng(u)
+        window = decoder._draft(model, codes, greedy, rng)
+        assert type(window) is decoder._DrawnWindow
+        assert min(model.rows[c, d] for c, d in zip(window.codes, window.drafts)) > 0.0
+
+
+def chi2_against(seqs, marginals, min_expected=5.0):
+    """Per position, over independent sequences: the chi-square statistic
+    per degree of freedom against the exact marginals, with the tokens whose
+    expected count is below min_expected pooled into one cell.  Returns the
+    mean over positions, the largest |z| of an unpooled cell and the number
+    of tokens drawn where their marginal is zero."""
+    seqs = np.asarray(seqs)
+    n, length = seqs.shape
+    ratios, z_max, impossible = [], 0.0, 0
+    for t in range(length):
+        p = marginals[t]
+        observed = np.bincount(seqs[:, t], minlength=len(p))
+        expected = n * p
+        impossible += int(observed[p == 0.0].sum())
+        big = expected >= min_expected
+        obs = np.append(observed[big], observed[~big].sum())
+        exp = np.append(expected[big], expected[~big].sum())
+        keep = exp > 0.0
+        ratios.append(((obs[keep] - exp[keep]) ** 2 / exp[keep]).sum() / (keep.sum() - 1))
+        z = (observed[big] - expected[big]) / np.sqrt(expected[big] * (1.0 - p[big]))
+        z_max = max(z_max, float(np.abs(z).max()))
+    return float(np.mean(ratios)), z_max, impossible
+
+
+def planted_model():
+    """The planted generator's model at the config defaults (V=32, order 2)."""
+    c = ExperimentConfig()
+    _, model = planted_phrase_corpus(c.vocab_size, c.phrase_count, c.phrase_len, 1, 1,
+                                     c.planting_rate, np.random.default_rng([0, 0]))
+    return model
+
+
+class TestSjdExactMarginals:
+    # Bounds: over 200 seeds of 2,000 ancestral samples, the mean ratio
+    # reached at most 1.28 on either model (sd 0.08 and 0.09) and the
+    # largest |z| 4.8.  Drawing a rejected slot from p instead of the
+    # residual gives 2.45 and 10.4 on the random model; on the planted one,
+    # where slot 0 accepts 7% of drafts, that fault stays below the noise
+    @pytest.mark.parametrize(
+        "build",
+        [planted_model, lambda: random_markov(2, 8, 1.0, np.random.default_rng([0, 0]))],
+        ids=["planted", "random"],
+    )
+    def test_sjd_matches_exact_marginals_position_by_position(self, build):
+        # 2,000 decodes of 32 tokens (two windows) against the exact
+        # marginals; ancestral sampling meets the same bounds
+        model = build()
+        runs, length = 2000, 32
+        marginals = exact_marginals(model, length)
+        cfg = VerifyConfig(mode="sjd")
+        decoded = [decode(model, None, cfg, length, np.random.default_rng([19, 1, r]))[0]
+                   for r in range(runs)]
+        sampled = [ancestral_sample(model, length, np.random.default_rng([19, 2, r]))
+                   for r in range(runs)]
+        for seqs in (sampled, decoded):
+            mean_ratio, z_max, impossible = chi2_against(seqs, marginals)
+            assert impossible == 0
+            assert mean_ratio < 1.4
+            assert z_max < 5.5
+
+
 class TestDecode:
     def test_window_one_degenerates_to_ancestral(self):
         model = random_markov(1, 3, 0.7, np.random.default_rng(2))
@@ -455,8 +648,6 @@ class TestDecode:
         assert len(calls) == 10 * 4
 
     def test_phrase_mode_reduces_nfe_on_planted_benchmark(self):
-        from phrasedec.harness import planted_phrase_corpus
-
         corpus, model = planted_phrase_corpus(
             32, 6, 5, 40, 192, 0.95, np.random.default_rng(21)
         )

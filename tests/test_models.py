@@ -16,6 +16,7 @@ from phrasedec.models import (
     ancestral_corpus,
     ancestral_sample,
     batched_conditionals,
+    exact_marginals,
     load_markov,
     markov_contexts,
     random_markov,
@@ -152,6 +153,39 @@ class TestAncestralCorpus:
         for sequences, length in [(-1, 4), (4, -1)]:
             with pytest.raises(ValueError, match="must be >= 0"):
                 ancestral_corpus(two_state, sequences, length, np.random.default_rng(0))
+
+
+class TestExactMarginals:
+    @given(
+        order=st.integers(1, 3),
+        vocab=st.integers(2, 4),
+        zeros=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**16),
+        length=st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_enumerated_joint(self, order, vocab, zeros, seed, length):
+        # the marginal of position t sums the chain-rule probability of every
+        # sequence of the given length with that token at t
+        model = sparse_model(order, vocab, zeros, 0, seed)
+        expected = np.zeros((length, vocab))
+        for seq in itertools.product(range(vocab), repeat=length):
+            prob = 1.0
+            for i, tok in enumerate(seq):
+                prob *= model.rows[model.context_code(seq[:i]), tok]
+            expected[np.arange(length), seq] += prob
+        marginals = exact_marginals(model, length)
+        assert marginals.shape == (length, vocab)
+        assert np.allclose(marginals, expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(marginals.sum(axis=1), 1.0)
+
+    def test_first_position_is_the_begin_row(self):
+        model = random_markov(2, 5, 0.5, np.random.default_rng(4))
+        assert np.array_equal(exact_marginals(model, 1)[0], model.rows[model.context_code(())])
+
+    def test_negative_length_rejected(self, two_state):
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            exact_marginals(two_state, -1)
 
 
 class TestRandomMarkov:
