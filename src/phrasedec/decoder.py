@@ -6,17 +6,18 @@ NFE).  In ``sjd_pv`` mode the scan first tries to commit a whole library
 phrase whose tokens all fall inside their adaptive neighborhoods; on any
 failure it falls back to the standard token-wise accept-resample test.
 
-The hot loop works on dense ``(W, V)`` arrays and plain indices: one row
-gather per window, a walk of the start token's phrase trie with one scalar
-neighborhood test per node it reaches, accept tests on scalars read in place
-and one inverse-CDF refill that gathers rows of the model's cumulative
-table.  A window is its drafts and the context codes of the target rows they
-were drawn from.
+The hot loop reads the model table in place, at plain indices: a token
+test reads its verifier and drafter rows as rows of the table, and a walk of
+the start token's phrase trie makes one scalar neighborhood test per node it
+reaches.  Only scoring a phrase copies the window's W verifier rows into a
+``(W, V)`` array, at most once per iteration; the refill is one inverse-CDF
+draw that gathers rows of the model's cumulative table.  A window is its
+drafts and the context codes of the target rows they were drawn from.
 
 A window is checked where it enters the decoder, not on every iteration:
-``verify_window`` checks each window it did not draft itself, and the
-windows ``_draft`` returns skip the check, since both of its rules pick a
-token of positive probability under the row drawn from.
+``verify_window`` checks each window it did not draft itself from the same
+model, and the windows ``_draft`` returns skip the check, since both of its
+rules pick a token of positive probability under the row drawn from.
 """
 
 from __future__ import annotations
@@ -60,22 +61,24 @@ class JacobiWindow(NamedTuple):
     """Draft buffer: W candidate tokens, and for each the context code of
     the target row it was drawn from (its drafter row).
 
-    ``verify_window`` checks a window built outside the decoder, or rebuilt
-    from a returned one (``_replace``), before any draw; the windows the
-    decoder drafts itself are not checked again."""
+    ``verify_window`` checks a window built outside the decoder, rebuilt
+    from a returned one (``_replace``) or drafted from another model, before
+    any draw; the windows the decoder drafts from the same model are not
+    checked again."""
 
     drafts: TokenSequence
     codes: Sequence[int]
 
 
 class _DrawnWindow(JacobiWindow):
-    """A window ``_draft`` drew: each draft came from its own drafter row,
-    so it has positive probability there, and its fields are tuples.
+    """A window ``_draft`` drew from ``model``: each draft came from its own
+    drafter row of that model, so it has positive probability there, and its
+    fields are tuples.
 
     A window rebuilt from it (``_replace``, ``_make``) is a plain, checked
     ``JacobiWindow``."""
 
-    __slots__ = ()
+    model: MarkovModel
 
     @classmethod
     def _make(cls, iterable) -> JacobiWindow:
@@ -129,9 +132,10 @@ class DecodeMetrics:
 def in_neighborhood(
     p: np.ndarray, j: int, v: TokenId, drafted: TokenId, tau: float
 ) -> bool:
-    """Whether token v lies in the neighborhood of slot j's drafted token
-    under the ``(W, V)`` verifier window p: |p[j, v] - p[j, drafted]|
-    strictly below tau."""
+    """Whether token v lies in the neighborhood of a drafted token under row
+    j of the 2-D array p (a ``(W, V)`` verifier window, or the model table
+    at a slot's context code): |p[j, v] - p[j, drafted]| strictly below
+    tau."""
     return abs(p.item(j, v) - p.item(j, drafted)) < tau
 
 
@@ -161,18 +165,22 @@ def verify_token(
 ) -> tuple[bool, TokenId]:
     """Accept-resample test on verifier row p and drafter row q: keep the
     draft with probability min(1, p/q), otherwise emit a token from the
-    residual normalize(max(0, p - q))."""
-    qd = float(q[drafted])
+    residual normalize(max(0, p - q)).
+
+    The accept test reads two scalars; only a rejection builds a row, the
+    residual, in one new buffer, so p and q may be rows of the model table."""
+    qd = q.item(drafted)
     if qd == 0.0:
         raise DrafterZeroProb(f"drafted token {drafted} has zero drafter probability")
-    if rng.random() < float(p[drafted]) / qd:
+    if rng.random() < p.item(drafted) / qd:
         return True, drafted
-    residual = np.maximum(p - q, 0.0)
+    residual = p - q
+    np.maximum(residual, 0.0, out=residual)
     total = float(residual.sum())
     if total == 0.0:
         raise DegenerateResidual("rejection with p == q; arithmetic fault")
     if abs(total - 1.0) > PROB_SUM_TOL:
-        residual = residual / total
+        residual /= total
     return False, sample(residual, rng)
 
 
@@ -185,12 +193,14 @@ def _draft(
 
     Either rule picks a token of positive probability under its row (a
     draw lands where the row's ``cdf`` rises), so the window is a
-    ``_DrawnWindow``."""
+    ``_DrawnWindow`` of target."""
     if greedy:
         drafts = tuple([target.argmax[c] for c in codes])
     else:
         drafts = tuple(draw(target.cdf.take(codes, axis=0), rng).tolist())
-    return _DrawnWindow(drafts, tuple(codes))
+    window = _DrawnWindow(drafts, tuple(codes))
+    window.model = target
+    return window
 
 
 def _check_window(window: JacobiWindow, rows: np.ndarray) -> None:
@@ -219,11 +229,13 @@ def _find_phrase(
     lib: PhraseLibrary,
     drafts: TokenSequence,
     t: int,
-    verifier: np.ndarray,
+    rows: np.ndarray,
+    codes: Sequence[int],
     cfg: VerifyConfig,
 ) -> Phrase | None:
     """The first phrase, in trial order, that starts at slot t, fits the
-    window and has every token inside its slot's neighborhood.
+    window and has every token inside its slot's neighborhood, read from
+    the row ``rows[codes[j]]`` of each slot j.
 
     A walk of drafts[t]'s trie: each node reached costs one neighborhood
     test, a failed test prunes every phrase below the node, and a subtree
@@ -242,13 +254,13 @@ def _find_phrase(
         k, siblings = stack.pop()
         if k >= limit:
             continue
-        j, drafted = t + k, drafts[t + k]
+        j, drafted = codes[t + k], drafts[t + k]
         i = 0
         for token, best, rank, phrase, children in siblings:
             i += 1
             if best >= found_rank:
                 break  # siblings come in ascending best rank
-            if in_neighborhood(verifier, j, token, drafted, tau):
+            if in_neighborhood(rows, j, token, drafted, tau):
                 if rank < found_rank:
                     found, found_rank = phrase, rank
                 if children:
@@ -275,21 +287,25 @@ def verify_window(
     (one NFE) and each test's outcome into metrics as it happens.  Token-wise
     scanning stops at the first rejection; a committed phrase jumps the scan
     forward by its length.
+    Token tests read the rows of target in place; the window's verifier rows
+    are copied (``batched_conditionals``) only to score a phrase, at most
+    once per iteration.
     Raises ValueError, before any draw and in every mode, for a window the
-    decoder did not draft (built by hand, or rebuilt from a returned one)
-    that is empty, has drafts and codes of different lengths, holds a token
-    outside ``[0, V)`` or a code outside ``[0, len(target.rows))``, or has a
-    draft of zero probability under its drafter row.  A window returned by
-    ``verify_window`` is not checked again: it must come back with the same
-    target.  sjd_pv mode needs lib; ``decode`` checks that once per decode.
+    decoder did not draft from target (built by hand, rebuilt from a
+    returned one, or drafted from another model) that is empty, has drafts
+    and codes of different lengths, holds a token outside ``[0, V)`` or a
+    code outside ``[0, len(target.rows))``, or has a draft of zero
+    probability under its drafter row.  A window ``verify_window`` returned
+    is not checked again when it comes back with the same target.  sjd_pv
+    mode needs lib; ``decode`` checks that once per decode.
     """
     rows = target.rows
-    if type(window) is not _DrawnWindow:
+    if type(window) is not _DrawnWindow or window.model is not target:
         _check_window(window, rows)
     drafts, drafter = window
     W = len(drafts)
     codes = window_codes(target, prefix, drafts)
-    verifier = batched_conditionals(target, codes)
+    verifier = None  # the (W, V) copy, made for the first phrase scored
     phrases = cfg.mode == "sjd_pv"
     greedy = cfg.greedy
     fresh_draw = cfg.mode == "jacobi"
@@ -298,9 +314,11 @@ def verify_window(
     t = 0
     while t < W:
         if phrases:
-            phrase = _find_phrase(lib, drafts, t, verifier, cfg)
+            phrase = _find_phrase(lib, drafts, t, rows, codes, cfg)
             if phrase is not None:
                 metrics.phrase_attempts += 1
+                if verifier is None:
+                    verifier = batched_conditionals(target, codes)
                 try:
                     score = phrase_acceptance_score(verifier, t, rows, drafter, phrase)
                 except DrafterZeroProb:
@@ -322,7 +340,7 @@ def verify_window(
             emitted = draw(target.cdf[codes[t]], rng)
             accepted = emitted == drafted
         else:
-            accepted, emitted = verify_token(verifier[t], rows[drafter[t]], drafted, rng)
+            accepted, emitted = verify_token(rows[codes[t]], rows[drafter[t]], drafted, rng)
         committed.append(emitted)
         t += 1
         if not accepted:
@@ -334,8 +352,8 @@ def verify_window(
     metrics.nfe += 1
     metrics.tokens_emitted += n
     metrics.tokens_per_iteration.append(n)
-    # Jacobi refill: surviving slots are re-drafted from the verifier rows
-    # just computed; appended slots reuse the last one
+    # Jacobi refill: surviving slots are re-drafted from the target rows at
+    # the codes just computed; appended slots reuse the last one
     return tuple(committed), _draft(target, codes[t:] + codes[-1:] * t, greedy, rng)
 
 

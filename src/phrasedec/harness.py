@@ -24,6 +24,7 @@ from .models import (
     MarkovModel,
     ancestral_corpus,
     context_count,
+    exact_marginals,
     load_markov,
     markov_contexts,
     random_markov,
@@ -379,39 +380,50 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
     return report
 
 
+def _empirical_marginals(seqs, vocab_size: int) -> np.ndarray:
+    """The ``(L, V)`` token frequencies, per position, of a set of
+    equal-length sequences."""
+    a = np.asarray(seqs)
+    return np.array([np.bincount(col, minlength=vocab_size) for col in a.T]) / a.shape[0]
+
+
+def _row_tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Total-variation distance between matching rows of two ``(L, V)`` arrays."""
+    return 0.5 * np.abs(p - q).sum(axis=1)
+
+
 def marginal_tv(seqs_a, seqs_b, vocab_size: int) -> np.ndarray:
     """Per-position total-variation distance between two sets of equal-length
     sequences' empirical marginals."""
-    a = np.asarray(seqs_a)
-    b = np.asarray(seqs_b)
-    if a.shape[1] != b.shape[1]:
+    a = _empirical_marginals(seqs_a, vocab_size)
+    b = _empirical_marginals(seqs_b, vocab_size)
+    if a.shape != b.shape:
         raise ValueError("sequence sets must share a common length")
-    out = np.empty(a.shape[1])
-    for pos in range(a.shape[1]):
-        fa = np.bincount(a[:, pos], minlength=vocab_size) / a.shape[0]
-        fb = np.bincount(b[:, pos], minlength=vocab_size) / b.shape[0]
-        out[pos] = 0.5 * np.abs(fa - fb).sum()
-    return out
+    return _row_tv(a, b)
 
 
 def run_tau_sweep(cfg: ExperimentConfig, taus) -> list[dict]:
     """One phrase-verification benchmark row per neighborhood threshold,
-    with fixed seeds and a shared model, corpus, and library across rows."""
+    with fixed seeds and a shared model, corpus, and library across rows.
+
+    ``seq_divergence`` is the mean, over positions, of the total-variation
+    distance between the decodes' empirical marginals and the model's exact
+    marginals (``exact_marginals``); no reference sequence is drawn."""
     taus = list(taus)
     if not taus:
         raise ConfigInvalid("tau grid must be non-empty")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigInvalid("tau grid must be strictly ascending")
     model, points = _run_grid([dataclasses.replace(cfg, tau=tau) for tau in taus], ("sjd_pv",))
-    reference = ancestral_corpus(
-        model, cfg.decodes, cfg.total_len, np.random.default_rng([cfg.seed, 2])
-    )
+    exact = exact_marginals(model, cfg.total_len)
     rows = [
         {
             "tau": point.tau,
             "mean_nfe": agg.mean_nfe,
             "phrase_accept_rate": agg.phrase_accept_rate,
-            "seq_divergence": float(marginal_tv(outputs, reference, model.vocab_size).mean()),
+            "seq_divergence": float(
+                _row_tv(_empirical_marginals(outputs, model.vocab_size), exact).mean()
+            ),
         }
         for point, _, [(agg, outputs)] in points
     ]

@@ -124,9 +124,10 @@ def batched_conditionals(model: MarkovModel, codes) -> np.ndarray:
     row j is the conditional after context code ``codes[j]`` (see
     ``window_codes``).
 
-    The cost does not depend on prefix length.  By the metrics contract one
-    call counts as a single target-model forward pass (one NFE), regardless
-    of window size.
+    The cost does not depend on prefix length.  The decoder calls it only
+    to score a phrase, at most once per iteration; NFE is counted per
+    ``verify_window`` iteration (one target-model forward pass, whatever the
+    window size), not per call of this function.
     """
     return model.rows.take(codes, axis=0)
 

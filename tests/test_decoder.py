@@ -199,7 +199,7 @@ class TestFindPhrase:
         )
         for t in range(W):
             expected = _find_phrase(lib, drafts, t, verifier, cfg)
-            assert decoder._find_phrase(lib, drafts, t, verifier, cfg) is expected
+            assert decoder._find_phrase(lib, drafts, t, verifier, range(W), cfg) is expected
 
     def test_five_thousand_token_phrase_decodes(self):
         # 4,999 chained rules spelling 5,000 zeros: the trie is built and
@@ -407,6 +407,98 @@ class TestWindowBoundary:
                 assert len(checks) == 1  # only the hand-built copy
                 checks.clear()
                 assert runs[0] == runs[1]
+
+
+    @pytest.mark.parametrize(
+        "other, codes, message",
+        [
+            # order 2, V=8: code 40 is outside the order-1 table's 4 rows
+            (random_markov(2, 8, 0.5, np.random.default_rng(0)), [40] * 3,
+             r"is outside \[0, "),
+            # order 1, V=3 with the same shape: its begin row drafts token 0,
+            # which MODEL's begin row gives no mass
+            (MarkovModel(1, 3, [[1.0, 0.0, 0.0]] * 4), [0] * 3,
+             "a draft token has zero drafter probability"),
+        ],
+        ids=["out-of-range", "in-range"],
+    )
+    def test_window_drafted_from_another_model_is_checked(self, other, codes, message):
+        foreign = decoder._draft(other, codes, True, np.random.default_rng(0))
+        assert type(foreign) is decoder._DrawnWindow
+        lib = PhraseLibrary(3, (), ())
+        for mode in MODES:
+            for greedy in (False, True):
+                rng = np.random.default_rng(0)
+                state = rng.bit_generator.state
+                metrics = DecodeMetrics()
+                with pytest.raises(ValueError, match=message):
+                    verify_window((), foreign, self.MODEL, lib,
+                                  VerifyConfig(mode=mode, window_size=3, greedy=greedy),
+                                  rng, metrics)
+                assert rng.bit_generator.state == state
+                assert metrics == DecodeMetrics()
+
+    def test_valid_window_from_another_model_verifies_as_hand_built(self, monkeypatch):
+        checks = []
+        check = decoder._check_window
+        monkeypatch.setattr(decoder, "_check_window", lambda *a: checks.append(a) or check(*a))
+        other = MarkovModel(1, 3, [[0.0, 1.0, 0.0]] * 4)
+        foreign = decoder._draft(other, [0, 1, 2], True, np.random.default_rng(0))
+        cfg = VerifyConfig(mode="sjd", window_size=3)
+        runs = []
+        for window in (foreign, JacobiWindow(*foreign)):
+            rng, metrics = np.random.default_rng(5), DecodeMetrics()
+            out = verify_window((), window, self.MODEL, None, cfg, rng, metrics)
+            runs.append((out, metrics, rng.random()))
+        assert len(checks) == 2  # the foreign window and its hand-built copy
+        assert runs[0] == runs[1]
+
+
+class TestWindowCopy:
+    """Token tests read the model table in place: the verifier window is
+    copied (``batched_conditionals``) only to score a phrase, once in each
+    iteration that scores one."""
+
+    def test_one_copy_per_iteration_with_a_phrase_attempt(self, monkeypatch):
+        copies = []
+        gather = decoder.batched_conditionals
+        monkeypatch.setattr(decoder, "batched_conditionals",
+                            lambda *a: copies.append(a) or gather(*a))
+        attempted = []  # per iteration: whether it made a phrase attempt
+        verify = decoder.verify_window
+
+        def watching(*args):
+            metrics = args[-1]
+            before = metrics.phrase_attempts
+            out = verify(*args)
+            attempted.append(metrics.phrase_attempts > before)
+            return out
+
+        monkeypatch.setattr(decoder, "verify_window", watching)
+        c = ExperimentConfig()
+        corpus, model = planted_phrase_corpus(
+            c.vocab_size, c.phrase_count, c.phrase_len, 20, 128, c.planting_rate,
+            np.random.default_rng([0, 0]),
+        )
+        lib = build_library(corpus, 64, vocab_size=c.vocab_size)
+        empty = PhraseLibrary(c.vocab_size, (), ())
+        repeats = 0
+        for mode in MODES:
+            for greedy in (False, True):
+                for library in (lib, empty):
+                    copies.clear()
+                    attempted.clear()
+                    cfg = VerifyConfig(mode=mode, tau=0.05, greedy=greedy)
+                    _, metrics = decode(model, library, cfg, 256, np.random.default_rng(7))
+                    assert len(attempted) == metrics.nfe
+                    if mode == "sjd_pv" and library is lib:
+                        assert sum(attempted) > 0
+                        repeats += metrics.phrase_attempts - sum(attempted)
+                        assert len(copies) == sum(attempted)
+                    else:
+                        assert copies == []
+        # some iteration scored more than one phrase from its one copy
+        assert repeats > 0
 
 
 class TestDecodeMetrics:

@@ -1,12 +1,13 @@
 import csv
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from phrasedec import harness
-from phrasedec.decoder import decode
+from phrasedec.decoder import DecodeMetrics, decode
 from phrasedec.harness import (
     CapacityExceeded,
     ConfigInvalid,
@@ -21,7 +22,7 @@ from phrasedec.harness import (
     run_tau_sweep,
     theory_check,
 )
-from phrasedec.models import markov_contexts, random_markov, save_markov
+from phrasedec.models import MarkovModel, markov_contexts, random_markov, save_markov
 from phrasedec.phrase_lib import build_library, write_corpus
 
 
@@ -210,6 +211,27 @@ class TestSweeps:
         rows = run_tau_sweep(small_cfg(modes=("sjd_pv",)), [0.01])
         assert len(rows) == 1
         assert set(rows[0]) == {"tau", "mean_nfe", "phrase_accept_rate", "seq_divergence"}
+
+    def test_tau_sweep_divergence_is_against_the_exact_marginals(self, tmp_path, monkeypatch):
+        # order 1, V=2: begin row (3/4, 1/4), then (3/4, 1/4) after 0 and
+        # (1/4, 3/4) after 1, so the exact marginals are (3/4, 1/4) and
+        # (5/8, 3/8).  The stubbed decodes' frequencies are (1/2, 1/2) at
+        # both positions: TV 1/4 and 1/8, mean 3/16, at every tau
+        model_path, corpus_path = tmp_path / "m.psdm", tmp_path / "c.txt"
+        save_markov(MarkovModel(1, 2, [[0.75, 0.25], [0.75, 0.25], [0.25, 0.75]]), model_path)
+        write_corpus([[0, 1, 0, 1]], corpus_path)
+        outputs = itertools.cycle([(1, 0), (0, 1), (1, 1), (0, 0)])
+        monkeypatch.setattr(
+            harness, "decode", lambda *args: (next(outputs), DecodeMetrics(nfe=2))
+        )
+        sampled = []
+        monkeypatch.setattr(harness, "ancestral_corpus", lambda *args: sampled.append(args))
+        cfg = small_cfg(model_path=str(model_path), corpus_path=str(corpus_path),
+                        decodes=4, total_len=2, merges=1)
+        rows = run_tau_sweep(cfg, [0.01, 0.2])
+        assert [row["seq_divergence"] for row in rows] == [0.1875, 0.1875]
+        assert [row["mean_nfe"] for row in rows] == [2.0, 2.0]
+        assert sampled == []  # no reference sequence is drawn
 
     def test_tau_grid_must_ascend(self):
         with pytest.raises(ConfigInvalid):
