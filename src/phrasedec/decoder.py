@@ -1,22 +1,18 @@
 """The decoding engine: plain Jacobi iteration, token-wise speculative
 verification, and phrase-level verification with adaptive neighborhoods.
 
-One decode iteration costs exactly one target-model window evaluation (one
-NFE).  In ``sjd_pv`` mode the scan first tries to commit a whole library
-phrase whose tokens all fall inside their adaptive neighborhoods; on any
-failure it falls back to the standard token-wise accept-resample test.
-
-The hot loop reads the model table in place, at plain indices: a token
-test reads its verifier and drafter rows as rows of the table, and a walk of
-the start token's phrase trie makes one scalar neighborhood test per node it
-reaches.  Only scoring a phrase copies the window's W verifier rows into a
-``(W, V)`` array, at most once per iteration; the refill is one inverse-CDF
-draw that gathers rows of the model's cumulative table.  A window is its
-drafts and the context codes of the target rows they were drawn from.
+One decode iteration is one ``MarkovModel.evaluate`` call (one NFE), and it
+reads the model only through the ``Rows`` that call returns: p at the row
+``idx[t]`` of slot t, and q at the window's code for slot t, a row of the
+call that drafted the window.  Every read is in place, at plain indices;
+nothing copies the window.  In ``sjd_pv`` mode the scan first tries to
+commit a whole library phrase whose tokens all fall inside their adaptive
+neighborhoods; on any failure it falls back to the token-wise
+accept-resample test.
 
 A window is checked where it enters the decoder, not on every iteration:
 ``verify_window`` checks each window it did not draft itself from the same
-model, and the windows ``_draft`` returns skip the check, since both of its
+table, and the windows ``_draft`` returns skip the check, since both of its
 rules pick a token of positive probability under the row drawn from.
 """
 
@@ -39,7 +35,7 @@ from .core import (
     log_ratio,
     sample,
 )
-from .models import MarkovModel, batched_conditionals, window_codes
+from .models import MarkovModel, Rows
 from .phrase_lib import DEFAULT_MAX_PHRASE_LEN, Phrase, PhraseLibrary
 
 MODES = ("jacobi", "sjd", "sjd_pv")
@@ -58,27 +54,22 @@ class LibraryVocabMismatch(ValueError):
 
 
 class JacobiWindow(NamedTuple):
-    """Draft buffer: W candidate tokens, and for each the context code of
-    the target row it was drawn from (its drafter row).
-
-    ``verify_window`` checks a window built outside the decoder, rebuilt
-    from a returned one (``_replace``) or drafted from another model, before
-    any draw; the windows the decoder drafts from the same model are not
-    checked again."""
+    """Draft buffer: W candidate tokens, and for each the index of the
+    target row it was drawn from (its drafter row) in the tables of the
+    ``evaluate`` call that drafted it.  ``verify_window`` checks a window
+    the decoder did not draft from the same table, before any draw."""
 
     drafts: TokenSequence
     codes: Sequence[int]
 
 
 class _DrawnWindow(JacobiWindow):
-    """A window ``_draft`` drew from ``model``: each draft came from its own
-    drafter row of that model, so it has positive probability there, and its
-    fields are tuples.
-
-    A window rebuilt from it (``_replace``, ``_make``) is a plain, checked
+    """A window ``_draft`` drew from ``table``: each draft has positive
+    probability under its drafter row there, and its fields are tuples.  A
+    window rebuilt from it (``_replace``, ``_make``) is a plain, checked
     ``JacobiWindow``."""
 
-    model: MarkovModel
+    table: np.ndarray
 
     @classmethod
     def _make(cls, iterable) -> JacobiWindow:
@@ -133,22 +124,22 @@ def in_neighborhood(
     p: np.ndarray, j: int, v: TokenId, drafted: TokenId, tau: float
 ) -> bool:
     """Whether token v lies in the neighborhood of a drafted token under row
-    j of the 2-D array p (a ``(W, V)`` verifier window, or the model table
-    at a slot's context code): |p[j, v] - p[j, drafted]| strictly below
-    tau."""
+    j of the model table p: |p[j, v] - p[j, drafted]| strictly below tau."""
     return abs(p.item(j, v) - p.item(j, drafted)) < tau
 
 
 def phrase_acceptance_score(
-    verifier: np.ndarray, t: int, rows: np.ndarray, drafter: Sequence[int], phrase: Phrase
+    probs: np.ndarray, t: int, codes: Sequence[int], drafter: Sequence[int], phrase: Phrase
 ) -> float:
     """Joint log acceptance score of the phrase placed at slot t: the sum over
-    its tokens v_k of log p/q, with p = verifier[t + k, v_k] from the
-    ``(W, V)`` verifier window and q = rows[drafter[t + k], v_k] from the
-    model row of slot t + k's drafter code.  Reads scalars in place."""
+    its tokens v_k of log p/q, with p = probs[codes[t + k], v_k] and
+    q = probs[drafter[t + k], v_k], read in place.  Raises ValueError for a
+    phrase that does not fit the window at slot t."""
+    if not 0 <= t <= min(len(codes), len(drafter)) - len(phrase):
+        raise ValueError(f"a phrase of {len(phrase)} tokens at slot {t} runs past the window")
     score = 0.0
     for j, v in enumerate(phrase.tokens, t):
-        score += log_ratio(verifier.item(j, v), rows.item(drafter[j], v))
+        score += log_ratio(probs.item(codes[j], v), probs.item(drafter[j], v))
     return max(score, LOG_FLOOR)
 
 
@@ -184,36 +175,29 @@ def verify_token(
     return False, sample(residual, rng)
 
 
-def _draft(
-    target: MarkovModel, codes: list[int], greedy: bool, rng: np.random.Generator
-) -> JacobiWindow:
-    """A window drafted from the target rows of the given context codes:
-    each row's argmax in greedy mode, else one inverse-CDF draw over the
-    gathered ``cdf`` rows.
-
-    Either rule picks a token of positive probability under its row (a
-    draw lands where the row's ``cdf`` rises), so the window is a
-    ``_DrawnWindow`` of target."""
+def _draft(rows: Rows, codes: list[int], greedy: bool, rng: np.random.Generator) -> JacobiWindow:
+    """A window drafted from the given rows of an ``evaluate`` call's
+    tables: each row's argmax in greedy mode, else one inverse-CDF draw over
+    the gathered ``cdf`` rows.  Either rule picks a token of positive
+    probability under its row (a draw lands where the row's ``cdf`` rises),
+    so the window is a ``_DrawnWindow`` of the table ``rows.probs``."""
     if greedy:
-        drafts = tuple([target.argmax[c] for c in codes])
+        argmax = rows.argmax  # one field read, not one per slot
+        drafts = tuple([argmax[c] for c in codes])
     else:
-        drafts = tuple(draw(target.cdf.take(codes, axis=0), rng).tolist())
+        drafts = tuple(draw(rows.cdf.take(codes, axis=0), rng).tolist())
     window = _DrawnWindow(drafts, tuple(codes))
-    window.model = target
+    window.table = rows.probs
     return window
 
 
-def _check_window(window: JacobiWindow, rows: np.ndarray) -> None:
-    """Raise ValueError, naming the fault, for a window that fails one of
-    the checks in ``verify_window``'s Raises line, in that order."""
+def _check_window(window: JacobiWindow, probs: np.ndarray) -> None:
+    """Raise ValueError, naming the fault, for a non-empty window that fails
+    one of the checks in ``verify_window``'s Raises line, in that order."""
     drafts, codes = window
-    contexts, V = rows.shape
-    if not drafts:
-        raise ValueError("draft window must contain at least one token")
+    contexts, V = probs.shape
     if len(codes) != len(drafts):
-        raise ValueError(
-            f"window has {len(drafts)} draft tokens but {len(codes)} drafter codes"
-        )
+        raise ValueError(f"window has {len(drafts)} draft tokens but {len(codes)} drafter codes")
     for v in drafts:
         if not 0 <= v < V:
             raise ValueError(f"draft token {v} is outside [0, {V})")
@@ -221,7 +205,7 @@ def _check_window(window: JacobiWindow, rows: np.ndarray) -> None:
         if not 0 <= c < contexts:
             raise ValueError(f"drafter code {c} is outside [0, {contexts})")
     # one Python float per slot: far fewer NumPy calls than a fancy index
-    if min(map(rows.item, codes, drafts)) <= 0.0:
+    if min(map(probs.item, codes, drafts)) <= 0.0:
         raise ValueError("a draft token has zero drafter probability")
 
 
@@ -229,13 +213,13 @@ def _find_phrase(
     lib: PhraseLibrary,
     drafts: TokenSequence,
     t: int,
-    rows: np.ndarray,
+    probs: np.ndarray,
     codes: Sequence[int],
     cfg: VerifyConfig,
 ) -> Phrase | None:
     """The first phrase, in trial order, that starts at slot t, fits the
     window and has every token inside its slot's neighborhood, read from
-    the row ``rows[codes[j]]`` of each slot j.
+    the row ``probs[codes[j]]`` of each slot j.
 
     A walk of drafts[t]'s trie: each node reached costs one neighborhood
     test, a failed test prunes every phrase below the node, and a subtree
@@ -260,7 +244,7 @@ def _find_phrase(
             i += 1
             if best >= found_rank:
                 break  # siblings come in ascending best rank
-            if in_neighborhood(rows, j, token, drafted, tau):
+            if in_neighborhood(probs, j, token, drafted, tau):
                 if rank < found_rank:
                     found, found_rank = phrase, rank
                 if children:
@@ -269,6 +253,16 @@ def _find_phrase(
                     stack.append((k + 1, children))
                     break
     return found
+
+
+def _check_library(cfg: VerifyConfig, lib: PhraseLibrary | None, vocab_size: int) -> None:
+    """Raise ValueError for sjd_pv mode without a library and
+    LibraryVocabMismatch for a library wider than the model."""
+    if cfg.mode == "sjd_pv" and lib is None:
+        raise ValueError("sjd_pv mode requires a phrase library")
+    if lib is not None and lib.vocab_size > vocab_size:
+        msg = f"library vocabulary {lib.vocab_size} exceeds the model's {vocab_size}"
+        raise LibraryVocabMismatch(msg)
 
 
 def verify_window(
@@ -287,26 +281,27 @@ def verify_window(
     (one NFE) and each test's outcome into metrics as it happens.  Token-wise
     scanning stops at the first rejection; a committed phrase jumps the scan
     forward by its length.
-    Token tests read the rows of target in place; the window's verifier rows
-    are copied (``batched_conditionals``) only to score a phrase, at most
-    once per iteration.
-    Raises ValueError, before any draw and in every mode, for a window the
-    decoder did not draft from target (built by hand, rebuilt from a
-    returned one, or drafted from another model) that is empty, has drafts
-    and codes of different lengths, holds a token outside ``[0, V)`` or a
-    code outside ``[0, len(target.rows))``, or has a draft of zero
-    probability under its drafter row.  A window ``verify_window`` returned
-    is not checked again when it comes back with the same target.  sjd_pv
-    mode needs lib; ``decode`` checks that once per decode.
+    It calls ``target.evaluate`` once, reads p only at the rows that call
+    returns and q only at the window's codes, and copies no row.
+    Raises ValueError, before any draw and in every mode, for a prefix token
+    outside ``[0, V)``, for sjd_pv mode without lib (LibraryVocabMismatch
+    for a library wider than target), and for a window the decoder did not
+    draft from target (built by hand, rebuilt from a returned one, or
+    drafted from another model) that is empty, has drafts and codes of
+    different lengths, holds a token outside ``[0, V)`` or a code outside
+    the table's rows, or has a draft of zero probability under its drafter
+    row.  A window ``verify_window`` returned is not checked again when it
+    comes back with the same target.
     """
-    rows = target.rows
-    if type(window) is not _DrawnWindow or window.model is not target:
-        _check_window(window, rows)
+    phrases = cfg.mode == "sjd_pv"
+    if phrases:
+        _check_library(cfg, lib, target.vocab_size)
+    rows = target.evaluate(prefix, window.drafts)
+    probs, idx = rows.probs, rows.idx
+    if type(window) is not _DrawnWindow or window.table is not probs:
+        _check_window(window, probs)
     drafts, drafter = window
     W = len(drafts)
-    codes = window_codes(target, prefix, drafts)
-    verifier = None  # the (W, V) copy, made for the first phrase scored
-    phrases = cfg.mode == "sjd_pv"
     greedy = cfg.greedy
     fresh_draw = cfg.mode == "jacobi"
 
@@ -314,13 +309,11 @@ def verify_window(
     t = 0
     while t < W:
         if phrases:
-            phrase = _find_phrase(lib, drafts, t, rows, codes, cfg)
+            phrase = _find_phrase(lib, drafts, t, probs, idx, cfg)
             if phrase is not None:
                 metrics.phrase_attempts += 1
-                if verifier is None:
-                    verifier = batched_conditionals(target, codes)
                 try:
-                    score = phrase_acceptance_score(verifier, t, rows, drafter, phrase)
+                    score = phrase_acceptance_score(probs, t, idx, drafter, phrase)
                 except DrafterZeroProb:
                     score = None  # non-verifiable: fall back to the token path
                 if score is not None and verify_phrase(score, rng):
@@ -334,13 +327,13 @@ def verify_window(
         # iff it matches a fresh draw (argmax in greedy mode) from the
         # verifier conditional
         if greedy:
-            emitted = target.argmax[codes[t]]
+            emitted = rows.argmax[idx[t]]
             accepted = emitted == drafted
         elif fresh_draw:
-            emitted = draw(target.cdf[codes[t]], rng)
+            emitted = draw(rows.cdf[idx[t]], rng)
             accepted = emitted == drafted
         else:
-            accepted, emitted = verify_token(rows[codes[t]], rows[drafter[t]], drafted, rng)
+            accepted, emitted = verify_token(probs[idx[t]], probs[drafter[t]], drafted, rng)
         committed.append(emitted)
         t += 1
         if not accepted:
@@ -352,9 +345,9 @@ def verify_window(
     metrics.nfe += 1
     metrics.tokens_emitted += n
     metrics.tokens_per_iteration.append(n)
-    # Jacobi refill: surviving slots are re-drafted from the target rows at
-    # the codes just computed; appended slots reuse the last one
-    return tuple(committed), _draft(target, codes[t:] + codes[-1:] * t, greedy, rng)
+    # Jacobi refill: surviving slots are re-drafted from the rows this call
+    # computed; appended slots reuse the last one
+    return tuple(committed), _draft(rows, idx[t:] + idx[-1:] * t, greedy, rng)
 
 
 def decode(
@@ -366,20 +359,19 @@ def decode(
 ) -> tuple[TokenSequence, DecodeMetrics]:
     """Decode total_len tokens by repeated window verification.
 
-    The first window is drafted from the target's begin-context conditional;
-    the final window is truncated so exactly total_len tokens are returned.
-    Raises ValueError, before any draft, for sjd_pv mode without a library
-    and LibraryVocabMismatch for a library wider than the model.
+    The first window is drafted from the target's begin-context row, read
+    from a one-slot ``evaluate`` before the first counted iteration: the one
+    row a decode reads outside its NFE count, at most 1/total_len NFE per
+    token.  The final window is truncated so exactly total_len tokens are
+    returned.  Raises ValueError, before any draft, for sjd_pv mode without
+    a library and LibraryVocabMismatch for a library wider than the model.
     """
     if total_len < 1:
         raise ValueError("total_len must be >= 1")
-    if cfg.mode == "sjd_pv" and lib is None:
-        raise ValueError("sjd_pv mode requires a phrase library")
-    if lib is not None and lib.vocab_size > target.vocab_size:
-        raise LibraryVocabMismatch(
-            f"library vocabulary {lib.vocab_size} exceeds the model's {target.vocab_size}"
-        )
-    window = _draft(target, [target.context_code(())] * cfg.window_size, cfg.greedy, rng)
+    _check_library(cfg, lib, target.vocab_size)
+    # the begin row is row 0 of a one-slot window, whose draft is never read
+    begin = target.evaluate((), (0,))
+    window = _draft(begin, begin.idx * cfg.window_size, cfg.greedy, rng)
 
     committed: list[TokenId] = []
     metrics = DecodeMetrics()

@@ -1,13 +1,14 @@
-"""Conditional sequence models: order-k Markov tables and batched/ancestral
-evaluation helpers.
+"""Conditional sequence models: order-k Markov tables, window evaluation
+and ancestral sampling.
 
 These stand in for a large autoregressive backbone at desk scale.  A model
 maps a prefix to a categorical conditional over the next token.  The decoder
-and ``ancestral_sample`` read a ``MarkovModel``'s dense ``rows`` array and its
-cumulative copy ``cdf`` directly, indexed by a rolling context code, so their
-cost per token does not depend on prefix length.  ``ancestral_corpus`` draws
-many independent samples in lockstep, one row gather per position, and
-``exact_marginals`` gives the exact law of each position with no draw.
+reads a model only through ``MarkovModel.evaluate``, one call per window
+(one NFE), which indexes the uncopied tables by a rolling context code, so
+its cost does not depend on prefix length; nor does ``ancestral_sample``'s.
+``ancestral_corpus`` draws many independent samples in lockstep, one row
+gather per position, and ``exact_marginals`` gives the exact law of each
+position with no draw.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import struct
 from bisect import bisect_right
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +74,18 @@ def _code(symbols, base: int) -> int:
     return code
 
 
+class Rows(NamedTuple):
+    """What one ``MarkovModel.evaluate`` call computed: the model's tables,
+    read-only and not copied (the conditionals ``probs``, their cumulative
+    sums ``cdf`` and the most likely token ``argmax`` of each row), and
+    ``idx[j]``, the row of window slot j."""
+
+    probs: np.ndarray
+    cdf: np.ndarray
+    argmax: tuple[int, ...]
+    idx: list[int]
+
+
 class MarkovModel:
     """Order-k Markov chain over a finite vocabulary.
 
@@ -115,38 +129,29 @@ class MarkovModel:
         """Code of the context formed by the last ``order`` tokens of prefix."""
         return _code(prefix[-self.order :], self.vocab_size + 1)
 
+    def evaluate(self, prefix: TokenSequence, drafts: TokenSequence) -> Rows:
+        """The rows of a draft window, in one call (one NFE): ``idx[j]`` is
+        the row of the context prefix + drafts[:j], read from the last
+        ``order`` tokens of prefix and drafts[:-1].  Raises ValueError for an
+        empty window or a prefix token outside [0, V); the decoder checks the
+        drafts where a window enters it."""
+        if not drafts:
+            raise ValueError("draft window must contain at least one token")
+        V = self.vocab_size
+        base, contexts, code = V + 1, len(self.rows), 0
+        for tok in prefix[-self.order :]:
+            if not 0 <= tok < V:
+                raise ValueError(f"prefix token {tok} is outside [0, {V})")
+            code = code * base + tok + 1
+        idx = [code]
+        for tok in drafts[:-1]:
+            code = (code * base + tok + 1) % contexts
+            idx.append(code)
+        # Rows(...) without its Python-level __new__, once per NFE
+        return tuple.__new__(Rows, (self.rows, self.cdf, self.argmax, idx))
+
     def conditional(self, prefix: TokenSequence) -> CategoricalDistribution:
         return CategoricalDistribution(self.rows[self.context_code(prefix)])
-
-
-def batched_conditionals(model: MarkovModel, codes) -> np.ndarray:
-    """Conditionals for a whole draft window as one ``(W, V)`` row gather:
-    row j is the conditional after context code ``codes[j]`` (see
-    ``window_codes``).
-
-    The cost does not depend on prefix length.  The decoder calls it only
-    to score a phrase, at most once per iteration; NFE is counted per
-    ``verify_window`` iteration (one target-model forward pass, whatever the
-    window size), not per call of this function.
-    """
-    return model.rows.take(codes, axis=0)
-
-
-def window_codes(model: MarkovModel, prefix: TokenSequence, drafts: TokenSequence) -> list[int]:
-    """Context codes of a draft window's rows: code j is the context of
-    prefix + drafts[:j].  Only the last ``order`` tokens of prefix are read.
-
-    Raises ValueError for an empty window.
-    """
-    if not drafts:
-        raise ValueError("draft window must contain at least one token")
-    base, contexts = model.vocab_size + 1, model.rows.shape[0]
-    code = model.context_code(prefix)
-    codes = [code]
-    for tok in drafts[:-1]:
-        code = (code * base + tok + 1) % contexts
-        codes.append(code)
-    return codes
 
 
 def ancestral_sample(

@@ -13,6 +13,7 @@ from phrasedec.core import (
     CategoricalDistribution,
     DrafterZeroProb,
     TokenSequence,
+    draw,
     normalize,
 )
 from phrasedec.decoder import (
@@ -38,7 +39,6 @@ from phrasedec.models import (
     exact_marginals,
     markov_contexts,
     random_markov,
-    window_codes,
 )
 from phrasedec.phrase_lib import (
     MergeRule,
@@ -107,35 +107,42 @@ class TestBuildNeighborhood:
 
 
 class TestPhraseScore:
+    """p and q are both read from one table: p at the slot's verifier row
+    codes[j], q at its drafter row drafter[j]."""
+
     def test_identity_distributions(self):
         p = dist([0.6, 0.4])
         phrase = Phrase((0, 1), 1, 1)
-        assert phrase_acceptance_score(np.array([p, p]), 0, p[None], [0, 0], phrase) == 0.0
+        assert phrase_acceptance_score(p[None], 0, [0, 0], [0, 0], phrase) == 0.0
 
     def test_hand_product(self):
         # ratios 1.4 and 0.6 -> ln(0.84), the phrase at slot 1 of 3: slot 0's
-        # rows and drafter code are never read
-        verifier = np.array([dist([0.0, 1.0]), dist([0.7, 0.3]), dist([0.3, 0.7])])
-        rows = np.array([dist([1.0, 0.0]), dist([0.5, 0.5])])
+        # verifier row and drafter code are never read
+        probs = np.array([dist([1.0, 0.0]), dist([0.5, 0.5]), dist([0.7, 0.3]), dist([0.3, 0.7])])
         phrase = Phrase((0, 0), 1, 1)
-        score = phrase_acceptance_score(verifier, 1, rows, [0, 1, 1], phrase)
+        score = phrase_acceptance_score(probs, 1, [9, 2, 3], [9, 1, 1], phrase)
         assert score == pytest.approx(math.log(0.84), rel=1e-12)
 
     def test_impossible_token_floor(self):
-        verifier = np.array([dist([1.0, 0.0]), dist([0.5, 0.5])])
-        rows = dist([0.5, 0.5])[None]
+        probs = np.array([dist([0.5, 0.5]), dist([1.0, 0.0])])
         phrase = Phrase((1, 0), 1, 1)
-        score = phrase_acceptance_score(verifier, 0, rows, [0, 0], phrase)
+        score = phrase_acceptance_score(probs, 0, [1, 0], [0, 0], phrase)
         assert score == LOG_FLOOR
         # exp of the floor is the smallest subnormal double: acceptance
         # probability is effectively zero
         assert math.exp(score) <= 5e-324
 
     def test_drafter_zero_propagates(self):
-        verifier = dist([0.5, 0.5])[None]
-        rows = dist([1.0, 0.0])[None]
+        probs = np.array([dist([0.5, 0.5]), dist([1.0, 0.0])])
         with pytest.raises(DrafterZeroProb):
-            phrase_acceptance_score(verifier, 0, rows, [0], Phrase((1,), 1, 1))
+            phrase_acceptance_score(probs, 0, [0], [1], Phrase((1,), 1, 1))
+
+    @pytest.mark.parametrize("t, tokens", [(2, (0, 1)), (0, (0, 1, 0, 1)), (-1, (0,))])
+    def test_phrase_past_the_window_rejected(self, t, tokens):
+        probs = dist([0.5, 0.5])[None]
+        with pytest.raises(ValueError, match=f"a phrase of {len(tokens)} tokens at slot {t} "
+                                             "runs past the window"):
+            phrase_acceptance_score(probs, t, [0, 0, 0], [0, 0, 0], Phrase(tokens, 1, 1))
 
 
 def _find_phrase(
@@ -300,7 +307,7 @@ class TestVerifyWindow:
         for _ in range(6):
             drafts.append(int(np.argmax(model.conditional(ctx).probs)))
             ctx = ctx + (drafts[-1],)
-        window = JacobiWindow(tuple(drafts), window_codes(model, prefix, drafts))
+        window = JacobiWindow(tuple(drafts), model.evaluate(prefix, drafts).idx)
         metrics = DecodeMetrics()
         committed, _ = verify_window(
             prefix, window, model, None, cfg, np.random.default_rng(0), metrics
@@ -313,7 +320,7 @@ class TestVerifyWindow:
         model = random_markov(1, 4, 0.4, np.random.default_rng(12))
         prefix = ()
         drafts = (1, 2, 3)
-        window = JacobiWindow(drafts, window_codes(model, prefix, drafts))
+        window = JacobiWindow(drafts, model.evaluate(prefix, drafts).idx)
         lib = PhraseLibrary(4, (), (Phrase(drafts, 1, 1),))
         cfg = VerifyConfig(mode="sjd_pv", window_size=3, tau=0.5)
         metrics = DecodeMetrics()
@@ -332,6 +339,42 @@ class TestVerifyWindow:
         with pytest.raises(ValueError, match="sjd_pv mode requires a phrase library"):
             decode(model, None, VerifyConfig(mode="sjd_pv"), 8, rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_sjd_pv_without_library_rejected_before_any_draw(self, greedy):
+        model = random_markov(1, 2, 1.0, np.random.default_rng(0))
+        window = drafted(model, [0], greedy)
+        rng, metrics = np.random.default_rng(0), DecodeMetrics()
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sjd_pv mode requires a phrase library"):
+            verify_window((), window, model, None, VerifyConfig(mode="sjd_pv", greedy=greedy),
+                          rng, metrics)
+        assert rng.bit_generator.state == state
+        assert metrics == DecodeMetrics()
+
+    @pytest.mark.parametrize("prefix", [(-3,), (9,), (1, -1)])
+    def test_prefix_token_outside_the_vocabulary_rejected(self, prefix):
+        # order 1, V=4: unchecked, (-3,) would verify against row -2 and
+        # return a window of code -2, and (9,) would index past the table
+        model = random_markov(1, 4, 0.5, np.random.default_rng(0))
+        lib = PhraseLibrary(4, (), ())
+        for mode in MODES:
+            for greedy in (False, True):
+                window = drafted(model, [0] * 3, greedy)
+                rng, metrics = np.random.default_rng(0), DecodeMetrics()
+                state = rng.bit_generator.state
+                with pytest.raises(ValueError, match=rf"prefix token {prefix[-1]} is outside"):
+                    verify_window(prefix, window, model, lib,
+                                  VerifyConfig(mode=mode, window_size=3, greedy=greedy),
+                                  rng, metrics)
+                assert rng.bit_generator.state == state
+                assert metrics == DecodeMetrics()
+
+
+def drafted(model, codes, greedy, rng=None):
+    """A window the decoder drafts from the given rows of model."""
+    rng = np.random.default_rng(2) if rng is None else rng
+    return decoder._draft(model.evaluate((), (0,)), codes, greedy, rng)
 
 
 class TestWindowBoundary:
@@ -375,7 +418,7 @@ class TestWindowBoundary:
         cfg = VerifyConfig(mode="sjd", window_size=3)
         rng = np.random.default_rng(0)
         # the first window decode drafts, from the begin context, and its refill
-        begin = decoder._draft(model, [model.context_code(())] * 3, False, rng)
+        begin = drafted(model, model.evaluate((), (0,)).idx * 3, False, rng)
         _, refill = verify_window((), begin, model, None, cfg, rng, DecodeMetrics())
         for rebuilt, message in [
             (begin._replace(drafts=(0,) * 3), "a draft token has zero drafter probability"),
@@ -398,9 +441,9 @@ class TestWindowBoundary:
                 cfg = VerifyConfig(mode=mode, window_size=4, greedy=greedy)
                 decode(model, lib, cfg, 40, np.random.default_rng(1))
                 assert checks == []  # decode drafts every window it verifies
-                drafted = decoder._draft(model, [0] * 4, greedy, np.random.default_rng(2))
+                own = drafted(model, [0] * 4, greedy)
                 runs = []
-                for window in (drafted, JacobiWindow(*drafted)):
+                for window in (own, JacobiWindow(*own)):
                     rng, metrics = np.random.default_rng(5), DecodeMetrics()
                     out = verify_window((), window, model, lib, cfg, rng, metrics)
                     runs.append((out, metrics, rng.random()))
@@ -423,7 +466,7 @@ class TestWindowBoundary:
         ids=["out-of-range", "in-range"],
     )
     def test_window_drafted_from_another_model_is_checked(self, other, codes, message):
-        foreign = decoder._draft(other, codes, True, np.random.default_rng(0))
+        foreign = drafted(other, codes, True)
         assert type(foreign) is decoder._DrawnWindow
         lib = PhraseLibrary(3, (), ())
         for mode in MODES:
@@ -443,7 +486,7 @@ class TestWindowBoundary:
         check = decoder._check_window
         monkeypatch.setattr(decoder, "_check_window", lambda *a: checks.append(a) or check(*a))
         other = MarkovModel(1, 3, [[0.0, 1.0, 0.0]] * 4)
-        foreign = decoder._draft(other, [0, 1, 2], True, np.random.default_rng(0))
+        foreign = drafted(other, [0, 1, 2], True)
         cfg = VerifyConfig(mode="sjd", window_size=3)
         runs = []
         for window in (foreign, JacobiWindow(*foreign)):
@@ -454,51 +497,139 @@ class TestWindowBoundary:
         assert runs[0] == runs[1]
 
 
-class TestWindowCopy:
-    """Token tests read the model table in place: the verifier window is
-    copied (``batched_conditionals``) only to score a phrase, once in each
-    iteration that scores one."""
+class LoggedTable(np.ndarray):
+    """A model table that logs each read as (table, op, key); what a read
+    returns is a plain array or scalar, so reads of a returned row are not
+    logged."""
 
-    def test_one_copy_per_iteration_with_a_phrase_attempt(self, monkeypatch):
-        copies = []
-        gather = decoder.batched_conditionals
-        monkeypatch.setattr(decoder, "batched_conditionals",
-                            lambda *a: copies.append(a) or gather(*a))
-        attempted = []  # per iteration: whether it made a phrase attempt
-        verify = decoder.verify_window
+    def _plain(self, op, key):
+        self.log.append((self.name, op, key))
+        return self.view(np.ndarray)
 
-        def watching(*args):
-            metrics = args[-1]
-            before = metrics.phrase_attempts
-            out = verify(*args)
-            attempted.append(metrics.phrase_attempts > before)
-            return out
+    def item(self, *args):
+        return self._plain("item", args).item(*args)
 
-        monkeypatch.setattr(decoder, "verify_window", watching)
+    def __getitem__(self, key):
+        return self._plain("getitem", key)[key]
+
+    def take(self, indices, *args, **kwargs):
+        return self._plain("take", indices).take(indices, *args, **kwargs)
+
+
+class LoggedTuple(tuple):
+    """The model's argmax table, logging each lookup like ``LoggedTable``."""
+
+    def __getitem__(self, key):
+        self.log.append((self.name, "getitem", key))
+        return tuple.__getitem__(self, key)
+
+
+def read_rows(op, key):
+    """The rows one logged read touches, and whether it gathers several."""
+    if op == "take":
+        return list(key), True
+    if op == "item" or isinstance(key, tuple):
+        key = key[0]
+    if isinstance(key, (int, np.integer)):
+        return [key], False
+    return [None], True  # a fancy index or a slice: its rows count as unpaid
+
+
+class TestRowHonesty:
+    """Each ``verify_window`` call makes one ``evaluate`` call and reads the
+    model's tables only at the rows that call returned (``idx``) and at the
+    window's codes, rows of the call that drafted the window; no read
+    gathers a copy of the window's probability rows.  A spy swaps the
+    model's tables for ones that log every read, so a read that bypasses
+    ``evaluate`` is logged too."""
+
+    @pytest.fixture(scope="class")
+    def spied(self):
         c = ExperimentConfig()
         corpus, model = planted_phrase_corpus(
             c.vocab_size, c.phrase_count, c.phrase_len, 20, 128, c.planting_rate,
             np.random.default_rng([0, 0]),
         )
         lib = build_library(corpus, 64, vocab_size=c.vocab_size)
-        empty = PhraseLibrary(c.vocab_size, (), ())
-        repeats = 0
-        for mode in MODES:
-            for greedy in (False, True):
-                for library in (lib, empty):
-                    copies.clear()
-                    attempted.clear()
-                    cfg = VerifyConfig(mode=mode, tau=0.05, greedy=greedy)
-                    _, metrics = decode(model, library, cfg, 256, np.random.default_rng(7))
-                    assert len(attempted) == metrics.nfe
-                    if mode == "sjd_pv" and library is lib:
-                        assert sum(attempted) > 0
-                        repeats += metrics.phrase_attempts - sum(attempted)
-                        assert len(copies) == sum(attempted)
-                    else:
-                        assert copies == []
-        # some iteration scored more than one phrase from its one copy
-        assert repeats > 0
+        log, calls = [], []
+        for name, attr in (("probs", "rows"), ("cdf", "cdf")):
+            table = getattr(model, attr).view(LoggedTable)
+            table.name, table.log = name, log
+            setattr(model, attr, table)
+        model.argmax = LoggedTuple(model.argmax)
+        model.argmax.name, model.argmax.log = "argmax", log
+        evaluate = model.evaluate
+        model.evaluate = lambda *a: calls.append(evaluate(*a)) or calls[-1]
+        return model, lib, log, calls
+
+    def iterations(self, monkeypatch, spied, mode, greedy):
+        """Decode 256 tokens; per verify_window call: its evaluate calls,
+        the reads outside its rows and the window's codes, and its gathers
+        of probability rows.  Also the reads made outside any call, at rows
+        no evaluate call since the previous one returned."""
+        model, lib, log, calls = spied
+        records, stray = [], []
+        verify = decoder.verify_window
+
+        def watching(prefix, window, *rest):
+            allowed = {i for rows in calls for i in rows.idx}
+            stray.extend(e for e in log if not set(read_rows(*e[1:])[0]) <= allowed)
+            log.clear()
+            calls.clear()
+            out = verify(prefix, window, *rest)
+            allowed = set(window.codes).union(calls[0].idx if calls else ())
+            reads = [(name, *read_rows(op, key)) for name, op, key in log]
+            records.append((
+                len(calls),
+                [r for r in reads if not set(r[1]) <= allowed],
+                [r for r in reads if r[0] == "probs" and r[2]],
+                len(reads),
+            ))
+            log.clear()
+            calls.clear()
+            return out
+
+        monkeypatch.setattr(decoder, "verify_window", watching)
+        log.clear()
+        calls.clear()
+        cfg = VerifyConfig(mode=mode, tau=0.05, greedy=greedy)
+        _, metrics = decode(model, lib, cfg, 256, np.random.default_rng(7))
+        monkeypatch.setattr(decoder, "verify_window", verify)
+        assert len(records) == metrics.nfe
+        return records, stray, metrics
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_iteration_reads_only_rows_computed_for_it(
+        self, monkeypatch, spied, mode, greedy
+    ):
+        records, stray, metrics = self.iterations(monkeypatch, spied, mode, greedy)
+        assert stray == []
+        for evaluates, outside, gathers, reads in records:
+            assert evaluates == 1
+            assert outside == []
+            assert gathers == []
+            assert reads > 0
+        if mode == "sjd_pv":
+            assert metrics.phrase_attempts > 0
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_refill_from_an_uncomputed_row_is_caught(self, monkeypatch, spied, mode, greedy):
+        # the cheat drafts slot 0 of the next window from the row after the
+        # committed tokens, which no evaluate call computed: it decodes sjd at
+        # about half the NFE, and only the spy notices
+        honest = decoder.verify_window
+
+        def cheat(prefix, window, target, lib, cfg, rng, metrics):
+            committed, refill = honest(prefix, window, target, lib, cfg, rng, metrics)
+            code = target.context_code((tuple(prefix) + committed)[-target.order :])
+            slot0 = target.argmax[code] if cfg.greedy else draw(target.cdf[code], rng)
+            return committed, JacobiWindow((slot0, *refill.drafts[1:]), (code, *refill.codes[1:]))
+
+        monkeypatch.setattr(decoder, "verify_window", cheat)
+        records, _, _ = self.iterations(monkeypatch, spied, mode, greedy)
+        assert any(outside for _, outside, _, _ in records)
 
 
 class TestDecodeMetrics:
@@ -592,9 +723,9 @@ class TestDraftInvariant:
     )
     def test_begin_and_zero_edged_rows(self, greedy, u, tokens):
         model = MarkovModel(1, 5, self.ROWS)
-        begin = model.context_code(())
-        for codes in ([begin] * 4, list(range(len(self.ROWS)))):
-            window = decoder._draft(model, codes, greedy, FixedRng(u))
+        begin = model.evaluate((), (0,)).idx
+        for codes in (begin * 4, list(range(len(self.ROWS)))):
+            window = drafted(model, codes, greedy, FixedRng(u))
             assert type(window) is decoder._DrawnWindow
             assert window.codes == tuple(codes)
             assert list(window.drafts) == [tokens[c] for c in codes]
@@ -613,7 +744,7 @@ class TestDraftInvariant:
         model = sparse_markov(order, vocab, zeros, seed)
         codes = context_codes(order, vocab).tolist()
         rng = np.random.default_rng(seed) if u is None else FixedRng(u)
-        window = decoder._draft(model, codes, greedy, rng)
+        window = drafted(model, codes, greedy, rng)
         assert type(window) is decoder._DrawnWindow
         assert min(model.rows[c, d] for c, d in zip(window.codes, window.drafts)) > 0.0
 

@@ -15,13 +15,11 @@ from phrasedec.models import (
     UnsupportedModelFormat,
     ancestral_corpus,
     ancestral_sample,
-    batched_conditionals,
     exact_marginals,
     load_markov,
     markov_contexts,
     random_markov,
     save_markov,
-    window_codes,
 )
 
 
@@ -59,28 +57,48 @@ class TestConditional:
 
 
 class TestBatchedConditionals:
+    """A window's conditionals, batched in one ``evaluate`` call: the
+    model's own tables, uncopied, and the row of each slot."""
+
     def test_single_position(self, two_state):
-        out = batched_conditionals(two_state, window_codes(two_state, (0,), (1,)))
-        assert out.shape == (1, 2)
-        assert np.array_equal(out[0], two_state.conditional((0,)).probs)
+        rows = two_state.evaluate((0,), (1,))
+        assert len(rows.idx) == 1
+        assert np.array_equal(rows.probs[rows.idx[0]], two_state.conditional((0,)).probs)
+        assert rows.probs is two_state.rows
+        assert rows.cdf is two_state.cdf
+        assert rows.argmax is two_state.argmax
 
     def test_order1_lookups(self, two_state):
-        out = batched_conditionals(two_state, window_codes(two_state, (1,), (0, 1)))
-        assert np.array_equal(out[0], two_state.conditional((1,)).probs)
-        assert np.array_equal(out[1], two_state.conditional((0,)).probs)
+        rows = two_state.evaluate((1,), (0, 1))
+        assert np.array_equal(rows.probs[rows.idx[0]], two_state.conditional((1,)).probs)
+        assert np.array_equal(rows.probs[rows.idx[1]], two_state.conditional((0,)).probs)
 
     def test_matches_incremental_recomputation(self):
         rng = np.random.default_rng(5)
         model = random_markov(2, 3, 0.8, rng)
         prefix = (0, 2, 1)
         drafts = (2, 0, 0, 1, 2)
-        out = batched_conditionals(model, window_codes(model, prefix, drafts))
+        rows = model.evaluate(prefix, drafts)
         for j in range(len(drafts)):
-            assert np.array_equal(out[j], model.conditional(prefix + drafts[:j]).probs)
+            assert np.array_equal(
+                rows.probs[rows.idx[j]], model.conditional(prefix + drafts[:j]).probs
+            )
 
     def test_empty_window_rejected(self, two_state):
         with pytest.raises(ValueError, match="at least one token"):
-            window_codes(two_state, (), ())
+            two_state.evaluate((), ())
+
+    @pytest.mark.parametrize("token", [-3, -1, 4, 9])
+    def test_prefix_token_outside_the_vocabulary_rejected(self, token):
+        # order 1, V=4: unchecked, -3 would read row -2 and 9 a row past the table
+        model = random_markov(1, 4, 0.5, np.random.default_rng(0))
+        message = rf"prefix token {token} is outside \[0, 4\)"
+        with pytest.raises(ValueError, match=message):
+            model.evaluate((token,), (1, 2))
+        with pytest.raises(ValueError, match=message):
+            model.evaluate((2, token), (1,))
+        # only the last order tokens are read
+        assert model.evaluate((token, 2), (1,)).idx == model.evaluate((2,), (1,)).idx
 
 
 class TestAncestralSample:
