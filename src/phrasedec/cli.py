@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -109,7 +108,7 @@ def _experiment_config(args) -> harness.ExperimentConfig:
         mapping["seed"] = args.seed
     if args.out_dir is not None:
         mapping["out_dir"] = args.out_dir
-    if getattr(args, "modes", None):
+    if getattr(args, "modes", None) is not None:
         mapping["modes"] = args.modes
     return harness.config_from_mapping(mapping)
 
@@ -195,15 +194,10 @@ def _run(args) -> int:
         given = ("trials", "v_max", "l_max", "min_inequality_trials", "seed")
         kwargs = {k: getattr(args, k) for k in given if getattr(args, k, None) is not None}
         report = harness.theory_check(**kwargs)
-        text = json.dumps(report, indent=2)
         if args.out_dir:
-            os.makedirs(args.out_dir, exist_ok=True)
-            path = os.path.join(args.out_dir, "theory_check.json")
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(text + "\n")
-            print(f"wrote {path}")
+            print(f"wrote {harness.write_json(report, args.out_dir, 'theory_check.json')}")
         else:
-            print(text)
+            print(json.dumps(report, indent=2))
         return 0
 
     if args.command == "gen-model":

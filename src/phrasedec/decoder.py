@@ -276,13 +276,13 @@ def verify_window(
 ) -> tuple[TokenSequence, JacobiWindow]:
     """Run one verification iteration over the window.
 
-    Only the last ``target.order`` tokens of prefix are read.  Returns the
-    committed tokens and the refilled next window, and counts the iteration
-    (one NFE) and each test's outcome into metrics as it happens.  Token-wise
-    scanning stops at the first rejection; a committed phrase jumps the scan
-    forward by its length.
-    It calls ``target.evaluate`` once, reads p only at the rows that call
-    returns and q only at the window's codes, and copies no row.
+    Returns the committed tokens and the refilled next window, and counts
+    the iteration (one NFE) and each test's outcome into metrics as it
+    happens.  Token-wise scanning stops at the first rejection; a committed
+    phrase jumps the scan forward by its length.
+    It calls ``target.evaluate`` once, on the whole prefix, reads p only at
+    the rows that call returns and q only at the window's codes, and copies
+    no row.
     Raises ValueError, before any draw and in every mode, for a prefix token
     outside ``[0, V)``, for sjd_pv mode without lib (LibraryVocabMismatch
     for a library wider than target), and for a window the decoder did not
@@ -362,9 +362,10 @@ def decode(
     The first window is drafted from the target's begin-context row, read
     from a one-slot ``evaluate`` before the first counted iteration: the one
     row a decode reads outside its NFE count, at most 1/total_len NFE per
-    token.  The final window is truncated so exactly total_len tokens are
-    returned.  Raises ValueError, before any draft, for sjd_pv mode without
-    a library and LibraryVocabMismatch for a library wider than the model.
+    token.  Each iteration passes ``verify_window`` the whole committed prefix.
+    The final window is truncated so exactly total_len tokens are returned.
+    Raises ValueError, before any draft, for sjd_pv mode without a library
+    and LibraryVocabMismatch for a library wider than the model.
     """
     if total_len < 1:
         raise ValueError("total_len must be >= 1")
@@ -381,9 +382,7 @@ def decode(
                 f"no convergence after {metrics.nfe} iterations "
                 f"({len(committed)}/{total_len} tokens committed)"
             )
-        out, window = verify_window(
-            committed[-target.order :], window, target, lib, cfg, rng, metrics
-        )
+        out, window = verify_window(committed, window, target, lib, cfg, rng, metrics)
         committed.extend(out)
 
     # truncate the final window's overshoot, keeping the per-iteration

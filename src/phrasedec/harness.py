@@ -23,10 +23,10 @@ from .decoder import DecodeMetrics, VerifyConfig, decode
 from .models import (
     MarkovModel,
     ancestral_corpus,
+    context_codes,
     context_count,
     exact_marginals,
     load_markov,
-    markov_contexts,
     random_markov,
 )
 from .phrase_lib import PhraseLibrary, build_library, read_corpus
@@ -143,8 +143,8 @@ class ExperimentConfig:
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Parse a flat key=value config file; '#' lines are comments."""
-    mapping: dict[str, str] = {}
+    """Parse a flat key=value config file; '#' lines are comments, and a key is set once."""
+    entries: dict[str, tuple[int, str]] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
@@ -152,9 +152,11 @@ def load_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ConfigInvalid(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            mapping[key.strip()] = value.strip()
-    return mapping
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in entries:
+                raise ConfigInvalid(f"{path}:{lineno}: key {key!r} repeats line {entries[key][0]}")
+            entries[key] = lineno, value
+    return {key: value for key, (_, value) in entries.items()}
 
 
 def _parse_bool(text: str) -> bool:
@@ -244,10 +246,10 @@ def _planted_model(cfg: ExperimentConfig, rng: np.random.Generator) -> MarkovMod
 
     order = 2
     # one noise row per context, in markov_contexts order; a context's last
-    # token + 1 (PAD -> 0) picks its planted successor
+    # token (PAD -> -1), its code's last digit less one, picks its successor
     alpha = np.full(vocab_size, cfg.concentration)
     rows = rng.dirichlet(alpha, size=context_count(order, vocab_size))
-    last = np.array([ctx[-1] for ctx in markov_contexts(order, vocab_size)])
+    last = context_codes(order, vocab_size) % (vocab_size + 1) - 1
     nxt = successor[last + 1]
     planted = np.flatnonzero(nxt >= 0)
     rows[planted] *= 1.0 - cfg.planting_rate
@@ -365,6 +367,15 @@ def _write_csv(cfg: ExperimentConfig, name: str, rows: list[dict]) -> list[dict]
     return rows
 
 
+def write_json(report: dict, out_dir: str, name: str) -> str:
+    """Write report, indented JSON and a newline, to the file name in out_dir; return its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(report, indent=2) + "\n")
+    return path
+
+
 def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
     """Matched-seed decodes for each configured mode over one target model."""
     _, [(_, _, runs)] = _run_grid([cfg], cfg.modes)
@@ -374,9 +385,7 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
     report = BenchmarkReport(REPORT_VERSION, cfg, per_mode, acceleration)
     _write_csv(cfg, "report.csv", [row for agg in per_mode.values() for row in agg.rows])
     if cfg.out_dir:
-        with open(os.path.join(cfg.out_dir, "report.json"), "w", encoding="utf-8") as f:
-            json.dump(dataclasses.asdict(report), f, indent=2)
-            f.write("\n")
+        write_json(dataclasses.asdict(report), cfg.out_dir, "report.json")
     return report
 
 

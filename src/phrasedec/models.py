@@ -59,19 +59,13 @@ def context_codes(order: int, vocab_size: int) -> np.ndarray:
 
     A context's code reads its symbols as base-(V+1) digits, PAD as 0 and
     token v as v + 1, so appending token v to a context with code c gives
-    ``(c * (V + 1) + v + 1) % (V + 1) ** order``.
+    ``(c * (V + 1) + v + 1) % (V + 1) ** order``: the contexts with j real
+    tokens append each token in turn to those with j - 1.
     """
-    return np.array(
-        [_code(ctx, vocab_size + 1) for ctx in markov_contexts(order, vocab_size)],
-        dtype=np.intp,
-    )
-
-
-def _code(symbols, base: int) -> int:
-    code = 0
-    for sym in symbols:
-        code = code * base + sym + 1
-    return code
+    groups, base = [np.zeros(1, dtype=np.intp)], vocab_size + 1
+    for _ in range(order):
+        groups.append((groups[-1][:, None] * base + np.arange(1, base)).ravel())
+    return np.concatenate(groups)
 
 
 class Rows(NamedTuple):
@@ -126,23 +120,23 @@ class MarkovModel:
         self.argmax = tuple(rows.argmax(axis=1).tolist())
 
     def context_code(self, prefix: TokenSequence) -> int:
-        """Code of the context formed by the last ``order`` tokens of prefix."""
-        return _code(prefix[-self.order :], self.vocab_size + 1)
-
-    def evaluate(self, prefix: TokenSequence, drafts: TokenSequence) -> Rows:
-        """The rows of a draft window, in one call (one NFE): ``idx[j]`` is
-        the row of the context prefix + drafts[:j], read from the last
-        ``order`` tokens of prefix and drafts[:-1].  Raises ValueError for an
-        empty window or a prefix token outside [0, V); the decoder checks the
-        drafts where a window enters it."""
-        if not drafts:
-            raise ValueError("draft window must contain at least one token")
-        V = self.vocab_size
-        base, contexts, code = V + 1, len(self.rows), 0
+        """Code of the context of the last ``order`` tokens of prefix, the one
+        rule from prefix to row: a token read outside [0, V) raises ValueError."""
+        V, code = self.vocab_size, 0
         for tok in prefix[-self.order :]:
             if not 0 <= tok < V:
                 raise ValueError(f"prefix token {tok} is outside [0, {V})")
-            code = code * base + tok + 1
+            code = code * (V + 1) + tok + 1
+        return code
+
+    def evaluate(self, prefix: TokenSequence, drafts: TokenSequence) -> Rows:
+        """The rows of a draft window, in one call (one NFE): ``idx[j]`` is
+        the row of the context prefix + drafts[:j], by ``context_code``.
+        Raises ValueError for an empty window or a prefix token outside
+        [0, V); the decoder checks the drafts where a window enters it."""
+        if not drafts:
+            raise ValueError("draft window must contain at least one token")
+        base, contexts, code = self.vocab_size + 1, len(self.rows), self.context_code(prefix)
         idx = [code]
         for tok in drafts[:-1]:
             code = (code * base + tok + 1) % contexts
@@ -151,7 +145,10 @@ class MarkovModel:
         return tuple.__new__(Rows, (self.rows, self.cdf, self.argmax, idx))
 
     def conditional(self, prefix: TokenSequence) -> CategoricalDistribution:
-        return CategoricalDistribution(self.rows[self.context_code(prefix)])
+        """The conditional after prefix: ``context_code`` of prefix without the
+        leading PADs ``markov_contexts`` writes, so another PAD raises ValueError."""
+        start = next((i for i, tok in enumerate(prefix) if tok != PAD), len(prefix))
+        return CategoricalDistribution(self.rows[self.context_code(prefix[start:])])
 
 
 def ancestral_sample(

@@ -380,6 +380,29 @@ def test_bench_rejects_a_bad_config(tmp_path, capsys, settings, flags, message):
 
 
 @pytest.mark.parametrize(
+    "settings, flags, message",
+    [
+        ("seed=1\nseed=2\n", [], "bad.cfg:2: key 'seed' repeats line 1"),
+        ("modes=\n", [], "at least one decode mode is required"),
+        ("", ["--modes", ""], "at least one decode mode is required"),
+    ],
+)
+def test_bench_rejects_a_repeated_key_or_an_empty_mode_list(
+    tmp_path, capsys, settings, flags, message
+):
+    # both used to be accepted: the later seed won, and --modes "" ran the defaults
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(settings, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = main(["--config", str(cfg), "--out", str(out_dir), "bench", *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phrasedec: error: ") and err.count("\n") == 1
+    assert err.rstrip("\n").endswith(message)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "settings",
     [
         "planted=false\norder=4\nvocab_size=2000\n",

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -630,6 +632,22 @@ class TestRowHonesty:
         monkeypatch.setattr(decoder, "verify_window", cheat)
         records, _, _ = self.iterations(monkeypatch, spied, mode, greedy)
         assert any(outside for _, outside, _, _ in records)
+
+
+class TestTargetInterface:
+    """The decoder treats its target as a black box: it reads only
+    ``evaluate`` and ``vocab_size``, so another model needs no decoder edit."""
+
+    def test_decoder_reads_only_evaluate_and_vocab_size(self):
+        tree = ast.parse(inspect.getsource(decoder))
+        reads = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "target"
+        }
+        assert reads == {"evaluate", "vocab_size"}
 
 
 class TestDecodeMetrics:

@@ -446,6 +446,17 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match=f"decode mode '{repeated}' is repeated"):
             config_from_mapping({"modes": modes})
 
+    def test_repeated_key(self, tmp_path):
+        # the later value used to win silently
+        path = tmp_path / "repeat.cfg"
+        path.write_text("seed=1\n# again\n seed = 2\n", encoding="utf-8")
+        with pytest.raises(ConfigInvalid, match=r"repeat\.cfg:3: key 'seed' repeats line 1$"):
+            load_config_file(path)
+
+    def test_empty_mode_list(self):
+        with pytest.raises(ConfigInvalid, match="at least one decode mode is required"):
+            config_from_mapping({"modes": ""})
+
     def test_bad_line(self, tmp_path):
         path = tmp_path / "broken.cfg"
         path.write_text("this is not a pair\n", encoding="utf-8")

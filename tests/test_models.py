@@ -15,6 +15,7 @@ from phrasedec.models import (
     UnsupportedModelFormat,
     ancestral_corpus,
     ancestral_sample,
+    context_codes,
     exact_marginals,
     load_markov,
     markov_contexts,
@@ -56,7 +57,7 @@ class TestConditional:
             MarkovModel(1, 2, [[0.5, 0.5], [1.5, -0.5], [0.7, 0.3]])
 
 
-class TestBatchedConditionals:
+class TestEvaluate:
     """A window's conditionals, batched in one ``evaluate`` call: the
     model's own tables, uncopied, and the row of each slot."""
 
@@ -99,6 +100,66 @@ class TestBatchedConditionals:
             model.evaluate((2, token), (1,))
         # only the last order tokens are read
         assert model.evaluate((token, 2), (1,)).idx == model.evaluate((2,), (1,)).idx
+
+
+class TestContextRule:
+    """``context_code`` is the one rule from a prefix to a table row: the
+    last ``order`` tokens as base-(V+1) digits, each in [0, V).  PAD is
+    accepted only by ``conditional``, as the left padding of the contexts
+    ``markov_contexts`` writes."""
+
+    SHAPES = [(order, vocab) for order in (1, 2, 3) for vocab in range(2, 6)]
+
+    @staticmethod
+    def digits_code(symbols, vocab_size):
+        # each symbol as one base-(V+1) digit, PAD as 0 and token v as v + 1
+        code = 0
+        for sym in symbols:
+            code = code * (vocab_size + 1) + sym + 1
+        return code
+
+    @staticmethod
+    def model(order, vocab_size):
+        return random_markov(order, vocab_size, 0.5, np.random.default_rng([order, vocab_size]))
+
+    @pytest.mark.parametrize("order, vocab", SHAPES)
+    def test_codes_read_each_context_as_digits(self, order, vocab):
+        codes = context_codes(order, vocab)
+        assert codes.dtype == np.intp
+        assert codes.tolist() == [
+            self.digits_code(ctx, vocab) for ctx in markov_contexts(order, vocab)
+        ]
+
+    @pytest.mark.parametrize("order, vocab", SHAPES)
+    def test_conditional_of_each_context_is_its_row(self, order, vocab):
+        model = self.model(order, vocab)
+        codes = context_codes(order, vocab)
+        for ctx, code in zip(markov_contexts(order, vocab), codes, strict=True):
+            assert np.array_equal(model.conditional(ctx).probs, model.rows[code])
+
+    @pytest.mark.parametrize("order, vocab", SHAPES)
+    def test_evaluate_reads_the_prefix_by_context_code(self, order, vocab):
+        model = self.model(order, vocab)
+        for length in range(order + 2):
+            for prefix in itertools.product(range(vocab), repeat=length):
+                code = model.context_code(prefix)
+                assert code == self.digits_code(prefix[-order:], vocab)
+                assert model.evaluate(prefix, (0,)).idx[0] == code
+
+    @pytest.mark.parametrize(
+        "order, prefix, token", [(1, (-3,), -3), (1, (9,), 9), (2, (1, PAD), PAD)]
+    )
+    def test_a_token_outside_the_vocabulary_is_named(self, order, prefix, token):
+        # unchecked, (-3,) read the row of token 2, (9,) a row past the
+        # table and (1, PAD) a zero row no context reaches
+        model = self.model(order, 4)
+        message = rf"prefix token {token} is outside \[0, 4\)"
+        with pytest.raises(ValueError, match=message):
+            model.context_code(prefix)
+        with pytest.raises(ValueError, match=message):
+            model.conditional(prefix)
+        with pytest.raises(ValueError, match=message):
+            model.evaluate(prefix, (0,))
 
 
 class TestAncestralSample:
