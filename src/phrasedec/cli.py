@@ -8,10 +8,11 @@ The config file is a flat key=value text file whose keys mirror
 ExperimentConfig.  Bad input (unreadable files, malformed models, libraries,
 corpora or configs) ends with one ``phrasedec: error: ...`` line on stderr
 and exit status 1, before the generator draws if a planted setting or
-corpus size is bad; bad arguments (a grid token that is not a number among
-them) exit with argparse's status 2.  An arithmetic fault inside the
-verifier (``DegenerateResidual``) ends with one ``phrasedec: internal
-error: ...`` line and exit status 1.
+corpus size is bad; bad arguments (a grid token that is not a number, or a
+global flag the verb does not read) exit with argparse's status 2 before
+anything is written.  An arithmetic fault inside the verifier
+(``DegenerateResidual``) ends with one ``phrasedec: internal error: ...``
+line and exit status 1.
 """
 
 from __future__ import annotations
@@ -84,10 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-merges", help="merge-iteration ablation")
     p.add_argument("--merge-grid", type=lambda t: _comma_list(t, int), default="256,1024,2048")
 
-    # a flag left out is absent from the namespace, so theory_check's default holds
-    p = sub.add_parser(
-        "theory-check", help="acceptance-rate oracle report", argument_default=argparse.SUPPRESS
-    )
+    p = sub.add_parser("theory-check", help="acceptance-rate oracle report")
     p.add_argument("--trials", type=non_negative_int)
     p.add_argument("--v-max", type=int)
     p.add_argument("--l-max", type=int)
@@ -98,6 +96,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-out", default=None)
 
     return parser
+
+
+# the global flags each verb reads; another one given before the verb is a
+# bad argument, not silently dropped
+_GLOBALS_READ = {
+    "build-library": (),
+    "decode": ("seed",),
+    "bench": ("seed", "config", "out_dir"),
+    "sweep-tau": ("seed", "config", "out_dir"),
+    "sweep-merges": ("seed", "config", "out_dir"),
+    "theory-check": ("seed", "out_dir"),
+    "gen-model": ("seed", "config"),
+}
+_GLOBAL_FLAGS = {"seed": "--seed", "config": "--config", "out_dir": "--out"}
 
 
 def _experiment_config(args) -> harness.ExperimentConfig:
@@ -114,7 +126,11 @@ def _experiment_config(args) -> harness.ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for dest, flag in _GLOBAL_FLAGS.items():
+        if getattr(args, dest) is not None and dest not in _GLOBALS_READ[args.command]:
+            parser.error(f"{args.command} does not read the global flag {flag}")
     try:
         return _run(args)
     except (OSError, ValueError, NonTermination) as exc:
@@ -192,7 +208,7 @@ def _run(args) -> int:
 
     if args.command == "theory-check":
         given = ("trials", "v_max", "l_max", "min_inequality_trials", "seed")
-        kwargs = {k: getattr(args, k) for k in given if getattr(args, k, None) is not None}
+        kwargs = {k: getattr(args, k) for k in given if getattr(args, k) is not None}
         report = harness.theory_check(**kwargs)
         if args.out_dir:
             print(f"wrote {harness.write_json(report, args.out_dir, 'theory_check.json')}")

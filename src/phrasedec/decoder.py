@@ -133,14 +133,19 @@ def phrase_acceptance_score(
 ) -> float:
     """Joint log acceptance score of the phrase placed at slot t: the sum over
     its tokens v_k of log p/q, with p = probs[codes[t + k], v_k] and
-    q = probs[drafter[t + k], v_k], read in place.  Raises ValueError for a
+    q = probs[drafter[t + k], v_k], read in place, floored at LOG_FLOOR.  A
+    token with p = 0 floors the whole phrase, whatever the other ratios; a
+    token with q = 0 raises DrafterZeroProb first.  Raises ValueError for a
     phrase that does not fit the window at slot t."""
     if not 0 <= t <= min(len(codes), len(drafter)) - len(phrase):
         raise ValueError(f"a phrase of {len(phrase)} tokens at slot {t} runs past the window")
     score = 0.0
+    impossible = False
     for j, v in enumerate(phrase.tokens, t):
-        score += log_ratio(probs.item(codes[j], v), probs.item(drafter[j], v))
-    return max(score, LOG_FLOOR)
+        pv = probs.item(codes[j], v)
+        impossible |= pv == 0.0
+        score += log_ratio(pv, probs.item(drafter[j], v))
+    return LOG_FLOOR if impossible else max(score, LOG_FLOOR)
 
 
 def verify_phrase(score: float, rng: np.random.Generator) -> bool:

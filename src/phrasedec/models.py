@@ -236,8 +236,9 @@ def random_markov(
 ) -> MarkovModel:
     """Random Markov model with symmetric-Dirichlet transition rows, drawn
     in ``markov_contexts`` order by one ``dirichlet`` call."""
-    if concentration <= 0:
-        raise ValueError("concentration must be positive")
+    # the config's rule, checked before any draw (NaN fails both comparisons)
+    if not 0.0 < concentration < np.inf:
+        raise ValueError("concentration must be finite and > 0")
     rows = rng.dirichlet(np.full(vocab_size, concentration), size=context_count(order, vocab_size))
     return MarkovModel(order, vocab_size, normalize_rows(rows))
 

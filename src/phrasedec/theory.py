@@ -28,27 +28,30 @@ class EnumerationTooLarge(ValueError):
     """V^L exceeds the exact-enumeration guard."""
 
 
-def alpha(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
-    """Expected acceptance rate E_{x~q}[min(1, p(x)/q(x))].
-
-    Terms with q(x) = 0 contribute nothing.
-    """
-    if p.vocab_size != q.vocab_size:
-        raise ValueError("p and q must share a vocabulary size")
-    mask = q.probs > 0
-    ratios = np.minimum(1.0, p.probs[mask] / q.probs[mask])
-    return float(np.dot(q.probs[mask], ratios))
+def _rate(p: np.ndarray, q: np.ndarray) -> float:
+    """E_{x~q}[min(1, p(x)/q(x))] over arrays of one shape; q(x) = 0 adds 0."""
+    mask = q > 0
+    return float(np.dot(q[mask], np.minimum(1.0, p[mask] / q[mask])))
 
 
 def _check_pairs(p_list, q_list) -> None:
+    """Raise ValueError unless the lists are non-empty, equally long and pairwise one size."""
     if len(p_list) != len(q_list) or not p_list:
         raise ValueError("p_list and q_list must be non-empty and equal length")
+    for i, (p, q) in enumerate(zip(p_list, q_list)):
+        if p.vocab_size != q.vocab_size:
+            raise ValueError(f"position {i}: p and q must share a vocabulary size")
+
+
+def alpha(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
+    """Expected acceptance rate E_{x~q}[min(1, p(x)/q(x))]."""
+    return alpha_seq([p], [q])
 
 
 def alpha_seq(p_list, q_list) -> float:
     """Token-wise sequence acceptance rate: the product of per-position rates."""
     _check_pairs(p_list, q_list)
-    return float(np.prod([alpha(p, q) for p, q in zip(p_list, q_list)]))
+    return float(np.prod([_rate(p.probs, q.probs) for p, q in zip(p_list, q_list)]))
 
 
 def _joint(dists) -> np.ndarray:
@@ -62,11 +65,7 @@ def alpha_phr_exact(p_list, q_list) -> float:
     outcomes = math.prod(d.vocab_size for d in q_list)
     if outcomes > ENUMERATION_LIMIT:
         raise EnumerationTooLarge(f"{outcomes} joint outcomes exceed the guard")
-    joint_q = _joint(q_list)
-    joint_p = _joint(p_list)
-    mask = joint_q > 0
-    ratios = np.minimum(1.0, joint_p[mask] / joint_q[mask])
-    return float(np.dot(joint_q[mask], ratios))
+    return _rate(_joint(p_list), _joint(q_list))
 
 
 def alpha_phr_mc(

@@ -290,6 +290,41 @@ def test_a_grid_value_out_of_range_is_a_bad_config(tmp_path, capsys, verb, messa
     assert not out_dir.exists()
 
 
+DECODE = ["decode", "--model", "model.psdm", "--length", "8"]
+BUILD = ["build-library", "--corpus", "corpus.txt", "--out", "lib.psdl"]
+
+
+@pytest.mark.parametrize(
+    "flag, verb",
+    [
+        (["--config", "run.cfg"], DECODE),
+        (["--out", "out"], DECODE),
+        (["--seed", "5"], BUILD),
+        (["--config", "run.cfg"], BUILD),
+        (["--out", "out"], BUILD),
+        (["--out", "out"], ["gen-model", "--model-out", "model.psdm"]),
+        (["--config", "run.cfg"], ["theory-check", "--trials", "5"]),
+    ],
+    ids=[
+        "decode_config", "decode_out", "build_seed", "build_config", "build_out",
+        "gen_model_out", "theory_config",
+    ],
+)
+def test_a_global_flag_the_verb_does_not_read_is_a_bad_argument(
+    tmp_path, capsys, monkeypatch, flag, verb
+):
+    # each used to be dropped silently: the verb ran and exited 0
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*flag, *verb])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: ") == 1
+    assert captured.err.endswith(f": error: {verb[0]} does not read the global flag {flag[0]}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_left_out_flags_keep_the_owners_defaults(monkeypatch):
     # theory-check passes only the flags it was given
     calls = []

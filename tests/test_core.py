@@ -80,11 +80,18 @@ class TestCategoricalDistribution:
                 "probabilities sum to 0.0, not 1",
                 marks=pytest.mark.filterwarnings("ignore:overflow"),
             ),
+            (normalize, [[1.0]], "weights must be a non-empty 1-D vector"),
+            (normalize, [], "weights must be a non-empty 1-D vector"),
         ],
     )
     def test_every_bad_row_is_an_invalid_weight(self, build, row, message):
         with pytest.raises(InvalidWeight, match=message):
             build(row)
+
+    @pytest.mark.parametrize("probs", [[], [[1.0]]], ids=["empty", "two_d"])
+    def test_not_a_vector(self, probs):
+        with pytest.raises(ValueError, match="probs must be a non-empty 1-D vector"):
+            CategoricalDistribution(probs)
 
     def test_immutable(self):
         d = CategoricalDistribution([0.5, 0.5])

@@ -134,10 +134,28 @@ class TestPhraseScore:
         # probability is effectively zero
         assert math.exp(score) <= 5e-324
 
+    @pytest.mark.parametrize("q", [1e-320, 0.05], ids=["tiny_drafter", "ordinary_drafter"])
+    def test_impossible_token_floors_the_whole_phrase(self, q):
+        # slot 0's token has p = 0; slots 1-2 have ratio 0.5 / q, which once
+        # lifted the floored sum back up (to 726.3 with q = 1e-320, an
+        # accept without a draw, and to -741.4 with q = 0.05, whose exp is
+        # positive, so a uniform of 0.0 accepted it)
+        probs = np.array([dist([0.0, 1.0]), dist([0.5, 0.5]), dist([q, 1.0 - q])])
+        score = phrase_acceptance_score(probs, 0, [0, 1, 1], [1, 2, 2], Phrase((0, 0, 0), 1, 1))
+        assert score == LOG_FLOOR
+        assert not verify_phrase(score, FixedRng(0.0))
+
     def test_drafter_zero_propagates(self):
         probs = np.array([dist([0.5, 0.5]), dist([1.0, 0.0])])
         with pytest.raises(DrafterZeroProb):
             phrase_acceptance_score(probs, 0, [0], [1], Phrase((1,), 1, 1))
+
+    def test_drafter_zero_outranks_an_impossible_token(self):
+        # p = 0 at slot 0 and q = 0 at slot 1: every drafter probability is
+        # read, so the phrase is non-verifiable rather than floored
+        probs = np.array([dist([0.0, 1.0]), dist([0.5, 0.5]), dist([1.0, 0.0])])
+        with pytest.raises(DrafterZeroProb):
+            phrase_acceptance_score(probs, 0, [0, 1], [1, 2], Phrase((0, 1), 1, 1))
 
     @pytest.mark.parametrize("t, tokens", [(2, (0, 1)), (0, (0, 1, 0, 1)), (-1, (0,))])
     def test_phrase_past_the_window_rejected(self, t, tokens):
@@ -941,6 +959,15 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 VerifyConfig(max_phrase_len=bad)
         assert VerifyConfig(max_phrase_len=2).max_phrase_len == 2
+
+    @pytest.mark.parametrize("total_len", [0, -4])
+    def test_nothing_to_decode_rejected_before_any_draw(self, total_len):
+        model = random_markov(1, 3, 0.5, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="total_len must be >= 1"):
+            decode(model, None, VerifyConfig(), total_len, rng)
+        assert rng.bit_generator.state == state
 
     def test_window_invariant(self):
         # the begin row puts no mass on token 0, so a window drafting 0 there

@@ -233,6 +233,17 @@ class TestSweeps:
         assert [row["mean_nfe"] for row in rows] == [2.0, 2.0]
         assert sampled == []  # no reference sequence is drawn
 
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            (run_tau_sweep, "tau grid must be non-empty"),
+            (run_merge_sweep, "merge grid must be non-empty"),
+        ],
+    )
+    def test_empty_grid_rejected(self, sweep, message):
+        with pytest.raises(ConfigInvalid, match=message):
+            sweep(small_cfg(decodes=1), [])
+
     def test_tau_grid_must_ascend(self):
         with pytest.raises(ConfigInvalid):
             run_tau_sweep(small_cfg(), [0.02, 0.01])
@@ -453,6 +464,10 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match=r"repeat\.cfg:3: key 'seed' repeats line 1$"):
             load_config_file(path)
 
+    def test_none_keeps_the_default(self):
+        assert config_from_mapping({"seed": None}) == ExperimentConfig()
+        assert config_from_mapping({"seed": None, "tau": "0.05"}).seed == ExperimentConfig.seed
+
     def test_empty_mode_list(self):
         with pytest.raises(ConfigInvalid, match="at least one decode mode is required"):
             config_from_mapping({"modes": ""})
@@ -471,6 +486,10 @@ class TestMarginalTv:
 
     def test_disjoint_sets(self):
         assert np.all(marginal_tv([(0, 0)], [(1, 1)], 2) == 1.0)
+
+    def test_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="sequence sets must share a common length"):
+            marginal_tv([(0, 1)], [(0, 1, 1)], 2)
 
 
 class TestTheoryCheck:

@@ -130,6 +130,11 @@ def test_zero_merges_is_the_empty_library():
         build_library([[1, 2, 1, 2]], -1)
 
 
+def test_phrases_shorter_than_two_tokens_rejected():
+    with pytest.raises(ValueError, match="max_phrase_len must be >= 2"):
+        build_library([[1, 2, 1, 2]], 8, max_phrase_len=1)
+
+
 @pytest.mark.parametrize(
     "corpus",
     [

@@ -49,6 +49,15 @@ class TestConditional:
         with pytest.raises(ValueError):
             MarkovModel(1, 2, [normalize([1, 1]).probs])
 
+    @pytest.mark.parametrize(
+        "order, vocab, message",
+        [(0, 2, "order must be >= 1"), (1, 1, "vocab_size must be >= 2")],
+    )
+    def test_impossible_shape_rejected(self, order, vocab, message):
+        rows = np.full(((vocab + 1) ** order, vocab), 1.0 / vocab)
+        with pytest.raises(ValueError, match=message):
+            MarkovModel(order, vocab, rows)
+
     def test_bad_row_is_named(self):
         rows = [[0.5, 0.5], [0.9, 0.1], [0.7, 0.2]]
         with pytest.raises(InvalidWeight, match="transition probabilities: row 2 sums to 0.8"):
@@ -166,6 +175,13 @@ class TestAncestralSample:
     def test_zero_length(self, two_state):
         assert ancestral_sample(two_state, 0, np.random.default_rng(0)) == ()
 
+    def test_negative_length_rejected_before_any_draw(self, two_state):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            ancestral_sample(two_state, -1, rng)
+        assert rng.bit_generator.state == state
+
     def test_deterministic_chain(self):
         model = order1_model({0: [0, 1], 1: [1, 0]}, begin=[1, 0])
         assert ancestral_sample(model, 5, np.random.default_rng(0)) == (0, 1, 0, 1, 0)
@@ -272,6 +288,16 @@ class TestRandomMarkov:
         model = random_markov(1, 4, 1e4, np.random.default_rng(3))
         for ctx in markov_contexts(1, 4):
             assert np.all(np.abs(model.conditional(ctx).probs - 0.25) < 0.05)
+
+    @pytest.mark.parametrize("concentration", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_concentration_rejected_before_any_draw(self, concentration):
+        # the config's rule; a NaN or infinite one used to draw every row and
+        # then fail the table's check
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="concentration must be finite and > 0"):
+            random_markov(1, 3, concentration, rng)
+        assert rng.bit_generator.state == state
 
     def test_seed_reproducible(self):
         a = random_markov(2, 3, 0.5, np.random.default_rng(9))

@@ -88,6 +88,59 @@ class TestAlphaPhrMc:
             assert 0.0 <= est <= 1.0
 
 
+TWO = CategoricalDistribution([0.5, 0.5])
+THREE = CategoricalDistribution([0.2, 0.3, 0.5])
+
+
+def _mc(p_list, q_list, rng):
+    return alpha_phr_mc(p_list, q_list, 100, rng)
+
+
+class TestPairCheck:
+    """One input rule for every oracle, checked before any draw."""
+
+    LIST_ORACLES = [
+        lambda p, q, rng: alpha_seq(p, q),
+        lambda p, q, rng: alpha_phr_exact(p, q),
+        _mc,
+    ]
+    IDS = ["alpha_seq", "alpha_phr_exact", "alpha_phr_mc"]
+
+    @pytest.mark.parametrize("oracle", LIST_ORACLES, ids=IDS)
+    def test_positions_of_different_sizes_rejected(self, oracle):
+        # vocabularies (2, 3) against (3, 2): the joint laws have one size,
+        # so this used to return 0.68 from alpha_phr_exact and raise a bare
+        # IndexError from alpha_phr_mc
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="position 0: p and q must share a vocabulary size"):
+            oracle([TWO, THREE], [THREE, TWO], rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("oracle", LIST_ORACLES, ids=IDS)
+    @pytest.mark.parametrize(
+        "p_list, q_list", [([], []), ([P], [Q, Q]), ([P, P], [Q])], ids=["empty", "short", "long"]
+    )
+    def test_empty_or_unequal_lists_rejected(self, oracle, p_list, q_list):
+        with pytest.raises(ValueError, match="non-empty and equal length"):
+            oracle(p_list, q_list, np.random.default_rng(0))
+
+    def test_alpha_rejects_different_sizes(self):
+        with pytest.raises(ValueError, match="must share a vocabulary size"):
+            alpha(TWO, THREE)
+
+    def test_later_position_is_named(self):
+        with pytest.raises(ValueError, match="position 1: "):
+            alpha_phr_exact([P, TWO], [Q, THREE])
+
+    def test_mc_needs_a_sample(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            alpha_phr_mc([P], [Q], 0, rng)
+        assert rng.bit_generator.state == state
+
+
 class TestMinInequality:
     def test_single_ratio(self):
         res = min_inequality_check([1.96])
@@ -106,6 +159,10 @@ class TestMinInequality:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             min_inequality_check([1.0, -0.1])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="ratios must be non-empty"):
+            min_inequality_check([])
 
     @given(
         st.lists(
@@ -139,6 +196,14 @@ class TestProposition1:
         state = rng.bit_generator.state
         with pytest.raises(EnumerationTooLarge, match=f"v_max={v_max}, l_max={l_max}"):
             proposition1_sweep(50, v_max, l_max, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("v_max, l_max", [(1, 3), (8, 0)])
+    def test_degenerate_grid_rejected(self, v_max, l_max):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="need v_max >= 2 and l_max >= 1"):
+            proposition1_sweep(5, v_max, l_max, rng)
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("v_max, l_max", [(10, 7), (2, 23), (3162, 2)])
