@@ -114,7 +114,7 @@ _GLOBAL_FLAGS = {"seed": "--seed", "config": "--config", "out_dir": "--out"}
 
 def _experiment_config(args) -> harness.ExperimentConfig:
     mapping: dict = {}
-    if args.config:
+    if args.config is not None:
         mapping.update(harness.load_config_file(args.config))
     if args.seed is not None:
         mapping["seed"] = args.seed

@@ -1,9 +1,10 @@
 """Shared primitives: token ids, categorical distributions, log-space helpers.
 
 Validated ``CategoricalDistribution`` objects are the type at file and API
-boundaries; the decoder's hot loop works on raw float64 rows through
-``draw``, ``sample`` and ``log_ratio``.  Log-ratio arithmetic is floored at
-``LOG_FLOOR`` so that "impossible" outcomes stay representable without NaNs.
+boundaries; the decoder's hot loop works on raw float64 rows, the
+uniform-space draw tables of ``breakpoints`` (read by ``locate``) and
+``log_ratio``.  Log-ratio arithmetic is floored at ``LOG_FLOOR`` so that
+"impossible" outcomes stay representable without NaNs.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class CategoricalDistribution:
     def __init__(self, probs) -> None:
         arr = np.ascontiguousarray(probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("probs must be a non-empty 1-D vector")
+            raise InvalidWeight("probs must be a non-empty 1-D vector")
         _check_rows(arr, "probabilities")
         arr.setflags(write=False)
         self.probs = arr
@@ -135,33 +136,66 @@ def log_ratio(pv: float, qv: float) -> float:
     return max(math.log(pv) - math.log(qv), LOG_FLOOR)
 
 
-def sample(probs: np.ndarray, rng: np.random.Generator) -> int | np.ndarray:
-    """Inverse-CDF draw of one token from a row ``probs`` of shape ``(V,)``,
-    or one per row of a ``(W, V)`` batch; rows must be non-negative.  See
-    ``draw``."""
-    return draw(probs.cumsum(axis=-1), rng)
+def sample(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of one token from a non-negative row ``probs`` of
+    shape ``(V,)``.  See ``draw``."""
+    return draw(probs.cumsum(), rng)
 
 
-def draw(cdf: np.ndarray, rng: np.random.Generator) -> int | np.ndarray:
-    """Inverse-CDF draw of one token from a cumulative row ``cdf`` of shape
-    ``(V,)``, or one per row of a ``(W, V)`` batch (each row non-decreasing).
+def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of one token, a Python int, from a non-decreasing
+    cumulative row ``cdf`` of shape ``(V,)``, consuming one uniform u: the
+    token is ``min(#{v : cdf[v] <= u * cdf[-1]}, V - 1)``.
 
-    Each row consumes one uniform, in row order, so a ``(W, V)`` batch leaves
-    the generator exactly where W one-row draws would.  The draw is
-    ``min(#{v : cdf[v] <= u * cdf[-1]}, V - 1)``.  A row returns a Python
-    int, a batch an integer array.
+    The model's tables apply this rule in uniform space instead: a row of
+    ``breakpoints`` holds the least u that counts each token, so the count
+    of its entries <= u is the same token, with no multiply, because
+    fl(u * T) is monotone in u; its +inf last column is the clamp.
     """
-    if cdf.ndim == 1:
-        # a binary search of the sorted cdf counts the entries <= u * total
-        return min(int(cdf.searchsorted(rng.random() * cdf[-1], "right")), len(cdf) - 1)
-    return pick(cdf, rng.random(len(cdf)))
+    # a binary search of the sorted cdf counts the entries <= u * total
+    return min(int(cdf.searchsorted(rng.random() * cdf[-1], "right")), len(cdf) - 1)
 
 
-def pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``draw``'s rule on a ``(W, V)`` batch of cumulative rows, row j
-    taking the given uniform ``u[j]``; returns an integer array."""
-    above = cdf > (u * cdf[:, -1])[:, None]
-    # cdf is sorted, so the first True is the count of entries <= u * total;
-    # forcing the last entry clamps a u that rounds up to the total to V - 1
-    above[:, -1] = True
-    return above.argmax(axis=1)
+def breakpoints(cdf: np.ndarray) -> np.ndarray:
+    """``draw``'s rule in uniform space, for a ``(..., V)`` array of
+    non-decreasing cumulative rows whose totals T = ``cdf[..., -1]`` are 0 or
+    in [0.5, 2], as those of probability rows are.
+
+    Entry v of a row is the least double u >= 0 at which the rule counts
+    token v, that is at which ``cdf[v] <= u * T`` in floating point, and the
+    last entry is +inf.  Rounding is monotone, so u -> fl(u * T) is
+    non-decreasing and the u that count token v are exactly those >= entry
+    v.  Hence, for every double u >= 0, 1.0 included,
+    ``#{v : breaks[v] <= u} == min(#{v : cdf[v] <= u * T}, V - 1)``: the
+    same uniform draws the same token with no multiply, and the +inf column
+    is the clamp to V - 1.  Each row is non-decreasing; a row with T = 0 is
+    0 up to its last entry, so it always draws V - 1, as ``draw`` does.
+    Another total raises ValueError.
+    """
+    total = cdf[..., -1:]
+    if not np.all((total == 0.0) | ((0.5 <= total) & (total <= 2.0))):
+        raise ValueError("cumulative rows must total 0 or lie in [0.5, 2]")
+    breaks = np.divide(cdf, total, out=np.zeros_like(cdf), where=total > 0.0)
+    # with T in [0.5, 2] an ulp of the product spans at most a few ulps of
+    # u, so the guess cdf / T lies a few ulps from the least such u: step
+    # each entry an ulp at a time until every entry meets that definition
+    product = np.empty_like(cdf)
+    while True:
+        low = np.multiply(breaks, total, out=product) < cdf
+        np.nextafter(breaks, 0.0, out=product)
+        high = np.multiply(product, total, out=product) >= cdf
+        high &= breaks > 0.0
+        if not (low.any() or high.any()):
+            break
+        np.copyto(breaks, np.nextafter(breaks, 0.0), where=high)
+        np.copyto(breaks, np.nextafter(breaks, np.inf), where=low)
+    breaks[..., -1] = np.inf
+    return breaks
+
+
+def locate(breaks: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The token row j of the ``(W, V)`` table ``breaks`` (see
+    ``breakpoints``) draws for the uniform ``u[j]``, as an integer array:
+    the count of entries <= u[j], which is the first entry above it, since
+    rows are sorted and end with +inf."""
+    return (breaks > u[:, None]).argmax(axis=1)

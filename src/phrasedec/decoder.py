@@ -31,9 +31,8 @@ from .core import (
     DrafterZeroProb,
     TokenId,
     TokenSequence,
-    draw,
+    locate,
     log_ratio,
-    sample,
 )
 from .models import MarkovModel, Rows
 from .phrase_lib import DEFAULT_MAX_PHRASE_LEN, Phrase, PhraseLibrary
@@ -164,33 +163,38 @@ def verify_token(
     residual normalize(max(0, p - q)).
 
     The accept test reads two scalars; only a rejection builds a row, the
-    residual, in one new buffer, so p and q may be rows of the model table."""
+    residual, in one new buffer, so p and q may be rows of the model table.
+    The residual is drawn in that buffer by ``core.sample``'s rule: its
+    cumulative sum, then one binary search for u times its total."""
     qd = q.item(drafted)
     if qd == 0.0:
         raise DrafterZeroProb(f"drafted token {drafted} has zero drafter probability")
     if rng.random() < p.item(drafted) / qd:
         return True, drafted
-    residual = p - q
+    residual = np.subtract(p, q)
     np.maximum(residual, 0.0, out=residual)
-    total = float(residual.sum())
+    total = float(np.add.reduce(residual))
     if total == 0.0:
         raise DegenerateResidual("rejection with p == q; arithmetic fault")
     if abs(total - 1.0) > PROB_SUM_TOL:
         residual /= total
-    return False, sample(residual, rng)
+    # the cumulative sum in place: np.cumsum's wrapper with out= costs more
+    cdf = np.add.accumulate(residual, out=residual)
+    return False, min(int(cdf.searchsorted(rng.random() * cdf[-1], "right")), len(cdf) - 1)
 
 
 def _draft(rows: Rows, codes: list[int], greedy: bool, rng: np.random.Generator) -> JacobiWindow:
     """A window drafted from the given rows of an ``evaluate`` call's
-    tables: each row's argmax in greedy mode, else one inverse-CDF draw over
-    the gathered ``cdf`` rows.  Either rule picks a token of positive
-    probability under its row (a draw lands where the row's ``cdf`` rises),
-    so the window is a ``_DrawnWindow`` of the table ``rows.probs``."""
+    tables: each row's argmax in greedy mode, else one draw per row, one
+    uniform per slot in slot order, located in the gathered ``breaks`` rows.
+    Either rule picks a token of positive probability under its row (a draw
+    lands where the row's cumulative sum rises), so the window is a
+    ``_DrawnWindow`` of the table ``rows.probs``."""
     if greedy:
         argmax = rows.argmax  # one field read, not one per slot
         drafts = tuple([argmax[c] for c in codes])
     else:
-        drafts = tuple(draw(rows.cdf.take(codes, axis=0), rng).tolist())
+        drafts = tuple(locate(rows.breaks.take(codes, axis=0), rng.random(len(codes))).tolist())
     window = _DrawnWindow(drafts, tuple(codes))
     window.table = rows.probs
     return window
@@ -335,7 +339,7 @@ def verify_window(
             emitted = rows.argmax[idx[t]]
             accepted = emitted == drafted
         elif fresh_draw:
-            emitted = draw(rows.cdf[idx[t]], rng)
+            emitted = int(rows.breaks[idx[t]].searchsorted(rng.random(), "right"))
             accepted = emitted == drafted
         else:
             accepted, emitted = verify_token(probs[idx[t]], probs[drafter[t]], drafted, rng)

@@ -9,6 +9,13 @@ its cost does not depend on prefix length; nor does ``ancestral_sample``'s.
 ``ancestral_corpus`` draws many independent samples in lockstep, one row
 gather per position, and ``exact_marginals`` gives the exact law of each
 position with no draw.
+
+Every draw from a model compares a raw uniform u with a row of its
+``breaks`` table (``core.breakpoints``), with no multiply and no clamp: the
+token is the count of the row's entries <= u.  That is ``core.draw``'s
+inverse-CDF rule ``min(#{v : cdf[v] <= u * T}, V - 1)`` on the row's
+cumulative sum, exactly, since fl(u * T) is monotone in u; the +inf last
+column is the clamp.
 """
 
 from __future__ import annotations
@@ -24,8 +31,9 @@ from .core import (
     CategoricalDistribution,
     TokenSequence,
     _check_rows,
+    breakpoints,
+    locate,
     normalize_rows,
-    pick,
 )
 
 # begin-of-sequence padding context symbol; deliberately outside [0, V) so the
@@ -70,12 +78,12 @@ def context_codes(order: int, vocab_size: int) -> np.ndarray:
 
 class Rows(NamedTuple):
     """What one ``MarkovModel.evaluate`` call computed: the model's tables,
-    read-only and not copied (the conditionals ``probs``, their cumulative
-    sums ``cdf`` and the most likely token ``argmax`` of each row), and
-    ``idx[j]``, the row of window slot j."""
+    read-only and not copied (the conditionals ``probs``, their uniform-space
+    draw table ``breaks`` and the most likely token ``argmax`` of each row),
+    and ``idx[j]``, the row of window slot j."""
 
     probs: np.ndarray
-    cdf: np.ndarray
+    breaks: np.ndarray
     argmax: tuple[int, ...]
     idx: list[int]
 
@@ -90,9 +98,12 @@ class MarkovModel:
     constructor takes the reachable rows stacked in ``markov_contexts``
     order, the layout of the PSDM file, and validates them once.
 
-    Every draw from the model reads ``cdf = rows.cumsum(axis=1)``, built
-    once and read-only, with ``core.draw``'s rule; greedy decoding reads
-    ``argmax``, the most likely token after each code.
+    Every draw from the model reads ``breaks``, built once from
+    ``rows.cumsum(axis=1)`` by ``core.breakpoints`` and read-only: row c
+    draws for a uniform u the count of its entries <= u, the token
+    ``core.draw`` draws from u on the cumulative row, since fl(u * T) is
+    monotone in u; its +inf last column is the clamp to V - 1.  Greedy
+    decoding reads ``argmax``, the most likely token after each code.
     """
 
     def __init__(self, order: int, vocab_size: int, context_rows) -> None:
@@ -111,12 +122,12 @@ class MarkovModel:
         rows = np.zeros(((vocab_size + 1) ** order, vocab_size))
         rows[context_codes(order, vocab_size)] = stack
         rows.setflags(write=False)
-        cdf = rows.cumsum(axis=1)
-        cdf.setflags(write=False)
+        breaks = breakpoints(rows.cumsum(axis=1))
+        breaks.setflags(write=False)
         self.order = order
         self.vocab_size = vocab_size
         self.rows = rows
-        self.cdf = cdf
+        self.breaks = breaks
         self.argmax = tuple(rows.argmax(axis=1).tolist())
 
     def context_code(self, prefix: TokenSequence) -> int:
@@ -142,7 +153,7 @@ class MarkovModel:
             code = (code * base + tok + 1) % contexts
             idx.append(code)
         # Rows(...) without its Python-level __new__, once per NFE
-        return tuple.__new__(Rows, (self.rows, self.cdf, self.argmax, idx))
+        return tuple.__new__(Rows, (self.rows, self.breaks, self.argmax, idx))
 
     def conditional(self, prefix: TokenSequence) -> CategoricalDistribution:
         """The conditional after prefix: ``context_code`` of prefix without the
@@ -157,25 +168,21 @@ def ancestral_sample(
     """Sample a sequence from the exact joint via the chain rule.
 
     All uniforms come from one ``rng.random(length)`` call, the stream of
-    ``length`` one-row draws.  Each token is ``core.draw``'s rule on its
-    context's ``cdf`` row: a binary search of the flat table between the
-    row's bounds for ``u`` times the row total, clamped to ``V - 1``.  The
-    loop does only that rule's work per token: one ``bisect_right`` call, a
-    comparison for the clamp, the append and the context-code update.
+    ``length`` one-row draws.  Each token is the count of its context's
+    ``breaks`` entries <= u: a binary search of the flat table between the
+    row's bounds.  The loop does only that per token: one ``bisect_right``
+    call, the append and the context-code update.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     V, base, contexts = model.vocab_size, model.vocab_size + 1, model.rows.shape[0]
-    top = V - 1
-    cdf = memoryview(model.cdf.reshape(-1))
+    breaks = memoryview(model.breaks.reshape(-1))
     out: list[int] = []
     append = out.append
     code = 0
     for u in rng.random(length).tolist():
         lo = code * V
-        tok = bisect_right(cdf, u * cdf[lo + top], lo, lo + V) - lo
-        if tok > top:
-            tok = top
+        tok = bisect_right(breaks, u, lo, lo + V) - lo
         append(tok)
         code = (code * base + tok + 1) % contexts
     return tuple(out)
@@ -190,8 +197,8 @@ def ancestral_corpus(
     All uniforms come from one ``rng.random((sequences, length))`` call, the
     stream of ``sequences`` calls of ``ancestral_sample``, so the tokens and
     the generator's final state are theirs too.  Each position gathers the
-    ``cdf`` rows of every sequence's context at once and applies
-    ``core.pick`` to them.
+    ``breaks`` rows of every sequence's context at once and applies
+    ``core.locate`` to them.
     """
     if sequences < 0 or length < 0:
         raise ValueError("sequences and length must be >= 0")
@@ -200,7 +207,7 @@ def ancestral_corpus(
     out = np.empty((sequences, length), dtype=np.intp)
     codes = np.zeros(sequences, dtype=np.intp)
     for t in range(length):
-        tok = pick(model.cdf.take(codes, axis=0), u[:, t])
+        tok = locate(model.breaks.take(codes, axis=0), u[:, t])
         out[:, t] = tok
         codes = (codes * base + tok + 1) % contexts
     return [tuple(seq) for seq in out.tolist()]

@@ -438,6 +438,23 @@ def test_bench_rejects_a_repeated_key_or_an_empty_mode_list(
 
 
 @pytest.mark.parametrize(
+    "verb",
+    [["bench"], ["sweep-tau", "--taus", "0.01"], ["gen-model", "--model-out", "m.psdm",
+                                                  "--corpus-out", "c.txt"]],
+    ids=["bench", "sweep-tau", "gen-model"],
+)
+def test_an_empty_config_path_is_an_unreadable_file(tmp_path, monkeypatch, capsys, verb):
+    # it used to be dropped: the verb ran, and wrote, the default config
+    monkeypatch.chdir(tmp_path)
+    out = [] if verb[0] == "gen-model" else ["--out", "out"]
+    rc = main(["--seed", "0", "--config", "", *out, *verb])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phrasedec: error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "settings",
     [
         "planted=false\norder=4\nvocab_size=2000\n",

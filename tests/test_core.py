@@ -11,8 +11,11 @@ from phrasedec.core import (
     CategoricalDistribution,
     DrafterZeroProb,
     InvalidWeight,
+    breakpoints,
+    locate,
     log_ratio,
     normalize,
+    normalize_rows,
     sample,
 )
 
@@ -90,7 +93,7 @@ class TestCategoricalDistribution:
 
     @pytest.mark.parametrize("probs", [[], [[1.0]]], ids=["empty", "two_d"])
     def test_not_a_vector(self, probs):
-        with pytest.raises(ValueError, match="probs must be a non-empty 1-D vector"):
+        with pytest.raises(InvalidWeight, match="probs must be a non-empty 1-D vector"):
             CategoricalDistribution(probs)
 
     def test_immutable(self):
@@ -163,7 +166,7 @@ class TestSample:
     def test_batch_draws_match_row_by_row(self):
         rows = normalize([1.0, 2.0, 3.0, 0.0]).probs[None].repeat(5, axis=0)
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        assert sample(rows, rng_a).tolist() == [int(sample(r, rng_b)) for r in rows]
+        assert batch_draw(rows, rng_a).tolist() == [sample(r, rng_b) for r in rows]
         assert rng_a.random() == rng_b.random()
 
     def test_uniform_rounding_to_total_clamps_to_last_token(self):
@@ -172,7 +175,23 @@ class TestSample:
                 return np.ones(shape)  # unreachable for a real generator
 
         rows = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
-        assert sample(rows, RiggedRng()).tolist() == [2, 2]
+        assert batch_draw(rows, RiggedRng()).tolist() == [2, 2]
+
+
+def batch_draw(rows, rng):
+    """The batch rule of the model tables on probability (or all-zero) rows:
+    one uniform per row, in row order, located in the row's breakpoints."""
+    return locate(breakpoints(np.cumsum(rows, axis=-1)), rng.random(len(rows)))
+
+
+def as_model_rows(weights):
+    """weights with each row of positive sum scaled to sum to 1, as a
+    model's rows are; an all-zero row, as a model's unreachable rows are,
+    stays zero."""
+    rows = np.array(weights, dtype=float, ndmin=2)
+    live = rows.sum(axis=1) > 0.0
+    rows[live] = normalize_rows(rows[live])
+    return rows
 
 
 class FixedRng:
@@ -197,18 +216,19 @@ def oracle_draw(row, u):
 
 
 class TestSampleOneRowPath:
-    """``sample`` on a 1-D row takes a binary-search path; a batch takes a
-    vectorised one.  Both must draw the same tokens from the same uniforms."""
+    """``sample`` draws one row by a binary search of its cumulative sum; the
+    model tables draw a batch by locating its uniforms in breakpoint rows.
+    Both must draw the same tokens from the same uniforms."""
 
     @given(data=st.data(), rows=st.integers(1, 6), vocab=st.integers(1, 9),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_one_row_equals_batch_row_by_row(self, data, rows, vocab, seed):
-        probs = np.array(data.draw(st.lists(
+        probs = as_model_rows(data.draw(st.lists(
             st.lists(WEIGHTS, min_size=vocab, max_size=vocab), min_size=rows, max_size=rows
         )))
         rng_batch, rng_rows = np.random.default_rng(seed), np.random.default_rng(seed)
-        batch = sample(probs, rng_batch)
+        batch = batch_draw(probs, rng_batch)
         one_by_one = [sample(row, rng_rows) for row in probs]
         assert all(type(tok) is int for tok in one_by_one)
         assert batch.tolist() == one_by_one
@@ -224,7 +244,9 @@ class TestSampleOneRowPath:
         row = np.array(row)
         expected = oracle_draw(row, u)
         assert sample(row, FixedRng(u)) == expected
-        assert sample(row[None].repeat(3, axis=0), FixedRng(u)).tolist() == [expected] * 3
+        unit = as_model_rows(row)
+        batch = batch_draw(unit.repeat(3, axis=0), FixedRng(u)).tolist()
+        assert batch == [oracle_draw(unit[0], u)] * 3
         if row.sum() > np.finfo(float).tiny:
             # below 1, u * total stays below a total above the smallest
             # normal float: never a zero entry
@@ -233,9 +255,9 @@ class TestSampleOneRowPath:
     def test_largest_uniform_skips_trailing_zeros(self):
         row = np.array([0.25, 0.75, 0.0, 0.0])
         assert sample(row, FixedRng(BELOW_ONE)) == 1
-        assert sample(row[None], FixedRng(BELOW_ONE)).tolist() == [1]
+        assert batch_draw(row[None], FixedRng(BELOW_ONE)).tolist() == [1]
 
     def test_all_zero_row_clamps_to_last_token(self):
         row = np.zeros(3)
         assert sample(row, FixedRng(0.5)) == 2
-        assert sample(row[None], FixedRng(0.5)).tolist() == [2]
+        assert batch_draw(row[None], FixedRng(0.5)).tolist() == [2]

@@ -15,7 +15,6 @@ from phrasedec.core import (
     CategoricalDistribution,
     DrafterZeroProb,
     TokenSequence,
-    draw,
     normalize,
 )
 from phrasedec.decoder import (
@@ -572,7 +571,7 @@ class TestRowHonesty:
         )
         lib = build_library(corpus, 64, vocab_size=c.vocab_size)
         log, calls = [], []
-        for name, attr in (("probs", "rows"), ("cdf", "cdf")):
+        for name, attr in (("probs", "rows"), ("breaks", "breaks")):
             table = getattr(model, attr).view(LoggedTable)
             table.name, table.log = name, log
             setattr(model, attr, table)
@@ -644,7 +643,10 @@ class TestRowHonesty:
         def cheat(prefix, window, target, lib, cfg, rng, metrics):
             committed, refill = honest(prefix, window, target, lib, cfg, rng, metrics)
             code = target.context_code((tuple(prefix) + committed)[-target.order :])
-            slot0 = target.argmax[code] if cfg.greedy else draw(target.cdf[code], rng)
+            if cfg.greedy:
+                slot0 = target.argmax[code]
+            else:
+                slot0 = int(target.breaks[code].searchsorted(rng.random(), "right"))
             return committed, JacobiWindow((slot0, *refill.drafts[1:]), (code, *refill.codes[1:]))
 
         monkeypatch.setattr(decoder, "verify_window", cheat)

@@ -75,7 +75,7 @@ class TestEvaluate:
         assert len(rows.idx) == 1
         assert np.array_equal(rows.probs[rows.idx[0]], two_state.conditional((0,)).probs)
         assert rows.probs is two_state.rows
-        assert rows.cdf is two_state.cdf
+        assert rows.breaks is two_state.breaks
         assert rows.argmax is two_state.argmax
 
     def test_order1_lookups(self, two_state):
@@ -242,7 +242,7 @@ class TestAncestralCorpus:
         corpus = ancestral_corpus(model, 3, 5, FixedRng(u))
         assert corpus == [(expected,) * 5] * 3
         assert corpus[0] == ancestral_sample(model, 5, FixedRng(u))
-        assert draw(model.cdf[0], FixedRng(u)) == expected
+        assert draw(np.cumsum(model.rows[0]), FixedRng(u)) == expected
 
     def test_negative_size_rejected(self, two_state):
         for sequences, length in [(-1, 4), (4, -1)]:

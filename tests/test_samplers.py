@@ -3,10 +3,13 @@ and per-token ones.
 
 ``random_markov`` and ``planted_phrase_corpus`` draw every transition row
 with one ``dirichlet`` call and normalise them in one pass; ``ancestral_sample``
-draws every uniform with one call and binary-searches the model's ``cdf``.
+draws every uniform with one call and binary-searches the model's ``breaks``.
 Each must build the same rows and sequences as ``reference_models.py`` and
-``reference_decoder.py`` and leave its generator in the same state.
+``reference_decoder.py`` and leave its generator in the same state.  Every
+table draw must be exactly ``core.draw`` on the row's cumulative sum.
 """
+
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -16,7 +19,15 @@ from hypothesis import strategies as st
 import reference_decoder
 import reference_models as ref
 from test_core import BELOW_ONE, FixedRng
-from phrasedec.core import AllZeroWeights, normalize, normalize_rows
+from phrasedec.core import (
+    PROB_SUM_TOL,
+    AllZeroWeights,
+    breakpoints,
+    draw,
+    locate,
+    normalize,
+    normalize_rows,
+)
 from phrasedec.harness import planted_phrase_corpus
 from phrasedec.models import MarkovModel, ancestral_sample, markov_contexts, random_markov
 
@@ -94,16 +105,82 @@ def test_ancestral_sample_matches_reference(order, vocab, zeros, trailing, seed,
 
 
 @pytest.mark.parametrize("order, vocab", [(1, 5), (2, 4), (3, 3)])
-def test_cdf_is_a_locked_cumulative_copy_of_rows(order, vocab):
+def test_breaks_is_a_locked_table_shaped_like_rows(order, vocab):
     model = sparse_model(order, vocab, 0.5, 1, seed=order)
-    cdf = model.cdf
-    assert not cdf.flags.writeable
+    breaks = model.breaks
+    assert not breaks.flags.writeable
     with pytest.raises(ValueError):
-        cdf[0, 0] = 1.0
-    assert cdf.shape == model.rows.shape
+        breaks[0, 0] = 1.0
+    assert breaks.shape == model.rows.shape
+    assert breaks.tobytes() == breakpoints(np.cumsum(model.rows, axis=1)).tobytes()
+    # sorted rows in [0, 1], each ending with the +inf that clamps a draw
+    assert np.all(breaks[:, -1] == np.inf)
+    assert np.all((0.0 <= breaks[:, :-1]) & (breaks[:, :-1] <= 1.0))
+    assert np.all(np.diff(breaks, axis=1) >= 0.0)
     for code, row in enumerate(model.rows):
-        assert cdf[code].tobytes() == np.cumsum(row).tobytes()
         assert model.argmax[code] == int(np.argmax(row))
+
+
+TINY = float(np.finfo(float).tiny)
+
+
+@st.composite
+def model_rows(draw_from, vocab):
+    """A row a model holds: all zeros, as its unreachable rows are, or a
+    probability row with exact zeros and entries of the smallest normal
+    size, whose sum is within PROB_SUM_TOL of 1 but often not equal to it."""
+    if draw_from(st.integers(0, 5)) == 0:
+        return np.zeros(vocab)
+    # -1.0 marks an entry of the smallest normal size
+    weights = np.array(draw_from(st.lists(st.sampled_from([0.0, -1.0]) | st.floats(0.0, 1e3),
+                                          min_size=vocab, max_size=vocab)))
+    mass = draw_from(st.integers(0, vocab - 1))
+    weights[mass] = abs(weights[mass]) + 1.0
+    tiny = weights < 0.0
+    weights[tiny] = 0.0
+    scale = 1.0 + draw_from(st.floats(-PROB_SUM_TOL / 2, PROB_SUM_TOL / 2))
+    row = weights / weights.sum() * scale
+    row[tiny] = TINY
+    assert abs(row.sum() - 1.0) <= PROB_SUM_TOL
+    return row
+
+
+@given(data=st.data(), vocab=st.integers(1, 9), count=st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_breaks_draw_what_draw_draws_on_the_cumulative_row(data, vocab, count):
+    rows = np.array([data.draw(model_rows(vocab)) for _ in range(count)])
+    breaks = breakpoints(np.cumsum(rows, axis=1))
+    for i, (row, edges) in enumerate(zip(rows, breaks)):
+        cdf = np.cumsum(row)
+        uniforms = [0.0, BELOW_ONE, 1.0, *data.draw(st.lists(st.floats(0.0, 1.0), max_size=3))]
+        for edge in edges[:-1].tolist():
+            uniforms += [edge, float(np.nextafter(edge, 0.0))]
+        flat = edges.tolist()
+        for u in uniforms:
+            expected = draw(cdf, FixedRng(u))
+            # the rules of the fresh draw, ancestral_sample and the batches
+            assert int(edges.searchsorted(u, "right")) == expected
+            assert bisect_right(flat, u) == expected
+            assert locate(breaks[i : i + 1], np.array([u])).tolist() == [expected]
+
+
+@given(points=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), total=st.floats(0.5, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_each_breakpoint_is_the_least_uniform_that_counts_its_token(points, total):
+    # on a total far from 1 the guess cdf / T is often an ulp above the least
+    # such uniform (a quarter of the time at T = 0.75), so the fix-up runs
+    cdf = np.array([*sorted(points), 1.0]) * total
+    edges = breakpoints(cdf[None])[0]
+    for c, edge in zip(cdf[:-1].tolist(), edges[:-1].tolist()):
+        assert c <= edge * total
+        assert edge == 0.0 or float(np.nextafter(edge, 0.0)) * total < c
+    assert edges[-1] == np.inf
+
+
+@pytest.mark.parametrize("row", [[1e-300, 0.0], [0.25, 0.2], [3.0, 0.0]])
+def test_breakpoints_reject_a_total_outside_their_range(row):
+    with pytest.raises(ValueError, match="must total 0 or lie in"):
+        breakpoints(np.cumsum(row)[None])
 
 
 @given(
