@@ -2,8 +2,8 @@
 
 Verbs: build-library, decode, bench, sweep-tau, sweep-merges, theory-check,
 gen-model.  Global flags --seed, --config <path> and --out <dir> go before
-the verb: bench and the sweeps read all three, theory-check --seed and
---out, gen-model --seed and --config, decode --seed, build-library none.
+the verb; ``_build_parser`` declares each verb once, with its arguments, the
+global flags it reads and its handler.
 The config file is a flat key=value text file whose keys mirror
 ExperimentConfig.  Bad input (unreadable files, malformed models, libraries,
 corpora or configs) ends with one ``phrasedec: error: ...`` line on stderr
@@ -61,13 +61,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="out_dir", default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-library", help="learn a phrase library from a corpus")
+    def verb(name, help, run, reads):
+        # reads: the global flags (by dest) the verb reads; another one given
+        # before the verb is a bad argument, not silently dropped
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, reads=reads)
+        return p
+
+    p = verb("build-library", "learn a phrase library from a corpus", _build_library, ())
     p.add_argument("--corpus", required=True)
     p.add_argument("--merges", type=non_negative_int, default=harness.ExperimentConfig.merges)
     p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PHRASE_LEN)
     p.add_argument("--out", dest="library_out", required=True)
 
-    p = sub.add_parser("decode", help="decode one sequence and print metrics")
+    p = verb("decode", "decode one sequence and print metrics", _decode, ("seed",))
     p.add_argument("--model", required=True, help="PSDM model file")
     p.add_argument("--mode", choices=MODES, default=VerifyConfig.mode)
     p.add_argument("--length", type=int, default=harness.ExperimentConfig.total_len)
@@ -76,43 +83,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lib", default=None, help="PSDL library file (sjd_pv mode)")
     p.add_argument("--greedy", action="store_true")
 
-    p = sub.add_parser("bench", help="paired benchmark across decode modes")
+    experiment = ("seed", "config", "out_dir")
+    p = verb("bench", "paired benchmark across decode modes", _bench, experiment)
     p.add_argument("--modes", default=None, help="comma-separated mode list")
 
-    p = sub.add_parser("sweep-tau", help="neighborhood-threshold ablation")
+    p = verb("sweep-tau", "neighborhood-threshold ablation", _sweep_tau, experiment)
     p.add_argument("--taus", type=lambda t: _comma_list(t, float), default="0.005,0.01,0.02,0.05")
 
-    p = sub.add_parser("sweep-merges", help="merge-iteration ablation")
+    p = verb("sweep-merges", "merge-iteration ablation", _sweep_merges, experiment)
     p.add_argument("--merge-grid", type=lambda t: _comma_list(t, int), default="256,1024,2048")
 
-    p = sub.add_parser("theory-check", help="acceptance-rate oracle report")
+    p = verb("theory-check", "acceptance-rate oracle report", _theory_check, ("seed", "out_dir"))
     p.add_argument("--trials", type=non_negative_int)
     p.add_argument("--v-max", type=int)
     p.add_argument("--l-max", type=int)
     p.add_argument("--min-ineq-trials", dest="min_inequality_trials", type=non_negative_int)
 
-    p = sub.add_parser("gen-model", help="write the config's model and corpus")
+    p = verb("gen-model", "write the config's model and corpus", _gen_model, ("seed", "config"))
     p.add_argument("--model-out", required=True)
     p.add_argument("--corpus-out", default=None)
 
     return parser
 
 
-# the global flags each verb reads; another one given before the verb is a
-# bad argument, not silently dropped
-_GLOBALS_READ = {
-    "build-library": (),
-    "decode": ("seed",),
-    "bench": ("seed", "config", "out_dir"),
-    "sweep-tau": ("seed", "config", "out_dir"),
-    "sweep-merges": ("seed", "config", "out_dir"),
-    "theory-check": ("seed", "out_dir"),
-    "gen-model": ("seed", "config"),
-}
 _GLOBAL_FLAGS = {"seed": "--seed", "config": "--config", "out_dir": "--out"}
 
 
-def _experiment_config(args) -> harness.ExperimentConfig:
+def _experiment_config(args, modes=None) -> harness.ExperimentConfig:
     mapping: dict = {}
     if args.config is not None:
         mapping.update(harness.load_config_file(args.config))
@@ -120,8 +117,8 @@ def _experiment_config(args) -> harness.ExperimentConfig:
         mapping["seed"] = args.seed
     if args.out_dir is not None:
         mapping["out_dir"] = args.out_dir
-    if getattr(args, "modes", None) is not None:
-        mapping["modes"] = args.modes
+    if modes is not None:
+        mapping["modes"] = modes
     return harness.config_from_mapping(mapping)
 
 
@@ -129,10 +126,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     for dest, flag in _GLOBAL_FLAGS.items():
-        if getattr(args, dest) is not None and dest not in _GLOBALS_READ[args.command]:
+        if getattr(args, dest) is not None and dest not in args.reads:
             parser.error(f"{args.command} does not read the global flag {flag}")
     try:
-        return _run(args)
+        return args.run(args)
     except (OSError, ValueError, NonTermination) as exc:
         # every typed error of the package but DegenerateResidual, an
         # arithmetic fault, is a ValueError or NonTermination
@@ -144,89 +141,93 @@ def main(argv=None) -> int:
         return 1
 
 
-def _run(args) -> int:
-    if args.command == "build-library":
-        corpus = read_corpus(args.corpus)
-        lib = build_library(corpus, args.merges, args.max_len)
-        save_library(lib, args.library_out)
+def _build_library(args) -> int:
+    corpus = read_corpus(args.corpus)
+    lib = build_library(corpus, args.merges, args.max_len)
+    save_library(lib, args.library_out)
+    print(
+        f"library: {len(lib.rules)} rules, {len(lib.phrases)} phrases "
+        f"-> {args.library_out}"
+    )
+    return 0
+
+
+def _decode(args) -> int:
+    model = load_markov(args.model)
+    # an empty --lib is an unreadable file, not "no library"
+    lib = load_library(args.lib) if args.lib is not None else None
+    # every phrase the library holds may be tried, whatever --max-len built it
+    phrases = lib.phrases if lib else ()
+    cfg = VerifyConfig(
+        mode=args.mode,
+        window_size=args.window,
+        tau=args.tau,
+        max_phrase_len=max(map(len, phrases), default=DEFAULT_MAX_PHRASE_LEN),
+        greedy=args.greedy,
+    )
+    rng = np.random.default_rng(
+        harness.ExperimentConfig.seed if args.seed is None else args.seed
+    )
+    seq, metrics = decode(model, lib, cfg, args.length, rng)
+    print(" ".join(str(t) for t in seq))
+    print(json.dumps(metrics.counts()), file=sys.stderr)
+    return 0
+
+
+def _bench(args) -> int:
+    cfg = _experiment_config(args, args.modes)
+    report = harness.run_benchmark(cfg)
+    for mode, agg in report.per_mode.items():
         print(
-            f"library: {len(lib.rules)} rules, {len(lib.phrases)} phrases "
-            f"-> {args.library_out}"
+            f"{mode}: mean NFE {agg.mean_nfe:.2f}, "
+            f"{agg.mean_tokens_per_iteration:.2f} tokens/iteration, "
+            f"acceleration {report.acceleration[mode]:.3f}x"
         )
-        return 0
+    return 0
 
-    if args.command == "decode":
-        model = load_markov(args.model)
-        lib = load_library(args.lib) if args.lib else None
-        # every phrase the library holds may be tried, whatever --max-len built it
-        phrases = lib.phrases if lib else ()
-        cfg = VerifyConfig(
-            mode=args.mode,
-            window_size=args.window,
-            tau=args.tau,
-            max_phrase_len=max(map(len, phrases), default=DEFAULT_MAX_PHRASE_LEN),
-            greedy=args.greedy,
+
+def _sweep_tau(args) -> int:
+    cfg = _experiment_config(args)
+    for row in harness.run_tau_sweep(cfg, args.taus):
+        print(
+            f"tau={row['tau']}: mean NFE {row['mean_nfe']:.2f}, "
+            f"phrase accept rate {row['phrase_accept_rate']:.3f}, "
+            f"divergence {row['seq_divergence']:.4f}"
         )
-        rng = np.random.default_rng(
-            harness.ExperimentConfig.seed if args.seed is None else args.seed
+    return 0
+
+
+def _sweep_merges(args) -> int:
+    cfg = _experiment_config(args)
+    for row in harness.run_merge_sweep(cfg, args.merge_grid):
+        print(
+            f"M={row['merges']}: library {row['library_size']}, "
+            f"mean NFE {row['mean_nfe']:.2f}, "
+            f"phrase hits/iteration {row['phrase_hit_rate']:.3f}"
         )
-        seq, metrics = decode(model, lib, cfg, args.length, rng)
-        print(" ".join(str(t) for t in seq))
-        print(json.dumps(metrics.counts()), file=sys.stderr)
-        return 0
+    return 0
 
-    if args.command == "bench":
-        cfg = _experiment_config(args)
-        report = harness.run_benchmark(cfg)
-        for mode, agg in report.per_mode.items():
-            print(
-                f"{mode}: mean NFE {agg.mean_nfe:.2f}, "
-                f"{agg.mean_tokens_per_iteration:.2f} tokens/iteration, "
-                f"acceleration {report.acceleration[mode]:.3f}x"
-            )
-        return 0
 
-    if args.command == "sweep-tau":
-        cfg = _experiment_config(args)
-        for row in harness.run_tau_sweep(cfg, args.taus):
-            print(
-                f"tau={row['tau']}: mean NFE {row['mean_nfe']:.2f}, "
-                f"phrase accept rate {row['phrase_accept_rate']:.3f}, "
-                f"divergence {row['seq_divergence']:.4f}"
-            )
-        return 0
+def _theory_check(args) -> int:
+    given = ("trials", "v_max", "l_max", "min_inequality_trials", "seed")
+    kwargs = {k: getattr(args, k) for k in given if getattr(args, k) is not None}
+    report = harness.theory_check(**kwargs)
+    if args.out_dir:
+        print(f"wrote {harness.write_json(report, args.out_dir, 'theory_check.json')}")
+    else:
+        print(json.dumps(report, indent=2))
+    return 0
 
-    if args.command == "sweep-merges":
-        cfg = _experiment_config(args)
-        for row in harness.run_merge_sweep(cfg, args.merge_grid):
-            print(
-                f"M={row['merges']}: library {row['library_size']}, "
-                f"mean NFE {row['mean_nfe']:.2f}, "
-                f"phrase hits/iteration {row['phrase_hit_rate']:.3f}"
-            )
-        return 0
 
-    if args.command == "theory-check":
-        given = ("trials", "v_max", "l_max", "min_inequality_trials", "seed")
-        kwargs = {k: getattr(args, k) for k in given if getattr(args, k) is not None}
-        report = harness.theory_check(**kwargs)
-        if args.out_dir:
-            print(f"wrote {harness.write_json(report, args.out_dir, 'theory_check.json')}")
-        else:
-            print(json.dumps(report, indent=2))
-        return 0
-
-    if args.command == "gen-model":
-        # the model and corpus bench resolves for the same config
-        model, corpus = harness._resolve_model_and_corpus(_experiment_config(args))
-        save_markov(model, args.model_out)
-        print(f"wrote {args.model_out}")
-        if args.corpus_out:
-            write_corpus(corpus, args.corpus_out)
-            print(f"wrote {args.corpus_out}")
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+def _gen_model(args) -> int:
+    # the model and corpus bench resolves for the same config
+    model, corpus = harness._resolve_model_and_corpus(_experiment_config(args))
+    save_markov(model, args.model_out)
+    print(f"wrote {args.model_out}")
+    if args.corpus_out:
+        write_corpus(corpus, args.corpus_out)
+        print(f"wrote {args.corpus_out}")
+    return 0
 
 
 if __name__ == "__main__":

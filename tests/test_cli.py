@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -325,6 +327,45 @@ def test_a_global_flag_the_verb_does_not_read_is_a_bad_argument(
     assert list(tmp_path.iterdir()) == []
 
 
+# the global flags each verb reads, by the name of the handler it runs
+READS = {
+    "_decode": (DECODE, ("--seed",)),
+    "_bench": (["bench"], ("--seed", "--config", "--out")),
+    "_sweep_tau": (["sweep-tau"], ("--seed", "--config", "--out")),
+    "_sweep_merges": (["sweep-merges"], ("--seed", "--config", "--out")),
+    "_theory_check": (["theory-check", "--trials", "5"], ("--seed", "--out")),
+    "_gen_model": (["gen-model", "--model-out", "model.psdm"], ("--seed", "--config")),
+}
+# each global flag: its dest, the text given and the value parsed
+GLOBALS = {
+    "--seed": ("seed", "5", 5),
+    "--config": ("config", "run.cfg", "run.cfg"),
+    "--out": ("out_dir", "out", "out"),
+}
+
+
+@pytest.mark.parametrize(
+    "handler, verb, flag",
+    [(handler, verb, flag) for handler, (verb, flags) in READS.items() for flag in flags],
+    ids=[f"{verb[0]}_{flag[2:]}" for verb, flags in READS.values() for flag in flags],
+)
+def test_a_global_flag_the_verb_reads_reaches_its_handler(
+    tmp_path, capsys, monkeypatch, handler, verb, flag
+):
+    # with the seven rejected pairs above, this covers every verb x flag pair
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    monkeypatch.setattr(cli, handler, lambda args: seen.append(args) or 0)
+    dest, text, value = GLOBALS[flag]
+    assert main([flag, text, *verb]) == 0
+    [args] = seen
+    assert args.command == verb[0]
+    dests = ("seed", "config", "out_dir")
+    assert {d: getattr(args, d) for d in dests} == {**dict.fromkeys(dests), dest: value}
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_left_out_flags_keep_the_owners_defaults(monkeypatch):
     # theory-check passes only the flags it was given
     calls = []
@@ -452,6 +493,20 @@ def test_an_empty_config_path_is_an_unreadable_file(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("phrasedec: error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["sjd", "sjd_pv"])
+def test_an_empty_lib_path_is_an_unreadable_file(workspace, capsys, mode):
+    # it used to be dropped: sjd decoded without a library and exited 0, and
+    # sjd_pv failed as if no --lib had been given
+    _, _, model_path = workspace
+    rc = main(["--seed", "1", "decode", "--model", str(model_path), "--lib", "",
+               "--mode", mode, "--length", "8"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
+    assert err == f"phrasedec: error: {missing}\n"
 
 
 @pytest.mark.parametrize(
