@@ -31,6 +31,7 @@ from .core import (
     DrafterZeroProb,
     TokenId,
     TokenSequence,
+    draw,
     locate,
     log_ratio,
 )
@@ -164,8 +165,8 @@ def verify_token(
 
     The accept test reads two scalars; only a rejection builds a row, the
     residual, in one new buffer, so p and q may be rows of the model table.
-    The residual is drawn in that buffer by ``core.sample``'s rule: its
-    cumulative sum, then one binary search for u times its total."""
+    The residual is drawn in that buffer by ``core.draw`` on its cumulative
+    sum, taken in place."""
     qd = q.item(drafted)
     if qd == 0.0:
         raise DrafterZeroProb(f"drafted token {drafted} has zero drafter probability")
@@ -179,8 +180,7 @@ def verify_token(
     if abs(total - 1.0) > PROB_SUM_TOL:
         residual /= total
     # the cumulative sum in place: np.cumsum's wrapper with out= costs more
-    cdf = np.add.accumulate(residual, out=residual)
-    return False, min(int(cdf.searchsorted(rng.random() * cdf[-1], "right")), len(cdf) - 1)
+    return False, draw(np.add.accumulate(residual, out=residual), rng)
 
 
 def _draft(rows: Rows, codes: list[int], greedy: bool, rng: np.random.Generator) -> JacobiWindow:
@@ -322,10 +322,12 @@ def verify_window(
             if phrase is not None:
                 metrics.phrase_attempts += 1
                 try:
-                    score = phrase_acceptance_score(probs, t, idx, drafter, phrase)
+                    accepted = verify_phrase(
+                        phrase_acceptance_score(probs, t, idx, drafter, phrase), rng
+                    )
                 except DrafterZeroProb:
-                    score = None  # non-verifiable: fall back to the token path
-                if score is not None and verify_phrase(score, rng):
+                    accepted = False  # non-verifiable: fall back to the token path
+                if accepted:
                     metrics.phrase_accepts += 1
                     committed.extend(phrase.tokens)
                     t += len(phrase)

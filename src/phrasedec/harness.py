@@ -23,6 +23,7 @@ from .decoder import DecodeMetrics, VerifyConfig, decode
 from .models import (
     MarkovModel,
     ancestral_corpus,
+    check_shape,
     context_codes,
     context_count,
     exact_marginals,
@@ -34,8 +35,8 @@ from . import theory
 
 REPORT_VERSION = 1
 
-# the most entries a generated model table, and the most tokens a sampled
-# corpus, may hold
+# the most tokens a sampled corpus may hold (a model table's limit is
+# models.TABLE_LIMIT)
 GENERATOR_LIMIT = 2**26
 
 
@@ -111,20 +112,13 @@ class ExperimentConfig:
                         f"{needed} phrase tokens need disjoint blocks in a vocabulary of "
                         f"{self.vocab_size}"
                     )
-            elif self.order < 1:
-                raise ConfigInvalid("order must be >= 1")
-            if self.vocab_size < 2:
-                raise ConfigInvalid("vocab_size must be >= 2")
+            # the model's shape rule, table size included
+            try:
+                check_shape(self.order, self.vocab_size)
+            except ValueError as exc:
+                raise ConfigInvalid(str(exc)) from exc
             if not (math.isfinite(self.concentration) and self.concentration > 0):
                 raise ConfigInvalid("concentration must be finite and > 0")
-            # any base >= 3 to the limit's bit length passes it, so the power
-            # is capped there and a huge order builds no huge int
-            power = min(self.order, GENERATOR_LIMIT.bit_length())
-            if (self.vocab_size + 1) ** power * self.vocab_size > GENERATOR_LIMIT:
-                raise ConfigInvalid(
-                    f"vocab_size={self.vocab_size}, order={self.order}: the model table "
-                    f"has more than {GENERATOR_LIMIT} entries"
-                )
         if self.corpus_path is None:
             if self.corpus_sequences < 1 or self.corpus_seq_len < 1:
                 raise ConfigInvalid("sequences and seq_len must be >= 1")

@@ -46,8 +46,30 @@ MODEL_FORMAT_VERSION = 1
 HEADER = "<HII"
 
 
+# the most entries a model table may hold: 2**26 float64s, 512 MiB
+TABLE_LIMIT = 2**26
+
+
 class UnsupportedModelFormat(ValueError):
     """Model file has a bad magic or an unknown format version."""
+
+
+def check_shape(order: int, vocab_size: int) -> None:
+    """The one rule for a model's shape: ``order >= 1``, ``vocab_size >= 2``
+    and a table of ``(vocab_size + 1) ** order * vocab_size`` entries within
+    ``TABLE_LIMIT``; another shape raises ValueError."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if vocab_size < 2:
+        raise ValueError("vocab_size must be >= 2")
+    # any base >= 3 to the limit's bit length passes it, so the power is
+    # capped there and a huge order builds no huge int
+    power = min(order, TABLE_LIMIT.bit_length())
+    if (vocab_size + 1) ** power * vocab_size > TABLE_LIMIT:
+        raise ValueError(
+            f"vocab_size={vocab_size}, order={order}: the model table "
+            f"has more than {TABLE_LIMIT} entries"
+        )
 
 
 def markov_contexts(order: int, vocab_size: int):
@@ -96,7 +118,8 @@ class MarkovModel:
     whose base-(V+1) code is c (see ``context_codes``).  Rows of codes that
     place PAD after a real token are never reached and hold zeros.  The
     constructor takes the reachable rows stacked in ``markov_contexts``
-    order, the layout of the PSDM file, and validates them once.
+    order, the layout of the PSDM file, and validates them once; a shape
+    ``check_shape`` refuses raises ValueError before any table is allocated.
 
     Every draw from the model reads ``breaks``, built once from
     ``rows.cumsum(axis=1)`` by ``core.breakpoints`` and read-only: row c
@@ -107,10 +130,7 @@ class MarkovModel:
     """
 
     def __init__(self, order: int, vocab_size: int, context_rows) -> None:
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
+        check_shape(order, vocab_size)
         stack = np.asarray(context_rows, dtype=np.float64)
         contexts = context_count(order, vocab_size)
         if stack.shape != (contexts, vocab_size):
@@ -243,7 +263,9 @@ def random_markov(
 ) -> MarkovModel:
     """Random Markov model with symmetric-Dirichlet transition rows, drawn
     in ``markov_contexts`` order by one ``dirichlet`` call."""
-    # the config's rule, checked before any draw (NaN fails both comparisons)
+    # the model's and the config's rules, checked before any draw (NaN
+    # fails both comparisons)
+    check_shape(order, vocab_size)
     if not 0.0 < concentration < np.inf:
         raise ValueError("concentration must be finite and > 0")
     rows = rng.dirichlet(np.full(vocab_size, concentration), size=context_count(order, vocab_size))
@@ -262,9 +284,10 @@ def save_markov(model: MarkovModel, path) -> None:
 def load_markov(path) -> MarkovModel:
     """Read a PSDM model file.
 
-    Bad magics, unknown versions, impossible shapes and truncated or
-    oversized files raise UnsupportedModelFormat; rows that are not
-    probability vectors raise InvalidWeight.
+    Bad magics, unknown versions, shapes ``check_shape`` refuses (checked
+    before the table is built) and truncated or oversized files raise
+    UnsupportedModelFormat; rows that are not probability vectors raise
+    InvalidWeight.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -276,16 +299,12 @@ def load_markov(path) -> MarkovModel:
     version, order, vocab_size = struct.unpack_from(HEADER, data, len(MODEL_MAGIC))
     if version != MODEL_FORMAT_VERSION:
         raise UnsupportedModelFormat(f"unknown model format version {version}")
-    if order < 1 or vocab_size < 2:
-        raise UnsupportedModelFormat(f"invalid model shape: order {order}, V={vocab_size}")
-    row_bytes = vocab_size * 8
-    available = (len(data) - offset) // row_bytes
-    # a model has at least 2**order contexts: rejecting a larger order first
-    # keeps a corrupt header from asking for an astronomically large count
-    if order > available.bit_length():
-        raise UnsupportedModelFormat(f"model file is too short for order {order}")
+    try:
+        check_shape(order, vocab_size)
+    except ValueError as exc:
+        raise UnsupportedModelFormat(f"invalid model shape: {exc}") from exc
     contexts = context_count(order, vocab_size)
-    if offset + contexts * row_bytes != len(data):
+    if offset + contexts * vocab_size * 8 != len(data):
         raise UnsupportedModelFormat("model file has trailing or missing bytes")
     rows = np.frombuffer(data, dtype="<f8", offset=offset).reshape(contexts, vocab_size)
     return MarkovModel(order, vocab_size, rows)

@@ -24,6 +24,17 @@ def workspace(tmp_path):
     return tmp_path, corpus_path, model_path
 
 
+@pytest.fixture(scope="module")
+def planted_files(tmp_path_factory):
+    # the default config's planted model and corpus, as gen-model writes them
+    tmp_path = tmp_path_factory.mktemp("planted")
+    model_path, corpus_path = tmp_path / "model.psdm", tmp_path / "corpus.txt"
+    rc = main(["--seed", "0", "gen-model", "--model-out", str(model_path),
+               "--corpus-out", str(corpus_path)])
+    assert rc == 0
+    return model_path, corpus_path
+
+
 def test_build_library(workspace, capsys):
     tmp_path, corpus_path, _ = workspace
     out = tmp_path / "lib.psdl"
@@ -57,6 +68,47 @@ def test_build_library_zero_merges(workspace, capsys):
     assert (lib.rules, lib.phrases) == ((), ())
 
 
+@pytest.mark.parametrize("corpus, rules", [("planted", 1398), ("zeros", 8)])
+def test_build_library_stops_when_no_pair_repeats(planted_files, tmp_path, capsys, corpus, rules):
+    # a budget the corpus cannot use up: the planted corpus runs out of
+    # pairs at 1398 merges.  200 lines of 256 zeros outgrow the reach of the
+    # local search for run ends, so merges search the whole corpus; eight
+    # merges halve the runs down to one symbol per line.  Either library
+    # still decodes
+    model_path, corpus_path = planted_files
+    if corpus == "zeros":
+        corpus_path = tmp_path / "zeros.txt"
+        write_corpus([[0] * 256] * 200, corpus_path)
+    lib_path = tmp_path / "lib.psdl"
+    rc = main(["build-library", "--corpus", str(corpus_path), "--merges", "4096",
+               "--out", str(lib_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith(f"library: {rules} rules, ")
+    assert len(load_library(lib_path).rules) == rules
+    rc = main(["--seed", "1", "decode", "--model", str(model_path), "--mode", "sjd_pv",
+               "--lib", str(lib_path), "--length", "256"])
+    assert rc == 0
+    assert len(capsys.readouterr().out.split()) == 256
+
+
+@pytest.mark.parametrize(
+    "seed, mode", [("2", "jacobi"), ("1", "sjd")], ids=["jacobi_seed_2", "sjd"]
+)
+def test_a_greedy_decode_prints_greedy_jacobis(planted_files, capsys, seed, mode):
+    # greedy jacobi reads no uniform, so another seed prints the same tokens
+    # and counters; greedy sjd is sequential argmax too, though its token
+    # tests read other tables than jacobi's
+    model_path, _ = planted_files
+    runs = []
+    for run_seed, run_mode in (("1", "jacobi"), (seed, mode)):
+        rc = main(["--seed", run_seed, "decode", "--model", str(model_path),
+                   "--mode", run_mode, "--greedy", "--length", "256"])
+        assert rc == 0
+        runs.append(capsys.readouterr())
+    assert len(runs[0].out.split()) == 256
+    assert runs[1] == runs[0]
+
+
 def test_decode_all_modes(workspace, capsys, monkeypatch):
     tmp_path, corpus_path, model_path = workspace
     lib_path = tmp_path / "lib.psdl"
@@ -70,7 +122,7 @@ def test_decode_all_modes(workspace, capsys, monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(cli, "decode", recording)
-    for extra in (["--mode", "sjd"], ["--mode", "jacobi", "--greedy"],
+    for extra in (["--mode", "sjd"], ["--mode", "jacobi", "--greedy"], ["--mode", "jacobi"],
                   ["--mode", "sjd_pv", "--lib", str(lib_path)]):
         rc = main(["--seed", "3", "decode", "--model", str(model_path),
                    "--length", "40"] + extra)
@@ -246,11 +298,21 @@ def test_sweeps(workspace, tmp_path, capsys):
     rc = main(["--config", str(cfg), "--out", str(out_dir), "sweep-tau",
                "--taus", "0.01,0.05"])
     assert rc == 0
-    assert (out_dir / "tau_sweep.csv").exists()
+    lines = (out_dir / "tau_sweep.csv").read_text().splitlines()
+    assert lines[0] == "tau,mean_nfe,phrase_accept_rate,seq_divergence"
     rc = main(["--config", str(cfg), "--out", str(out_dir), "sweep-merges",
                "--merge-grid", "0,32"])
     assert rc == 0
-    assert (out_dir / "merge_sweep.csv").exists()
+    lines = (out_dir / "merge_sweep.csv").read_text().splitlines()
+    assert lines[0] == "merges,library_size,mean_nfe,phrase_hit_rate"
+    assert len(lines) == 3
+    # a repeated budget keeps its row, though its library is built once
+    out_dir = tmp_path / "repeated"
+    rc = main(["--config", str(cfg), "--out", str(out_dir), "sweep-merges",
+               "--merge-grid", "8,8,16"])
+    assert rc == 0
+    lines = (out_dir / "merge_sweep.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["8", "8", "16"]
 
 
 @pytest.mark.parametrize(
@@ -403,7 +465,9 @@ def test_theory_check_rejects_negative_trial_counts(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exit_info:
         main(["--out", str(out_dir), "theory-check", flag, "-3"])
     assert exit_info.value.code == 2
-    assert f"argument {flag}: must be >= 0, got -3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1
+    assert f"phrasedec theory-check: error: argument {flag}: must be >= 0, got -3\n" in err
     assert not out_dir.exists()
 
 
@@ -433,7 +497,9 @@ def test_negative_seed_is_a_bad_argument(tmp_path, capsys, verb):
     with pytest.raises(SystemExit) as exit_info:
         main(["--seed", "-1", "--out", str(out_dir), *verb])
     assert exit_info.value.code == 2
-    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1
+    assert "phrasedec: error: argument --seed: must be >= 0, got -1\n" in err
     assert not out_dir.exists()
 
 
@@ -515,6 +581,10 @@ def test_an_empty_lib_path_is_an_unreadable_file(workspace, capsys, mode):
         "planted=false\norder=4\nvocab_size=2000\n",
         "planted=false\norder=6\nvocab_size=1000\n",
         "corpus_sequences=1000000\ncorpus_seq_len=1000000\n",
+        # a bad generator setting or a repeated key fails the same way
+        "concentration=-1\n",
+        "planted=false\nvocab_size=1\n",
+        "seed=1\nseed=2\n",
     ],
 )
 def test_gen_model_rejects_an_oversized_generator(tmp_path, capsys, settings):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from test_core import BELOW_ONE, FixedRng
 from test_samplers import sparse_model
+from phrasedec import models
 from phrasedec.core import CategoricalDistribution, InvalidWeight, draw, normalize
 from phrasedec.models import (
     PAD,
@@ -57,6 +58,15 @@ class TestConditional:
         rows = np.full(((vocab + 1) ** order, vocab), 1.0 / vocab)
         with pytest.raises(ValueError, match=message):
             MarkovModel(order, vocab, rows)
+
+    def test_a_table_over_the_limit_is_refused(self, monkeypatch):
+        # an order-1, V=2 table has 3 * 2 = 6 entries; the limit is inclusive
+        rows = [[0.5, 0.5]] * 3
+        monkeypatch.setattr(models, "TABLE_LIMIT", 6)
+        assert MarkovModel(1, 2, rows).rows.size == 6
+        monkeypatch.setattr(models, "TABLE_LIMIT", 5)
+        with pytest.raises(ValueError, match="the model table has more than 5 entries"):
+            MarkovModel(1, 2, rows)
 
     def test_bad_row_is_named(self):
         rows = [[0.5, 0.5], [0.9, 0.1], [0.7, 0.2]]
@@ -299,6 +309,18 @@ class TestRandomMarkov:
             random_markov(1, 3, concentration, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize(
+        "order, vocab, message",
+        [(0, 4, "order must be >= 1"), (1, 1, "vocab_size must be >= 2")],
+    )
+    def test_bad_shape_rejected_before_any_draw(self, order, vocab, message):
+        # the model's rule; both used to draw every row first
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            random_markov(order, vocab, 0.3, rng)
+        assert rng.bit_generator.state == state
+
     def test_seed_reproducible(self):
         a = random_markov(2, 3, 0.5, np.random.default_rng(9))
         b = random_markov(2, 3, 0.5, np.random.default_rng(9))
@@ -379,6 +401,15 @@ class TestSerialization:
         path = tmp_path / "model.psdm"
         path.write_bytes(b"PSDM" + struct.pack("<HII", 1, order, vocab) + b"\0" * 64)
         with pytest.raises(UnsupportedModelFormat):
+            load_markov(path)
+
+    def test_a_table_over_the_limit_is_refused(self, tmp_path, monkeypatch):
+        # an order-2, V=3 file is well formed, but its table of 4 ** 2 * 3 =
+        # 48 entries is over a limit of 47: refused before the table is built
+        path = tmp_path / "model.psdm"
+        save_markov(random_markov(2, 3, 0.5, np.random.default_rng(0)), path)
+        monkeypatch.setattr(models, "TABLE_LIMIT", 47)
+        with pytest.raises(UnsupportedModelFormat, match="the model table has more than 47"):
             load_markov(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.25, 0.9])
