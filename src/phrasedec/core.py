@@ -145,7 +145,9 @@ def sample(probs: np.ndarray, rng: np.random.Generator) -> int:
 def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw of one token, a Python int, from a non-decreasing
     cumulative row ``cdf`` of shape ``(V,)``, consuming one uniform u: the
-    token is ``min(#{v : cdf[v] <= u * cdf[-1]}, V - 1)``.
+    token is ``min(#{v : cdf[v] <= u * cdf[-1]}, V - 1)``.  The total of
+    the float64 row is read as a Python float, so the threshold u * total is
+    one double multiply of Python floats.
 
     The model's tables apply this rule in uniform space instead: a row of
     ``breakpoints`` holds the least u that counts each token, so the count
@@ -153,7 +155,7 @@ def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     fl(u * T) is monotone in u; its +inf last column is the clamp.
     """
     # a binary search of the sorted cdf counts the entries <= u * total
-    return min(int(cdf.searchsorted(rng.random() * cdf[-1], "right")), len(cdf) - 1)
+    return min(int(cdf.searchsorted(rng.random() * cdf.item(-1), "right")), len(cdf) - 1)
 
 
 def breakpoints(cdf: np.ndarray) -> np.ndarray:

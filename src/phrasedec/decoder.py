@@ -33,7 +33,6 @@ from .core import (
     TokenSequence,
     draw,
     locate,
-    log_ratio,
 )
 from .models import MarkovModel, Rows
 from .phrase_lib import DEFAULT_MAX_PHRASE_LEN, Phrase, PhraseLibrary
@@ -124,7 +123,8 @@ def in_neighborhood(
     p: np.ndarray, j: int, v: TokenId, drafted: TokenId, tau: float
 ) -> bool:
     """Whether token v lies in the neighborhood of a drafted token under row
-    j of the model table p: |p[j, v] - p[j, drafted]| strictly below tau."""
+    j of the model table p: |p[j, v] - p[j, drafted]| strictly below tau.
+    ``_find_phrase`` applies this test inline."""
     return abs(p.item(j, v) - p.item(j, drafted)) < tau
 
 
@@ -135,16 +135,25 @@ def phrase_acceptance_score(
     its tokens v_k of log p/q, with p = probs[codes[t + k], v_k] and
     q = probs[drafter[t + k], v_k], read in place, floored at LOG_FLOOR.  A
     token with p = 0 floors the whole phrase, whatever the other ratios; a
-    token with q = 0 raises DrafterZeroProb first.  Raises ValueError for a
-    phrase that does not fit the window at slot t."""
+    token with q = 0 raises DrafterZeroProb first, wherever it stands.
+    Raises ValueError for a phrase that does not fit the window at slot t.
+
+    One pass over the phrase, each term ``core.log_ratio``'s checks and
+    arithmetic inline."""
     if not 0 <= t <= min(len(codes), len(drafter)) - len(phrase):
         raise ValueError(f"a phrase of {len(phrase)} tokens at slot {t} runs past the window")
+    item, log = probs.item, math.log
     score = 0.0
     impossible = False
     for j, v in enumerate(phrase.tokens, t):
-        pv = probs.item(codes[j], v)
-        impossible |= pv == 0.0
-        score += log_ratio(pv, probs.item(drafter[j], v))
+        qv = item(drafter[j], v)
+        if qv == 0.0:
+            raise DrafterZeroProb("drafted token has zero drafter probability")
+        pv = item(codes[j], v)
+        if pv == 0.0:
+            impossible = True
+        else:
+            score += max(log(pv) - log(qv), LOG_FLOOR)
     return LOG_FLOOR if impossible else max(score, LOG_FLOOR)
 
 
@@ -166,7 +175,7 @@ def verify_token(
     The accept test reads two scalars; only a rejection builds a row, the
     residual, in one new buffer, so p and q may be rows of the model table.
     The residual is drawn in that buffer by ``core.draw`` on its cumulative
-    sum, taken in place."""
+    sum, taken in place, whose total ``draw`` reads as a Python float."""
     qd = q.item(drafted)
     if qd == 0.0:
         raise DrafterZeroProb(f"drafted token {drafted} has zero drafter probability")
@@ -183,19 +192,22 @@ def verify_token(
     return False, draw(np.add.accumulate(residual, out=residual), rng)
 
 
-def _draft(rows: Rows, codes: list[int], greedy: bool, rng: np.random.Generator) -> JacobiWindow:
+def _draft(rows: Rows, codes: Sequence[int], greedy: bool, rng: np.random.Generator) -> JacobiWindow:
     """A window drafted from the given rows of an ``evaluate`` call's
-    tables: each row's argmax in greedy mode, else one draw per row, one
-    uniform per slot in slot order, located in the gathered ``breaks`` rows.
-    Either rule picks a token of positive probability under its row (a draw
-    lands where the row's cumulative sum rises), so the window is a
-    ``_DrawnWindow`` of the table ``rows.probs``."""
-    if greedy:
-        argmax = rows.argmax  # one field read, not one per slot
-        drafts = tuple([argmax[c] for c in codes])
-    else:
+    tables: each row's argmax in greedy mode, read in one C-level gather,
+    else one draw per row, one uniform per slot in slot order, located in
+    the gathered ``breaks`` rows.  Either rule picks a token of positive
+    probability under its row (a draw lands where the row's cumulative sum
+    rises), so the window is a ``_DrawnWindow`` of the table ``rows.probs``,
+    built, as ``evaluate`` builds ``Rows``, without the named tuple's
+    Python-level ``__new__``."""
+    if not greedy:
         drafts = tuple(locate(rows.breaks.take(codes, axis=0), rng.random(len(codes))).tolist())
-    window = _DrawnWindow(drafts, tuple(codes))
+    elif len(codes) > 1:
+        drafts = operator.itemgetter(*codes)(rows.argmax)
+    else:
+        drafts = (rows.argmax[codes[0]],)  # itemgetter of one key returns the item
+    window = tuple.__new__(_DrawnWindow, (drafts, tuple(codes)))
     window.table = rows.probs
     return window
 
@@ -231,8 +243,10 @@ def _find_phrase(
     the row ``probs[codes[j]]`` of each slot j.
 
     A walk of drafts[t]'s trie: each node reached costs one neighborhood
-    test, a failed test prunes every phrase below the node, and a subtree
-    whose best rank cannot beat the phrase found so far is skipped.
+    test, ``in_neighborhood``'s, with the drafted token's probability read
+    once per sibling group; a failed test prunes every phrase below the
+    node, and a subtree whose best rank cannot beat the phrase found so far
+    is skipped.
     """
     root = lib.trie.get(drafts[t])
     if root is None:
@@ -247,13 +261,14 @@ def _find_phrase(
         k, siblings = stack.pop()
         if k >= limit:
             continue
-        j, drafted = codes[t + k], drafts[t + k]
+        j = codes[t + k]
+        p_drafted = probs.item(j, drafts[t + k])
         i = 0
         for token, best, rank, phrase, children in siblings:
             i += 1
             if best >= found_rank:
                 break  # siblings come in ascending best rank
-            if in_neighborhood(probs, j, token, drafted, tau):
+            if abs(probs.item(j, token) - p_drafted) < tau:
                 if rank < found_rank:
                     found, found_rank = phrase, rank
                 if children:
@@ -302,17 +317,18 @@ def verify_window(
     row.  A window ``verify_window`` returned is not checked again when it
     comes back with the same target.
     """
-    phrases = cfg.mode == "sjd_pv"
+    mode = cfg.mode
+    phrases = mode == "sjd_pv"
     if phrases:
         _check_library(cfg, lib, target.vocab_size)
     rows = target.evaluate(prefix, window.drafts)
-    probs, idx = rows.probs, rows.idx
+    probs, breaks, argmax, idx = rows
     if type(window) is not _DrawnWindow or window.table is not probs:
         _check_window(window, probs)
     drafts, drafter = window
     W = len(drafts)
     greedy = cfg.greedy
-    fresh_draw = cfg.mode == "jacobi"
+    fresh_draw = mode == "jacobi"
 
     committed: list[TokenId] = []
     t = 0
@@ -338,10 +354,10 @@ def verify_window(
         # iff it matches a fresh draw (argmax in greedy mode) from the
         # verifier conditional
         if greedy:
-            emitted = rows.argmax[idx[t]]
+            emitted = argmax[idx[t]]
             accepted = emitted == drafted
         elif fresh_draw:
-            emitted = int(rows.breaks[idx[t]].searchsorted(rng.random(), "right"))
+            emitted = int(breaks[idx[t]].searchsorted(rng.random(), "right"))
             accepted = emitted == drafted
         else:
             accepted, emitted = verify_token(probs[idx[t]], probs[drafter[t]], drafted, rng)
@@ -358,7 +374,7 @@ def verify_window(
     metrics.tokens_per_iteration.append(n)
     # Jacobi refill: surviving slots are re-drafted from the rows this call
     # computed; appended slots reuse the last one
-    return tuple(committed), _draft(rows, idx[t:] + idx[-1:] * t, greedy, rng)
+    return tuple(committed), _draft(rows, tuple(idx[t:]) + (idx[-1],) * t, greedy, rng)
 
 
 def decode(
@@ -387,8 +403,9 @@ def decode(
 
     committed: list[TokenId] = []
     metrics = DecodeMetrics()
+    guard = 10 * total_len
     while len(committed) < total_len:
-        if metrics.nfe >= 10 * total_len:
+        if metrics.nfe >= guard:
             raise NonTermination(
                 f"no convergence after {metrics.nfe} iterations "
                 f"({len(committed)}/{total_len} tokens committed)"

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from phrasedec import harness
+from phrasedec import harness, models
 from phrasedec.decoder import DecodeMetrics, decode
 from phrasedec.harness import (
     CapacityExceeded,
@@ -340,6 +340,15 @@ class TestEmitPlotData:
         assert not path.exists()
 
 
+def largest_vocab(order, limit):
+    """The largest V whose order-k table, (V + 1) ** order * V entries,
+    holds at most limit."""
+    v = 1
+    while (v + 2) ** order * (v + 1) <= limit:
+        v += 1
+    return v
+
+
 class TestConfig:
     def test_load_and_coerce(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -403,17 +412,21 @@ class TestConfig:
             config_from_mapping({"planted": "false"} | mapping)
 
     def test_generator_size_limit_is_inclusive(self):
+        # a sampled corpus is bounded by the harness's own limit
         limit = harness.GENERATOR_LIMIT
         assert ExperimentConfig(corpus_sequences=limit // 256, corpus_seq_len=256)
         with pytest.raises(ConfigInvalid, match=f"corpus .* more than {limit}"):
             ExperimentConfig(corpus_sequences=limit // 256 + 1, corpus_seq_len=256)
-        # (V + 1) ** order * V entries: the planted table is order 2
-        assert ExperimentConfig(vocab_size=405)
+        # a generated model by the table limit: (V + 1) ** order * V entries,
+        # and the planted table is order 2
+        limit = models.TABLE_LIMIT
+        v2, v3 = largest_vocab(2, limit), largest_vocab(3, limit)
+        assert ExperimentConfig(vocab_size=v2)
         with pytest.raises(ConfigInvalid, match=f"model table has more than {limit}"):
-            ExperimentConfig(vocab_size=406)
-        assert ExperimentConfig(planted=False, order=3, vocab_size=89)
+            ExperimentConfig(vocab_size=v2 + 1)
+        assert ExperimentConfig(planted=False, order=3, vocab_size=v3)
         with pytest.raises(ConfigInvalid, match=f"model table has more than {limit}"):
-            ExperimentConfig(planted=False, order=3, vocab_size=90)
+            ExperimentConfig(planted=False, order=3, vocab_size=v3 + 1)
 
     def test_generator_values_checked_only_where_read(self, tmp_path):
         # a model file: no generator runs; a corpus file: no corpus is sampled
