@@ -5,20 +5,22 @@ gen-model.  Global flags --seed, --config <path> and --out <dir> go before
 the verb; ``_build_parser`` declares each verb once, with its arguments, the
 global flags it reads and its handler.
 The config file is a flat key=value text file whose keys mirror
-ExperimentConfig.  Bad input (unreadable files, malformed models, libraries,
-corpora or configs) ends with one ``phrasedec: error: ...`` line on stderr
-and exit status 1, before the generator draws if a planted setting or
-corpus size is bad; bad arguments (a grid token that is not a number, or a
-global flag the verb does not read) exit with argparse's status 2 before
-anything is written.  An arithmetic fault inside the verifier
-(``DegenerateResidual``) ends with one ``phrasedec: internal error: ...``
-line and exit status 1.
+ExperimentConfig.  Bad input (unreadable files, an empty output path,
+malformed models, libraries, corpora or configs) ends with one
+``phrasedec: error: ...`` line on stderr and exit status 1, before the
+generator draws if a planted setting or corpus size is bad; bad arguments
+(a grid token that is not a number, or a global flag the verb does not
+read) exit with argparse's status 2 before anything is written.  An
+arithmetic fault inside the verifier (``DegenerateResidual``) ends with one
+``phrasedec: internal error: ...`` line and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -41,6 +43,13 @@ def non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _check_output_paths(*paths: str | None) -> None:
+    """Fail on an empty output path as ``open`` fails on it, before anything
+    is computed or written; None is "not given"."""
+    if "" in paths:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
 
 
 def _comma_list(text: str, parse) -> list:
@@ -142,6 +151,7 @@ def main(argv=None) -> int:
 
 
 def _build_library(args) -> int:
+    _check_output_paths(args.library_out)
     corpus = read_corpus(args.corpus)
     lib = build_library(corpus, args.merges, args.max_len)
     save_library(lib, args.library_out)
@@ -209,10 +219,11 @@ def _sweep_merges(args) -> int:
 
 
 def _theory_check(args) -> int:
+    _check_output_paths(args.out_dir)
     given = ("trials", "v_max", "l_max", "min_inequality_trials", "seed")
     kwargs = {k: getattr(args, k) for k in given if getattr(args, k) is not None}
     report = harness.theory_check(**kwargs)
-    if args.out_dir:
+    if args.out_dir is not None:
         print(f"wrote {harness.write_json(report, args.out_dir, 'theory_check.json')}")
     else:
         print(json.dumps(report, indent=2))
@@ -220,11 +231,12 @@ def _theory_check(args) -> int:
 
 
 def _gen_model(args) -> int:
+    _check_output_paths(args.model_out, args.corpus_out)
     # the model and corpus bench resolves for the same config
     model, corpus = harness._resolve_model_and_corpus(_experiment_config(args))
     save_markov(model, args.model_out)
     print(f"wrote {args.model_out}")
-    if args.corpus_out:
+    if args.corpus_out is not None:
         write_corpus(corpus, args.corpus_out)
         print(f"wrote {args.corpus_out}")
     return 0

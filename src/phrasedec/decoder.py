@@ -10,10 +10,9 @@ commit a whole library phrase whose tokens all fall inside their adaptive
 neighborhoods; on any failure it falls back to the token-wise
 accept-resample test.
 
-A window is checked where it enters the decoder, not on every iteration:
-``verify_window`` checks each window it did not draft itself from the same
-table, and the windows ``_draft`` returns skip the check, since both of its
-rules pick a token of positive probability under the row drawn from.
+``verify_window`` verifies only the windows ``_draft`` drew from the table
+its ``evaluate`` call reads, and refuses any other before any draw; both of
+``_draft``'s rules pick a token of positive probability under its row.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ class LibraryVocabMismatch(ValueError):
 class JacobiWindow(NamedTuple):
     """Draft buffer: W candidate tokens, and for each the index of the
     target row it was drawn from (its drafter row) in the tables of the
-    ``evaluate`` call that drafted it.  ``verify_window`` checks a window
-    the decoder did not draft from the same table, before any draw."""
+    ``evaluate`` call that drafted it.  ``verify_window`` refuses one the
+    decoder did not draft from the target's table, before any draw."""
 
     drafts: TokenSequence
     codes: Sequence[int]
@@ -64,15 +63,11 @@ class JacobiWindow(NamedTuple):
 
 class _DrawnWindow(JacobiWindow):
     """A window ``_draft`` drew from ``table``: each draft has positive
-    probability under its drafter row there, and its fields are tuples.  A
-    window rebuilt from it (``_replace``, ``_make``) is a plain, checked
-    ``JacobiWindow``."""
+    probability under its drafter row there, and its fields are tuples.
+    Only ``_draft`` sets ``table``; a window rebuilt from this one
+    (``_replace``, ``_make``) has none, so ``verify_window`` refuses it."""
 
     table: np.ndarray
-
-    @classmethod
-    def _make(cls, iterable) -> JacobiWindow:
-        return JacobiWindow._make(iterable)
 
 
 @dataclass(frozen=True)
@@ -200,7 +195,8 @@ def _draft(rows: Rows, codes: Sequence[int], greedy: bool, rng: np.random.Genera
     probability under its row (a draw lands where the row's cumulative sum
     rises), so the window is a ``_DrawnWindow`` of the table ``rows.probs``,
     built, as ``evaluate`` builds ``Rows``, without the named tuple's
-    Python-level ``__new__``."""
+    Python-level ``__new__``.  ``table`` is the window's provenance:
+    ``verify_window`` verifies no window without it."""
     if not greedy:
         drafts = tuple(locate(rows.breaks.take(codes, axis=0), rng.random(len(codes))).tolist())
     elif len(codes) > 1:
@@ -210,24 +206,6 @@ def _draft(rows: Rows, codes: Sequence[int], greedy: bool, rng: np.random.Genera
     window = tuple.__new__(_DrawnWindow, (drafts, tuple(codes)))
     window.table = rows.probs
     return window
-
-
-def _check_window(window: JacobiWindow, probs: np.ndarray) -> None:
-    """Raise ValueError, naming the fault, for a non-empty window that fails
-    one of the checks in ``verify_window``'s Raises line, in that order."""
-    drafts, codes = window
-    contexts, V = probs.shape
-    if len(codes) != len(drafts):
-        raise ValueError(f"window has {len(drafts)} draft tokens but {len(codes)} drafter codes")
-    for v in drafts:
-        if not 0 <= v < V:
-            raise ValueError(f"draft token {v} is outside [0, {V})")
-    for c in codes:
-        if not 0 <= c < contexts:
-            raise ValueError(f"drafter code {c} is outside [0, {contexts})")
-    # one Python float per slot: far fewer NumPy calls than a fancy index
-    if min(map(probs.item, codes, drafts)) <= 0.0:
-        raise ValueError("a draft token has zero drafter probability")
 
 
 def _find_phrase(
@@ -307,15 +285,13 @@ def verify_window(
     It calls ``target.evaluate`` once, on the whole prefix, reads p only at
     the rows that call returns and q only at the window's codes, and copies
     no row.
-    Raises ValueError, before any draw and in every mode, for a prefix token
-    outside ``[0, V)``, for sjd_pv mode without lib (LibraryVocabMismatch
-    for a library wider than target), and for a window the decoder did not
-    draft from target (built by hand, rebuilt from a returned one, or
-    drafted from another model) that is empty, has drafts and codes of
-    different lengths, holds a token outside ``[0, V)`` or a code outside
-    the table's rows, or has a draft of zero probability under its drafter
-    row.  A window ``verify_window`` returned is not checked again when it
-    comes back with the same target.
+    Raises ValueError, before any draw and in every mode, for an empty
+    window or a prefix token outside ``[0, V)`` (``evaluate``'s checks), for
+    sjd_pv mode without lib (LibraryVocabMismatch for a library wider than
+    target), and for any window the decoder did not draft from target's
+    table: built by hand, rebuilt from a drafted one, or drafted from
+    another model, even an equal one.  So the window ``decode`` drafts first
+    and each one ``verify_window`` returns are the only windows it verifies.
     """
     mode = cfg.mode
     phrases = mode == "sjd_pv"
@@ -323,8 +299,8 @@ def verify_window(
         _check_library(cfg, lib, target.vocab_size)
     rows = target.evaluate(prefix, window.drafts)
     probs, breaks, argmax, idx = rows
-    if type(window) is not _DrawnWindow or window.table is not probs:
-        _check_window(window, probs)
+    if getattr(window, "table", None) is not probs:
+        raise ValueError("the window was not drafted by the decoder from this model")
     drafts, drafter = window
     W = len(drafts)
     greedy = cfg.greedy

@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ConfigInvalid("decodes and total_len must be >= 1")
         if self.merges < 0:
             raise ConfigInvalid("merges must be >= 0")
+        if self.out_dir == "":
+            raise ConfigInvalid("out_dir must not be empty")
         # the generator rules, checked only where a generator reads them;
         # planted_phrase_corpus checks its arguments through them too
         if self.model_path is None:
@@ -137,19 +139,24 @@ class ExperimentConfig:
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Parse a flat key=value config file; '#' lines are comments, and a key is set once."""
+    """Parse a flat key=value config file; '#' lines are comments, and a key is set once.
+    A file that is not UTF-8 raises ConfigInvalid."""
     entries: dict[str, tuple[int, str]] = {}
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigInvalid(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key in entries:
-                raise ConfigInvalid(f"{path}:{lineno}: key {key!r} repeats line {entries[key][0]}")
-            entries[key] = lineno, value
+        try:
+            for lineno, raw in enumerate(f, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ConfigInvalid(f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key in entries:
+                    first = entries[key][0]
+                    raise ConfigInvalid(f"{path}:{lineno}: key {key!r} repeats line {first}")
+                entries[key] = lineno, value
+        except UnicodeDecodeError as exc:
+            raise ConfigInvalid(f"{path}: not a UTF-8 text file ({exc.reason})") from exc
     return {key: value for key, (_, value) in entries.items()}
 
 
@@ -355,7 +362,7 @@ def _run_grid(
 
 def _write_csv(cfg: ExperimentConfig, name: str, rows: list[dict]) -> list[dict]:
     """Write rows to the CSV file name in cfg.out_dir, if one is set; return rows."""
-    if cfg.out_dir:
+    if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
         emit_plot_data(rows, os.path.join(cfg.out_dir, name))
     return rows
@@ -378,7 +385,7 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
     acceleration = {mode: base_nfe / agg.mean_nfe for mode, agg in per_mode.items()}
     report = BenchmarkReport(REPORT_VERSION, cfg, per_mode, acceleration)
     _write_csv(cfg, "report.csv", [row for agg in per_mode.values() for row in agg.rows])
-    if cfg.out_dir:
+    if cfg.out_dir is not None:
         write_json(dataclasses.asdict(report), cfg.out_dir, "report.json")
     return report
 

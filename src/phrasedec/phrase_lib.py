@@ -619,17 +619,21 @@ def _parse_library(data: bytes) -> PhraseLibrary:
 
 def read_corpus(path) -> list[TokenSequence]:
     """Read a corpus file: one sequence per line, whitespace-separated decimal
-    token ids, '#'-prefixed comment lines ignored."""
+    token ids, '#'-prefixed comment lines ignored.  A file that is not UTF-8
+    raises InvalidToken."""
     corpus: list[TokenSequence] = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                corpus.append(tuple(int(tok) for tok in line.split()))
-            except ValueError as exc:
-                raise InvalidToken(f"bad token in corpus line {line!r}") from exc
+        try:
+            for line in f:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    corpus.append(tuple(int(tok) for tok in line.split()))
+                except ValueError as exc:
+                    raise InvalidToken(f"bad token in corpus line {line!r}") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidToken(f"{path}: not a UTF-8 text file ({exc.reason})") from exc
     return corpus
 
 

@@ -576,6 +576,51 @@ def test_an_empty_lib_path_is_an_unreadable_file(workspace, capsys, mode):
 
 
 @pytest.mark.parametrize(
+    "settings, argv",
+    [
+        ("", ["--out", "", "theory-check", "--trials", "3", "--min-ineq-trials", "3"]),
+        ("", ["--out", "", "sweep-tau", "--taus", "0.01"]),
+        ("out_dir=\n", ["--config", "input.txt", "bench"]),
+        ("", ["gen-model", "--model-out", "m.psdm", "--corpus-out", ""]),
+        ("0 1 0 1\n", ["build-library", "--corpus", "input.txt", "--out", ""]),
+    ],
+    ids=["theory-check", "sweep-tau", "bench-config", "gen-model-corpus", "build-library"],
+)
+def test_an_empty_output_path_is_bad_input(tmp_path, monkeypatch, capsys, settings, argv):
+    # it used to be dropped: theory-check printed its JSON, sweep-tau and
+    # bench wrote no report, and gen-model wrote only the model, all with
+    # status 0; build-library mined its library before failing to save it
+    monkeypatch.chdir(tmp_path)
+    if settings:
+        (tmp_path / "input.txt").write_text(settings, encoding="utf-8")
+    written = sorted(tmp_path.iterdir())
+    rc = main(argv)
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("phrasedec: error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == written
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build-library", "--corpus", "binary.txt", "--out", "lib.psdl"],
+     ["--config", "binary.txt", "--out", "out", "bench"]],
+    ids=["corpus", "config"],
+)
+def test_a_file_that_is_not_utf8_is_bad_input(tmp_path, monkeypatch, capsys, argv):
+    # it used to end with a bare UnicodeDecodeError's message, naming no file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe")
+    rc = main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "phrasedec: error: binary.txt: not a UTF-8 text file (invalid start byte)\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["binary.txt"]
+
+
+@pytest.mark.parametrize(
     "settings",
     [
         "planted=false\norder=4\nvocab_size=2000\n",

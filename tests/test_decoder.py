@@ -326,7 +326,10 @@ class TestVerifyWindow:
         for _ in range(6):
             drafts.append(int(np.argmax(model.conditional(ctx).probs)))
             ctx = ctx + (drafts[-1],)
-        window = JacobiWindow(tuple(drafts), model.evaluate(prefix, drafts).idx)
+        # the greedy draft from the window's own rows is that argmax window
+        rows = model.evaluate(prefix, drafts)
+        window = decoder._draft(rows, rows.idx, True, np.random.default_rng(0))
+        assert window.drafts == tuple(drafts)
         metrics = DecodeMetrics()
         committed, _ = verify_window(
             prefix, window, model, None, cfg, np.random.default_rng(0), metrics
@@ -339,7 +342,8 @@ class TestVerifyWindow:
         model = random_markov(1, 4, 0.4, np.random.default_rng(12))
         prefix = ()
         drafts = (1, 2, 3)
-        window = JacobiWindow(drafts, model.evaluate(prefix, drafts).idx)
+        rows = model.evaluate(prefix, drafts)
+        window = marked_drawn(rows.probs, drafts, rows.idx)
         lib = PhraseLibrary(4, (), (Phrase(drafts, 1, 1),))
         cfg = VerifyConfig(mode="sjd_pv", window_size=3, tau=0.5)
         metrics = DecodeMetrics()
@@ -396,30 +400,63 @@ def drafted(model, codes, greedy, rng=None):
     return decoder._draft(model.evaluate((), (0,)), codes, greedy, rng)
 
 
+def marked_drawn(table, drafts, codes):
+    """A hand-built window marked, as ``_draft`` marks its windows, as drawn
+    from a model's table: for a test that needs exact drafts."""
+    window = decoder._DrawnWindow(tuple(drafts), tuple(codes))
+    window.table = table
+    return window
+
+
+NOT_DRAFTED = "the window was not drafted by the decoder from this model"
+
+# order 1, V=3: code 0 is the begin context, whose row gives token 0 no mass
+BOUNDARY_ROWS = [[0.0, 0.5, 0.5], [0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.4, 0.3, 0.3]]
+BOUNDARY_MODEL = MarkovModel(1, 3, BOUNDARY_ROWS)
+
+
 class TestWindowBoundary:
-    """verify_window checks a window it did not draft, before any draw and in
-    every mode; the windows the decoder drafts are not checked again."""
-
-    # order 1, V=3: code 0 is the begin context, whose row gives token 0 no mass
-    MODEL = MarkovModel(
-        1, 3, [[0.0, 0.5, 0.5], [0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.4, 0.3, 0.3]]
-    )
+    """verify_window verifies only the windows the decoder drafted from the
+    target's table; it refuses any other, valid or not, before any draw and
+    in every mode."""
 
     @pytest.mark.parametrize(
-        "drafts, codes, message",
+        "build, message",
         [
-            ((), [], "draft window must contain at least one token"),
-            ((1, 2), [0], "window has 2 draft tokens but 1 drafter codes"),
-            ((1,), [0, 1], "window has 1 draft tokens but 2 drafter codes"),
-            ((1, -1), [0, 2], r"draft token -1 is outside \[0, 3\)"),
-            ((1, 3), [0, 2], r"draft token 3 is outside \[0, 3\)"),
-            ((1, 2), [0, -1], r"drafter code -1 is outside \[0, 4\)"),
-            ((1, 2), [0, 4], r"drafter code 4 is outside \[0, 4\)"),
-            ((0, 2), [0, 1], "a draft token has zero drafter probability"),
+            # built by hand: malformed, then valid (a copy of a drafted window)
+            (lambda: JacobiWindow((), []), "draft window must contain at least one token"),
+            (lambda: JacobiWindow((1, 2), [0]), NOT_DRAFTED),
+            (lambda: JacobiWindow((1,), [0, 1]), NOT_DRAFTED),
+            (lambda: JacobiWindow((1, -1), [0, 2]), NOT_DRAFTED),
+            (lambda: JacobiWindow((1, 3), [0, 2]), NOT_DRAFTED),
+            (lambda: JacobiWindow((1, 2), [0, -1]), NOT_DRAFTED),
+            (lambda: JacobiWindow((1, 2), [0, 4]), NOT_DRAFTED),
+            (lambda: JacobiWindow((0, 2), [0, 1]), NOT_DRAFTED),
+            (lambda: JacobiWindow(*drafted(BOUNDARY_MODEL, [0, 1, 2], False)), NOT_DRAFTED),
+            # rebuilt from a drafted window, unchanged: still a _DrawnWindow
+            (lambda: drafted(BOUNDARY_MODEL, [0, 1, 2], False)._replace(), NOT_DRAFTED),
+            # drafted from another model: order 2, V=8, whose code 40 is
+            # outside the order-1 table's 4 rows; one of the same shape whose
+            # begin row drafts token 0, which the target's gives no mass; and
+            # a valid one, drafting token 1 from every row
+            (lambda: drafted(random_markov(2, 8, 0.5, np.random.default_rng(0)), [40] * 3, True),
+             NOT_DRAFTED),
+            (lambda: drafted(MarkovModel(1, 3, [[1.0, 0.0, 0.0]] * 4), [0] * 3, True),
+             NOT_DRAFTED),
+            (lambda: drafted(MarkovModel(1, 3, [[0.0, 1.0, 0.0]] * 4), [0, 1, 2], True),
+             NOT_DRAFTED),
+            # drafted from a second, equal instance of the target
+            (lambda: drafted(MarkovModel(1, 3, BOUNDARY_ROWS), [0, 1, 2], False), NOT_DRAFTED),
+        ],
+        ids=[
+            "hand-empty", "hand-more-drafts", "hand-more-codes", "hand-negative-token",
+            "hand-token-past-vocab", "hand-negative-code", "hand-code-past-rows",
+            "hand-zero-drafter-prob", "hand-valid", "replaced", "foreign-code-past-rows",
+            "foreign-zero-drafter-prob", "foreign-valid", "equal-target",
         ],
     )
-    def test_malformed_window_rejected_before_any_draw(self, drafts, codes, message):
-        window = JacobiWindow(drafts, codes)
+    def test_undrafted_window_is_refused(self, build, message):
+        window = build()
         lib = PhraseLibrary(3, (), ())
         for mode in MODES:
             for greedy in (False, True):
@@ -427,93 +464,33 @@ class TestWindowBoundary:
                 state = rng.bit_generator.state
                 metrics = DecodeMetrics()
                 with pytest.raises(ValueError, match=message):
-                    verify_window((), window, self.MODEL, lib,
-                                  VerifyConfig(mode=mode, greedy=greedy), rng, metrics)
-                assert rng.bit_generator.state == state
-                assert metrics == DecodeMetrics()
-
-    def test_window_rebuilt_from_a_drafted_one_is_checked(self):
-        model = self.MODEL
-        cfg = VerifyConfig(mode="sjd", window_size=3)
-        rng = np.random.default_rng(0)
-        # the first window decode drafts, from the begin context, and its refill
-        begin = drafted(model, model.evaluate((), (0,)).idx * 3, False, rng)
-        _, refill = verify_window((), begin, model, None, cfg, rng, DecodeMetrics())
-        for rebuilt, message in [
-            (begin._replace(drafts=(0,) * 3), "a draft token has zero drafter probability"),
-            (refill._replace(drafts=(1, 2, -1)), "draft token -1 is outside"),
-            (refill._replace(codes=refill.codes[:2]), "window has 3 draft tokens but 2"),
-            (refill._replace(codes=(4,) * 3), "drafter code 4 is outside"),
-        ]:
-            assert type(rebuilt) is JacobiWindow
-            with pytest.raises(ValueError, match=message):
-                verify_window((1,), rebuilt, model, None, cfg, rng, DecodeMetrics())
-
-    def test_checked_and_drafted_windows_verify_alike(self, monkeypatch):
-        checks = []
-        check = decoder._check_window
-        monkeypatch.setattr(decoder, "_check_window", lambda *a: checks.append(a) or check(*a))
-        model = random_markov(2, 5, 0.5, np.random.default_rng(3))
-        lib = PhraseLibrary(5, (), (Phrase((1, 2), 1, 1),))
-        for mode in MODES:
-            for greedy in (False, True):
-                cfg = VerifyConfig(mode=mode, window_size=4, greedy=greedy)
-                decode(model, lib, cfg, 40, np.random.default_rng(1))
-                assert checks == []  # decode drafts every window it verifies
-                own = drafted(model, [0] * 4, greedy)
-                runs = []
-                for window in (own, JacobiWindow(*own)):
-                    rng, metrics = np.random.default_rng(5), DecodeMetrics()
-                    out = verify_window((), window, model, lib, cfg, rng, metrics)
-                    runs.append((out, metrics, rng.random()))
-                assert len(checks) == 1  # only the hand-built copy
-                checks.clear()
-                assert runs[0] == runs[1]
-
-
-    @pytest.mark.parametrize(
-        "other, codes, message",
-        [
-            # order 2, V=8: code 40 is outside the order-1 table's 4 rows
-            (random_markov(2, 8, 0.5, np.random.default_rng(0)), [40] * 3,
-             r"is outside \[0, "),
-            # order 1, V=3 with the same shape: its begin row drafts token 0,
-            # which MODEL's begin row gives no mass
-            (MarkovModel(1, 3, [[1.0, 0.0, 0.0]] * 4), [0] * 3,
-             "a draft token has zero drafter probability"),
-        ],
-        ids=["out-of-range", "in-range"],
-    )
-    def test_window_drafted_from_another_model_is_checked(self, other, codes, message):
-        foreign = drafted(other, codes, True)
-        assert type(foreign) is decoder._DrawnWindow
-        lib = PhraseLibrary(3, (), ())
-        for mode in MODES:
-            for greedy in (False, True):
-                rng = np.random.default_rng(0)
-                state = rng.bit_generator.state
-                metrics = DecodeMetrics()
-                with pytest.raises(ValueError, match=message):
-                    verify_window((), foreign, self.MODEL, lib,
+                    verify_window((), window, BOUNDARY_MODEL, lib,
                                   VerifyConfig(mode=mode, window_size=3, greedy=greedy),
                                   rng, metrics)
                 assert rng.bit_generator.state == state
                 assert metrics == DecodeMetrics()
 
-    def test_valid_window_from_another_model_verifies_as_hand_built(self, monkeypatch):
-        checks = []
-        check = decoder._check_window
-        monkeypatch.setattr(decoder, "_check_window", lambda *a: checks.append(a) or check(*a))
-        other = MarkovModel(1, 3, [[0.0, 1.0, 0.0]] * 4)
-        foreign = drafted(other, [0, 1, 2], True)
-        cfg = VerifyConfig(mode="sjd", window_size=3)
-        runs = []
-        for window in (foreign, JacobiWindow(*foreign)):
-            rng, metrics = np.random.default_rng(5), DecodeMetrics()
-            out = verify_window((), window, self.MODEL, None, cfg, rng, metrics)
-            runs.append((out, metrics, rng.random()))
-        assert len(checks) == 2  # the foreign window and its hand-built copy
-        assert runs[0] == runs[1]
+    def test_decode_verifies_only_windows_drawn_from_its_target(self, monkeypatch):
+        model = random_markov(2, 5, 0.5, np.random.default_rng(3))
+        lib = PhraseLibrary(5, (), (Phrase((1, 2), 1, 1),))
+        table = model.evaluate((), (0,)).probs
+        windows = []
+        verify = decoder.verify_window
+
+        def spy(prefix, window, *rest):
+            windows.append(window)
+            return verify(prefix, window, *rest)
+
+        monkeypatch.setattr(decoder, "verify_window", spy)
+        for mode in MODES:
+            for greedy in (False, True):
+                cfg = VerifyConfig(mode=mode, window_size=4, greedy=greedy)
+                _, metrics = decode(model, lib, cfg, 40, np.random.default_rng(1))
+                assert len(windows) == metrics.nfe
+                for window in windows:
+                    assert type(window) is decoder._DrawnWindow
+                    assert window.table is table
+                windows.clear()
 
 
 class LoggedTable(np.ndarray):
@@ -647,7 +624,10 @@ class TestRowHonesty:
                 slot0 = target.argmax[code]
             else:
                 slot0 = int(target.breaks[code].searchsorted(rng.random(), "right"))
-            return committed, JacobiWindow((slot0, *refill.drafts[1:]), (code, *refill.codes[1:]))
+            # forged as the decoder's own draft, as a cheating decoder would
+            forged = marked_drawn(refill.table, (slot0, *refill.drafts[1:]),
+                                  (code, *refill.codes[1:]))
+            return committed, forged
 
         monkeypatch.setattr(decoder, "verify_window", cheat)
         records, _, _ = self.iterations(monkeypatch, spied, mode, greedy)
@@ -723,8 +703,10 @@ class TestRefillDrafts:
         cfg = VerifyConfig(mode=mode, window_size=window, tau=0.2, greedy=greedy)
         rng = np.random.default_rng(seed) if u is None else FixedRng(u)
         prefix = ()
-        codes = [model.context_code(())] * window
-        win = JacobiWindow(tuple(int(np.flatnonzero(model.rows[c])[0]) for c in codes), codes)
+        # a uniform of 0.0 draws each row's first positive token
+        code = model.context_code(())
+        win = drafted(model, [code] * window, False, FixedRng(0.0))
+        assert win.drafts == (int(np.flatnonzero(model.rows[code])[0]),) * window
         metrics = DecodeMetrics()
         for _ in range(6):
             committed, win = verify_window(prefix, win, model, lib, cfg, rng, metrics)
@@ -973,11 +955,14 @@ class TestConfigValidation:
 
     def test_window_invariant(self):
         # the begin row puts no mass on token 0, so a window drafting 0 there
-        # cannot be verified
+        # cannot be verified: the decoder never drafts it, and refuses it
+        # built by hand
         model = MarkovModel(1, 2, [[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
         window = JacobiWindow((0,), [model.context_code(())])
         lib = PhraseLibrary(2, (), ())
         for mode in MODES:
-            with pytest.raises(ValueError, match="a draft token has zero drafter probability"):
-                verify_window((), window, model, lib, VerifyConfig(mode=mode, greedy=True),
-                              np.random.default_rng(0), DecodeMetrics())
+            for greedy in (False, True):
+                with pytest.raises(ValueError, match=NOT_DRAFTED):
+                    verify_window((), window, model, lib,
+                                  VerifyConfig(mode=mode, greedy=greedy),
+                                  np.random.default_rng(0), DecodeMetrics())

@@ -491,6 +491,22 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             load_config_file(path)
 
+    def test_a_file_that_is_not_utf8(self, tmp_path):
+        # it used to raise a bare UnicodeDecodeError
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ConfigInvalid, match=r"binary\.cfg: not a UTF-8 text file"):
+            load_config_file(path)
+
+    def test_empty_out_dir(self, tmp_path):
+        # it used to mean "write nothing", as if no out_dir were set
+        with pytest.raises(ConfigInvalid, match="out_dir must not be empty"):
+            ExperimentConfig(out_dir="")
+        path = tmp_path / "empty.cfg"
+        path.write_text("out_dir=\n", encoding="utf-8")
+        with pytest.raises(ConfigInvalid, match="out_dir must not be empty"):
+            config_from_mapping(load_config_file(path))
+
 
 class TestMarginalTv:
     def test_identical_sets(self):

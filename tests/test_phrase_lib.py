@@ -457,3 +457,11 @@ class TestCorpusIO:
         path.write_text("1 two 3\n", encoding="utf-8")
         with pytest.raises(InvalidToken):
             read_corpus(path)
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe", b"1 2\n3 \xff\n"], ids=["first", "later"])
+    def test_a_file_that_is_not_utf8(self, tmp_path, data):
+        # it used to raise a bare UnicodeDecodeError
+        path = tmp_path / "c.txt"
+        path.write_bytes(data)
+        with pytest.raises(InvalidToken, match=r"c\.txt: not a UTF-8 text file"):
+            read_corpus(path)
