@@ -5,8 +5,9 @@ gen-model.  Global flags --seed, --config <path> and --out <dir> go before
 the verb; ``_build_parser`` declares each verb once, with its arguments, the
 global flags it reads and its handler.
 The config file is a flat key=value text file whose keys mirror
-ExperimentConfig.  Bad input (unreadable files, an empty output path,
-malformed models, libraries, corpora or configs) ends with one
+ExperimentConfig.  Bad input (unreadable files, an empty output path, an
+--out that is or lies under a file, malformed models, libraries, corpora
+or configs) ends with one
 ``phrasedec: error: ...`` line on stderr and exit status 1, before the
 generator draws if a planted setting or corpus size is bad; bad arguments
 (a grid token that is not a number, or a global flag the verb does not
@@ -220,6 +221,8 @@ def _sweep_merges(args) -> int:
 
 def _theory_check(args) -> int:
     _check_output_paths(args.out_dir)
+    if args.out_dir is not None:
+        harness.check_out_dir(args.out_dir)
     given = ("trials", "v_max", "l_max", "min_inequality_trials", "seed")
     kwargs = {k: getattr(args, k) for k in given if getattr(args, k) is not None}
     report = harness.theory_check(**kwargs)

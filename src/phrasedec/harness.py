@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ConfigInvalid("merges must be >= 0")
         if self.out_dir == "":
             raise ConfigInvalid("out_dir must not be empty")
+        if self.out_dir is not None:
+            check_out_dir(self.out_dir)
         # the generator rules, checked only where a generator reads them;
         # planted_phrase_corpus checks its arguments through them too
         if self.model_path is None:
@@ -358,6 +360,18 @@ def _run_grid(
         lib = libraries.get(point.merges)
         points.append((point, lib, [_run_mode(model, lib, point, mode) for mode in modes]))
     return model, points
+
+
+def check_out_dir(out_dir: str) -> None:
+    """Refuse an output directory that names a file or lies under one, which
+    os.makedirs would refuse only when the first report is written; nothing
+    is created."""
+    head = out_dir
+    while head and not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        where = "exists and is" if head == out_dir else f"lies under {head!r}, which is"
+        raise ConfigInvalid(f"out_dir {out_dir!r} {where} not a directory")
 
 
 def _write_csv(cfg: ExperimentConfig, name: str, rows: list[dict]) -> list[dict]:

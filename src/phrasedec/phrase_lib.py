@@ -32,7 +32,8 @@ class EmptyCorpus(ValueError):
 
 
 class InvalidToken(ValueError):
-    """A corpus token is negative, non-integral, or out of vocabulary."""
+    """A corpus token is negative, non-integral, out of vocabulary, or in a
+    corpus file, not spelled in ASCII digits."""
 
 
 class UnsupportedLibraryFormat(ValueError):
@@ -216,11 +217,17 @@ def _slot_key(codes: np.ndarray, base: int) -> np.ndarray:
 
     Pair (l, m) with l < m has key m * 2 * base + l and pair (m, r) with
     r <= m has key m * 2 * base + base + r.  A key is below 2 * base**2, so
-    it fits in int64 for every base up to 2**31.
+    it fits in int64 for every base up to 2**31.  The key is computed as
+    m * (2 * base - 1) + l + r, plus base when l >= r, in one array besides
+    the two symbols'.
     """
     left, right = np.divmod(codes, base)
-    m = np.maximum(left, right)
-    return m * (2 * base) + np.where(left < right, left, base + right)
+    key = np.maximum(left, right)
+    key *= 2 * base - 1
+    key += left
+    key += right
+    np.add(key, base, out=key, where=left >= right)
+    return key
 
 
 def _score_shift(base: int) -> int:
@@ -307,13 +314,15 @@ class _PairCounts:
     (``_slot_key``) and its score ``count << shift | (mask - code)``, of
     its code ``left * base + right`` and its count (zero once the pair has
     gone); ``keys``, ``codes`` and ``counts`` read them.  New slots append
-    at the end of arrays whose capacity doubles.  The best pair has the
-    highest score, so one max finds it.  A merge recounts only the pairs in
-    windows around its sites, before and after the rewrite, and adds the
-    difference to the slots they name; ``_run_bounds`` finds the windows'
-    ends next to the sites.  ``x`` must start and end with a separator,
-    merges must create symbols in ascending order, and a count << shift
-    must fit in int64.
+    at the end, in key order, of arrays whose capacity doubles.  The best
+    pair has the highest score, so one argmax finds it; ``batch`` takes the
+    next pairs in score order that the one-pair-at-a-time loop would merge
+    next, and one ``merge`` pass replaces them all.  A pass recounts only
+    the pairs in windows around its sites, before and after the rewrite,
+    and adds the difference to the slots they name; ``_run_bounds`` finds
+    the windows' ends next to the sites.  ``x`` must start and end with a
+    separator, merges must create symbols in ascending order, and a
+    count << shift must fit in int64.
     """
 
     def __init__(self, x: np.ndarray, sep: int, base: int) -> None:
@@ -326,11 +335,12 @@ class _PairCounts:
         self.prv = np.maximum(cell - 1, 0)
         self.placed: dict[int, np.ndarray] = {}
         codes, counts = np.unique(_counted_pairs(x, sep, base)[1], return_counts=True)
-        order = np.argsort(_slot_key(codes, base))
+        keys = _slot_key(codes, base)
+        order = np.argsort(keys)
         # rows of keys and scores, filled up to size
         self.slots = np.empty((2, max(len(codes), 1)), dtype=np.int64)
         self.size = 0
-        self._append(codes[order], counts[order])
+        self._append(keys[order], codes[order], counts[order])
 
     @property
     def keys(self) -> np.ndarray:
@@ -350,8 +360,8 @@ class _PairCounts:
         cells = self.cells[1:-1]
         return cells[cells != _DEAD]
 
-    def _append(self, codes: np.ndarray, counts: np.ndarray) -> None:
-        """Add slots for codes in key order, after every slot there is."""
+    def _append(self, keys: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> None:
+        """Add slots for ascending keys, after every slot there is."""
         at = self.size
         stop = at + len(codes)
         if stop > self.slots.shape[1]:
@@ -359,38 +369,69 @@ class _PairCounts:
             grown[:, :at] = self.slots[:, :at]
             self.slots = grown
         rows = self.slots[:, at:stop]
-        rows[0] = _slot_key(codes, self.base)
+        rows[0] = keys
         rows[1] = counts << self.shift | (self.mask - codes)
         self.size = stop
 
-    def best(self) -> int | None:
-        """Code of the most frequent pair (the smallest on ties), or None
-        when no pair occurs twice."""
-        if not self.size:
-            return None
-        score = int(self.slots[1, : self.size].max())
-        return self.mask - (score & self.mask) if score >> self.shift >= 2 else None
+    def batch(self, limit: int) -> list[int]:
+        """Codes of the next merges, at most ``limit``: the most frequent
+        pair (the smallest code on ties), then each next pair in score
+        order while it occurs twice, shares no symbol with the pairs taken,
+        and the pair taken before it is not a self-pair (a, a).  Empty when
+        no pair occurs twice.
 
-    def merge(self, code: int, symbol: int) -> None:
-        """Replace every counted occurrence of pair ``code`` with ``symbol``."""
+        A merge never raises the count of a pair that lacks its new symbol,
+        and each pair it creates counts at most the pair it replaced, which
+        has a smaller code and is not the merged pair unless that is (a, a).
+        So merging these one at a time, each would be the best pair in turn.
+        """
+        scores = self.slots[1, : self.size]
+        codes: list[int] = []
+        symbols: set[int] = set()
+        taken, kept = [], []  # slots masked to find the next pair, and their scores
+        while self.size and len(codes) < limit:
+            slot = int(scores.argmax())
+            score = int(scores[slot])
+            code = self.mask - (score & self.mask)
+            a, b = divmod(code, self.base)
+            if score >> self.shift < 2 or a in symbols or b in symbols:
+                break
+            codes.append(code)
+            if a == b:
+                break
+            symbols.update((a, b))
+            taken.append(slot)
+            kept.append(score)
+            scores[slot] = -1
+        scores[taken] = kept
+        return codes
+
+    def merge(self, codes: list[int], symbol: int) -> None:
+        """Replace every counted occurrence of pair ``codes[k]`` with
+        ``symbol + k``, for pairs that share no symbol."""
         cells, nxt, prv, sep, base = self.cells, self.nxt, self.prv, self.sep, self.base
-        a, b = divmod(code, base)
-        m = max(a, b)
-        at = self.placed.get(m)
-        if at is None:
-            at = np.flatnonzero(cells == m)
-        at = self.placed[m] = at[cells[at] == m]
-        if a >= b:  # m is the left symbol of each site
-            hit = at[cells[nxt[at]] == b]
-        else:  # m is the right one
-            hit = prv[at]
-            hit = hit[cells[hit] == a]
-        if a == b:
-            hit = hit[_even_offsets(nxt[hit[:-1]] == hit[1:])]
+        sites = []
+        for code in codes:
+            a, b = divmod(code, base)
+            m = max(a, b)
+            at = self.placed.get(m)
+            if at is None:
+                at = np.flatnonzero(cells == m)
+            at = self.placed[m] = at[cells[at] == m]
+            if a >= b:  # m is the left symbol of each site
+                hit = at[cells[nxt[at]] == b]
+            else:  # m is the right one
+                hit = prv[at]
+                hit = hit[cells[hit] == a]
+            if a == b:
+                hit = hit[_even_offsets(nxt[hit[:-1]] == hit[1:])]
+            sites.append(hit)
+        hit = np.sort(np.concatenate(sites)) if len(sites) > 1 else sites[0]
         # A site h changes the pairs of its cell, the live cell before it
         # and the two after it.  Widened to whole runs of equal symbols, a
         # window's runs start where they start in the corpus, so their
-        # parities recount right.
+        # parities recount right; no site of another pair lies in those
+        # runs without its window overlapping this one.
         start, stop = _run_bounds(cells, nxt, prv, hit)
         # overlapping windows join; each is cut from the cells with a
         # separator after it, before and after the rewrite
@@ -402,11 +443,12 @@ class _PairCounts:
         window = cells[cut]
         right = nxt[hit]
         after = nxt[right]
-        cells[hit] = symbol
+        for new, written in enumerate(sites, symbol):
+            cells[written] = new
+            self.placed[new] = written
         cells[right] = _DEAD
         nxt[hit] = after
         prv[after] = hit
-        self.placed[symbol] = hit
         window = np.concatenate((window, cells[cut]))
         window[ends - 1] = sep
         window[ends[-1] + ends - 1] = sep
@@ -416,16 +458,17 @@ class _PairCounts:
         # pairs of the old windows leave the counts, pairs of the new enter
         pos, codes = _counted_pairs(window, sep, base)
         old = np.searchsorted(pos, np.count_nonzero(live[: ends[-1]]))
-        at = np.searchsorted(self.keys, _slot_key(codes, base))
+        keys = _slot_key(codes, base)
+        at = np.searchsorted(self.keys, keys)
         step = 1 << self.shift
         np.subtract.at(self.slots[1], at[:old], step)
-        # a pair not yet in the table holds the new symbol, so its slot
-        # sorts after every other; among such pairs code order is slot order
+        # a pair not yet in the table holds a new symbol, so its slot sorts
+        # after every other
         known = at[old:] < self.size
         np.add.at(self.slots[1], at[old:][known], step)
-        fresh = np.sort(codes[old:][~known])
-        edge = _run_edges(fresh)
-        self._append(fresh[edge[:-1]], edge[1:] - edge[:-1])
+        fresh = ~known
+        keys, first, counts = np.unique(keys[old:][fresh], return_index=True, return_counts=True)
+        self._append(keys, codes[old:][fresh][first], counts)
 
 
 def _phrase_lengths(rules, vocab_size: int, limit: int) -> list[int]:
@@ -471,15 +514,20 @@ def build_library(
     no rule's expansion is built unless it is kept.
 
     The corpus is one flat int64 array with separators between sequences,
-    rewritten in place.  Pairs are counted once; each merge then finds its
-    sites among the cells of the pair's larger symbol, recounts only the
-    windows around them, whose runs end near them, and updates only the
-    pair slots those windows name (``_PairCounts``).  So a merge costs
-    O(listed cells of its larger symbol + touched cells) and one argmax
-    over the pair slots; only a raw token's first use and a run too long
-    to follow locally read the whole corpus.  Memory is a few arrays of
-    corpus length.  A corpus whose pair counts could overflow the slots'
-    int64 scores raises LibraryTooLarge before any merge.
+    rewritten in place.  Pairs are counted once.  Each pass then merges a
+    batch: the best pair, then each next pair in score order while it
+    shares no symbol with the pairs taken and does not follow a self-pair
+    (``_PairCounts.batch``), which are the merges the one-pair loop would
+    make next (about 3.3 to a pass over the first 256 merges of the
+    benchmark corpora, about 2 over 2048).  A pass finds each pair's sites
+    among the cells of its larger symbol, recounts only the windows around
+    them, whose runs end near them, and updates only the pair slots those
+    windows name.  So a pass costs O(listed cells of its pairs' larger
+    symbols + touched cells) and one argmax over the pair slots per pair
+    and one more; only a raw token's first use and a run too long to follow
+    locally read the whole corpus.  Memory is a few arrays of corpus
+    length.  A corpus whose pair counts could overflow the slots' int64
+    scores raises LibraryTooLarge before any merge.
     """
     if merges < 0:
         raise ValueError("merges must be >= 0")
@@ -508,11 +556,11 @@ def build_library(
     counts = _PairCounts(x, sep, base)
     pairs: list[tuple[int, int]] = []
     while len(pairs) < merges:
-        best = counts.best()
-        if best is None:
+        batch = counts.batch(merges - len(pairs))
+        if not batch:
             break
-        counts.merge(best, first_merged + len(pairs))
-        pairs.append(divmod(best, base))
+        counts.merge(batch, first_merged + len(pairs))
+        pairs += (divmod(code, base) for code in batch)
 
     names = raw.tolist() + [vocab_size + k for k in range(len(pairs))]
     rules = tuple(
@@ -619,8 +667,9 @@ def _parse_library(data: bytes) -> PhraseLibrary:
 
 def read_corpus(path) -> list[TokenSequence]:
     """Read a corpus file: one sequence per line, whitespace-separated decimal
-    token ids, '#'-prefixed comment lines ignored.  A file that is not UTF-8
-    raises InvalidToken."""
+    token ids, '#'-prefixed comment lines ignored.  A token that is not ASCII
+    digits alone (a sign, an underscore or another script's digit) or a
+    file that is not UTF-8 raises InvalidToken."""
     corpus: list[TokenSequence] = []
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -628,10 +677,10 @@ def read_corpus(path) -> list[TokenSequence]:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                try:
-                    corpus.append(tuple(int(tok) for tok in line.split()))
-                except ValueError as exc:
-                    raise InvalidToken(f"bad token in corpus line {line!r}") from exc
+                tokens = line.split()
+                if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+                    raise InvalidToken(f"bad token in corpus line {line!r}")
+                corpus.append(tuple(map(int, tokens)))
         except UnicodeDecodeError as exc:
             raise InvalidToken(f"{path}: not a UTF-8 text file ({exc.reason})") from exc
     return corpus

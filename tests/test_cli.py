@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from phrasedec import cli, decoder
+from phrasedec import cli, decoder, harness
 from phrasedec.cli import main
 from phrasedec.harness import ExperimentConfig, planted_phrase_corpus
 from phrasedec.models import MarkovModel, random_markov, save_markov
@@ -201,7 +201,7 @@ def test_build_library_rejects_negative_merges(workspace, capsys):
     "line, message",
     [
         ("1 two 3", "bad token in corpus line '1 two 3'"),
-        ("1 -2 3", "token -2 is not a non-negative integer"),
+        ("1 -2 3", "bad token in corpus line '1 -2 3'"),
     ],
     ids=["not_an_integer", "negative"],
 )
@@ -352,6 +352,32 @@ def test_a_grid_value_out_of_range_is_a_bad_config(tmp_path, capsys, verb, messa
     assert rc == 1
     assert capsys.readouterr().err == f"phrasedec: error: {message}\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "out, verb",
+    [
+        ("notadir", ["bench"]),
+        ("notadir/sub", ["sweep-tau", "--taus", "0.01"]),
+        ("notadir/sub", ["sweep-merges", "--merge-grid", "64"]),
+        ("notadir", ["theory-check", "--trials", "5"]),
+    ],
+    ids=["bench", "sweep-tau", "sweep-merges", "theory-check"],
+)
+def test_an_out_that_names_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch, out, verb):
+    # it used to fail with [Errno 17] or [Errno 20] after every decode or trial
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(harness, "_resolve_model_and_corpus", no_work)
+    monkeypatch.setattr(harness, "theory_check", no_work)
+    (tmp_path / "notadir").write_text("kept\n", encoding="utf-8")
+    rc = main(["--out", str(tmp_path / out), *verb])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"phrasedec: error: out_dir {str(tmp_path / out)!r} ")
+    assert err.endswith(" not a directory\n") and err.count("\n") == 1
+    assert (tmp_path / "notadir").read_text(encoding="utf-8") == "kept\n"
 
 
 DECODE = ["decode", "--model", "model.psdm", "--length", "8"]

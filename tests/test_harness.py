@@ -507,6 +507,18 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="out_dir must not be empty"):
             config_from_mapping(load_config_file(path))
 
+    def test_an_out_dir_that_names_a_file_or_lies_under_one(self, tmp_path):
+        # it used to fail only when the first report was written
+        (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+        with pytest.raises(ConfigInvalid, match="exists and is not a directory"):
+            ExperimentConfig(out_dir=str(tmp_path / "file"))
+        with pytest.raises(ConfigInvalid, match="lies under .*, which is not a directory"):
+            ExperimentConfig(out_dir=str(tmp_path / "file" / "a" / "b"))
+        # a directory still to be made, under one that exists, is fine
+        ExperimentConfig(out_dir=str(tmp_path / "a" / "b"))
+        assert not (tmp_path / "a").exists()
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
+
 
 class TestMarginalTv:
     def test_identical_sets(self):

@@ -1,13 +1,15 @@
 """The library builder's carried pair counts, and golden library bytes.
 
 ``_PairCounts`` keeps every pair count across merges and recounts only the
-windows around each merge's sites.  After every merge its counts must equal
-a fresh count of the rewritten corpus, taken here by a plain Python scan.
-The windows reach to the ends of runs of equal symbols, found next to each
-site by ``_run_bounds`` along the links between live cells; it must agree
-with a search for run edges over the live symbols.  The golden hashes pin
-the ``.psdl`` bytes of both benchmark workloads' libraries, recorded from
-the builder that recounted the whole corpus on every merge.
+windows around each pass's sites.  Each pass merges a batch of pairs; each
+must be the best pair of the corpus merged so far, and after every pass the
+counts must equal a fresh count of the rewritten corpus, taken here by a
+plain Python scan.  The windows reach to the ends of runs of equal symbols,
+found next to each site by ``_run_bounds`` along the links between live
+cells; it must agree with a search for run edges over the live symbols.
+The golden hashes pin the ``.psdl`` bytes of both benchmark workloads'
+libraries, recorded from builders that merged one pair at a time (the
+first six from one that recounted the whole corpus on every merge).
 """
 
 import hashlib
@@ -78,6 +80,28 @@ def carried(counts: _PairCounts) -> Counter:
     return Counter({p: int(c) for p, c in zip(pairs, counts.counts) if c})
 
 
+def python_batch(counts):
+    """The batch rule on fresh counts: pairs that occur twice, in order of
+    count then code, taken while each shares no symbol with those before it
+    and follows no self-pair; the first that fails ends the batch."""
+    ranked = sorted((p for p, c in counts.items() if c >= 2), key=lambda p: (-counts[p], p))
+    batch, symbols = [], set()
+    for pair in ranked:
+        if symbols & set(pair) or (batch and batch[-1][0] == batch[-1][1]):
+            break
+        batch.append(pair)
+        symbols.update(pair)
+    return batch
+
+
+def check_slots(counts, x, sep):
+    assert counts.x.tolist() == x
+    assert carried(counts) == python_counts(x, sep)
+    assert (counts.counts >= 0).all()
+    assert (counts.keys == _slot_key(counts.codes, counts.base)).all()
+    assert (counts.keys[1:] > counts.keys[:-1]).all()
+
+
 @given(seqs=st.lists(SEQUENCES, min_size=1, max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_carried_counts_equal_a_fresh_count_after_every_merge(seqs):
@@ -89,23 +113,65 @@ def test_carried_counts_equal_a_fresh_count_after_every_merge(seqs):
         x += seq + [sep]
     counts = _PairCounts(np.array(x, dtype=np.int64), sep, sep + 1)
     assert carried(counts) == python_counts(x, sep)
-    # run the merges to exhaustion
-    while (code := counts.best()) is not None:
-        a, b = divmod(code, counts.base)
-        fresh = python_counts(x, sep)
-        top = max(fresh.values())
-        assert fresh[a, b] == top
-        assert (a, b) == min(p for p, c in fresh.items() if c == top)
-        counts.merge(code, symbol)
-        x = python_merge(x, a, b, symbol)
-        symbol += 1
-        assert counts.x.tolist() == x
-        assert carried(counts) == python_counts(x, sep)
-        assert (counts.counts >= 0).all()
-        assert (counts.keys == _slot_key(counts.codes, counts.base)).all()
-        assert (counts.keys[1:] > counts.keys[:-1]).all()
+    # run the merges to exhaustion, one pass per batch
+    while batch := counts.batch(sep):
+        pairs = [divmod(code, counts.base) for code in batch]
+        assert pairs == python_batch(python_counts(x, sep))
+        first = symbol
+        for a, b in pairs:
+            # each member is the best pair of the corpus merged so far
+            fresh = python_counts(x, sep)
+            top = max(fresh.values())
+            assert fresh[a, b] == top
+            assert (a, b) == min(p for p, c in fresh.items() if c == top)
+            x = python_merge(x, a, b, symbol)
+            symbol += 1
+        counts.merge(batch, first)
+        check_slots(counts, x, sep)
     assert max(python_counts(x, sep).values(), default=0) < 2
     assert symbol <= sep
+
+
+def pair_counts(corpus, sep):
+    x = [sep]
+    for seq in corpus:
+        x += seq + [sep]
+    return _PairCounts(np.array(x, dtype=np.int64), sep, sep + 1), x
+
+
+def test_a_batch_stops_at_the_first_pair_that_shares_a_symbol():
+    # (1, 2) shares 1 with (0, 1); (3, 4) shares nothing but comes after it
+    corpus = [[0, 1]] * 5 + [[1, 2]] * 4 + [[3, 4]] * 3
+    counts, _ = pair_counts(corpus, 9)
+    assert counts.batch(9) == [0 * 10 + 1]
+    assert build_library(corpus, 8) == ref.build_library(corpus, 8)
+
+
+@pytest.mark.parametrize("others", [4, 3], ids=["tie", "below"])
+def test_a_batch_stops_after_a_self_pair(others):
+    # each 0 0 0 leaves (4, 0), which counts 4: it loses its tie with
+    # (1, 2) on code, and wins when (1, 2) counts 3; (1, 2) is not taken
+    corpus = [[0, 0, 0]] * 4 + [[1, 2]] * others
+    counts, x = pair_counts(corpus, 9)
+    assert counts.batch(9) == [0]
+    counts.merge([0], 4)
+    x = python_merge(x, 0, 0, 4)
+    check_slots(counts, x, 9)
+    assert build_library(corpus, 8) == ref.build_library(corpus, 8)
+
+
+def test_a_pass_that_creates_two_symbols_appends_fresh_slots_in_key_order():
+    # (0, 1) -> 6 and (2, 3) -> 7 in one pass leave (6, 5) and (4, 7):
+    # (4, 7) has the smaller code and the larger key
+    corpus = [[0, 1, 5]] * 2 + [[0, 1]] * 3 + [[4, 2, 3]] * 2 + [[2, 3]] * 2
+    counts, x = pair_counts(corpus, 9)
+    assert counts.batch(9) == [0 * 10 + 1, 2 * 10 + 3]
+    counts.merge([1, 23], 6)
+    x = python_merge(python_merge(x, 0, 1, 6), 2, 3, 7)
+    check_slots(counts, x, 9)
+    assert [divmod(int(c), 10) for c in counts.codes[-2:]] == [(6, 5), (4, 7)]
+    assert counts.batch(9) == [4 * 10 + 7, 6 * 10 + 5]
+    assert build_library(corpus, 8) == ref.build_library(corpus, 8)
 
 
 def test_slot_keys_order_pairs_by_larger_symbol_then_code():
@@ -142,7 +208,7 @@ def test_ties_at_the_top_count_go_to_the_smallest_code_near_the_score_shift(pair
     x = [sep] + [s for pair, n in pairs.items() for _ in range(n) for s in (*pair, sep)]
     counts = _PairCounts(np.array(x, dtype=np.int64), sep, BASE)
     assert carried(counts) == pairs
-    assert divmod(counts.best(), BASE) == want
+    assert [divmod(code, BASE) for code in counts.batch(1)] == [want]
 
 
 SEP = 3
@@ -228,6 +294,9 @@ GOLDEN = {
     ("long", 256): "ac54131d7a81ff32307a19e3f90bd565b457b5aa84e58ebca5fb3885b6d968a0",
     ("long", 1024): "986be95054327cbe85487dd7d3c1a76735d19f6362d0b8f9ff9a05ebb805d25c",
     ("long", 2048): "15105d7ba82bf4a18e2ecf3744fc0b58bbefbc091b88dd85d97be7e90401bc9a",
+    # the long corpus runs out of pairs after 3395 merges, where counts of
+    # 2 and ties at the top count dominate
+    ("long", 8192): "615720b48e82e1557c1a91f4ba041417018b33744d3bc19150cb58b8a9e2bec7",
 }
 
 

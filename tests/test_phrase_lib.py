@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -456,6 +457,19 @@ class TestCorpusIO:
         path = tmp_path / "c.txt"
         path.write_text("1 two 3\n", encoding="utf-8")
         with pytest.raises(InvalidToken):
+            read_corpus(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["1_0 2", "+3 4", "3 -4", "\u0663 4", "\uff13 4", "\u00b2 4"],
+        ids=["underscore", "plus_sign", "minus_sign", "arabic_indic_digit", "fullwidth_digit",
+             "superscript_digit"],
+    )
+    def test_a_token_that_is_not_ascii_digits(self, tmp_path, line):
+        # int() reads each of these; 1_0 read as 10 and an Arabic-Indic 3 as 3
+        path = tmp_path / "c.txt"
+        path.write_text(f"0 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(InvalidToken, match=re.escape(f"bad token in corpus line {line!r}")):
             read_corpus(path)
 
     @pytest.mark.parametrize("data", [b"\xff\xfe", b"1 2\n3 \xff\n"], ids=["first", "later"])
