@@ -102,16 +102,21 @@ def check_slots(counts, x, sep):
     assert (counts.keys[1:] > counts.keys[:-1]).all()
 
 
+def pair_counts(corpus, sep):
+    """Carried counts of the sequences between separators, and the corpus."""
+    x = [sep]
+    for seq in corpus:
+        x += seq + [sep]
+    return _PairCounts(np.array(x, dtype=np.int64), sep, sep + 1), x
+
+
 @given(seqs=st.lists(SEQUENCES, min_size=1, max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_carried_counts_equal_a_fresh_count_after_every_merge(seqs):
     tokens = sum(map(len, seqs))
     symbol = 4
     sep = symbol + tokens // 2
-    x = [sep]
-    for seq in seqs:
-        x += seq + [sep]
-    counts = _PairCounts(np.array(x, dtype=np.int64), sep, sep + 1)
+    counts, x = pair_counts(seqs, sep)
     assert carried(counts) == python_counts(x, sep)
     # run the merges to exhaustion, one pass per batch
     while batch := counts.batch(sep):
@@ -130,13 +135,6 @@ def test_carried_counts_equal_a_fresh_count_after_every_merge(seqs):
         check_slots(counts, x, sep)
     assert max(python_counts(x, sep).values(), default=0) < 2
     assert symbol <= sep
-
-
-def pair_counts(corpus, sep):
-    x = [sep]
-    for seq in corpus:
-        x += seq + [sep]
-    return _PairCounts(np.array(x, dtype=np.int64), sep, sep + 1), x
 
 
 def test_a_batch_stops_at_the_first_pair_that_shares_a_symbol():
