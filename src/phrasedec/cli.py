@@ -5,9 +5,10 @@ gen-model.  Global flags --seed, --config <path> and --out <dir> go before
 the verb; ``_build_parser`` declares each verb once, with its arguments, the
 global flags it reads and its handler.
 The config file is a flat key=value text file whose keys mirror
-ExperimentConfig.  Bad input (unreadable files, an empty output path, an
---out that is or lies under a file, malformed models, libraries, corpora
-or configs) ends with one
+ExperimentConfig.  Bad input (unreadable files, an output file path that
+is empty, names a directory or lies in a missing directory or under a
+file, an empty --out or one that is or lies under a file, malformed
+models, libraries, corpora or configs) ends with one
 ``phrasedec: error: ...`` line on stderr and exit status 1, before the
 generator draws if a planted setting or corpus size is bad; bad arguments
 (a grid token that is not a number, or a global flag the verb does not
@@ -47,10 +48,22 @@ def non_negative_int(text: str) -> int:
 
 
 def _check_output_paths(*paths: str | None) -> None:
-    """Fail on an empty output path as ``open`` fails on it, before anything
-    is computed or written; None is "not given"."""
-    if "" in paths:
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
+    """Fail on an output file path as ``open(path, "w")`` would fail on it,
+    before anything is computed or written: ENOTDIR for a path under a
+    file (``harness.file_in_the_way``), ENOENT for an empty path or one in
+    a missing directory, EISDIR for a directory.  None is "not given"."""
+    for path in paths:
+        if path is None:
+            continue
+        if harness.file_in_the_way(os.path.dirname(path)):
+            code = errno.ENOTDIR
+        elif not path or not os.path.isdir(os.path.dirname(path) or os.curdir):
+            code = errno.ENOENT
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
 
 
 def _comma_list(text: str, parse) -> list:
@@ -220,7 +233,6 @@ def _sweep_merges(args) -> int:
 
 
 def _theory_check(args) -> int:
-    _check_output_paths(args.out_dir)
     if args.out_dir is not None:
         harness.check_out_dir(args.out_dir)
     given = ("trials", "v_max", "l_max", "min_inequality_trials", "seed")

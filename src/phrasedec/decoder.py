@@ -13,6 +13,10 @@ accept-resample test.
 ``verify_window`` verifies only the windows ``_draft`` drew from the table
 its ``evaluate`` call reads, and refuses any other before any draw; both of
 ``_draft``'s rules pick a token of positive probability under its row.
+
+``decode`` serves every uniform of a decode from blocks of one generator
+call each (``_Uniforms``), handing out, and leaving the generator as, one
+call per uniform would.
 """
 
 from __future__ import annotations
@@ -353,6 +357,60 @@ def verify_window(
     return tuple(committed), _draft(rows, tuple(idx[t:]) + (idx[-1],) * t, greedy, rng)
 
 
+# uniforms a decode draws from its generator per call; see _Uniforms
+BLOCK = 1024
+
+
+class _Uniforms:
+    """One decode's uniform stream: ``random()`` and ``random(n)`` as the
+    generator's, served from blocks drawn by one ``rng.random(BLOCK)`` call
+    each.  The first block is drawn at the first request, so a decode that
+    draws nothing, as greedy jacobi and sjd do, draws none.
+    ``Generator.random(n)`` yields the same doubles as n scalar calls, so
+    the stream hands out exactly the uniforms one-by-one draws would:
+    scalars as Python floats, vectors as read-only views of the block.
+
+    Only the generator runs ahead, by the block's unused tail.  ``sync``
+    puts it back where one-by-one draws would leave it: it restores the
+    state saved before the block and redraws the ``pos`` uniforms handed
+    out.  ``decode`` syncs when it returns or raises, and ``random`` before
+    a request that outruns the block; one wider than BLOCK then bypasses
+    the blocks."""
+
+    __slots__ = ("rng", "saved", "block", "floats", "pos")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng, self.saved, self.pos = rng, None, 0
+        self._take(np.zeros(0))
+
+    def _take(self, block: np.ndarray) -> None:
+        block.setflags(write=False)
+        # a memoryview of float64 items reads each as a Python float
+        self.block, self.floats = block, memoryview(block)
+
+    def random(self, n: int | None = None):
+        pos = self.pos
+        if n is None:
+            if pos < len(self.floats):
+                self.pos = pos + 1
+                return self.floats[pos]
+        elif pos + n <= len(self.floats):
+            self.pos = pos + n
+            return self.block[pos : pos + n]
+        self.sync()
+        if n is not None and n > BLOCK:
+            return self.rng.random(n)
+        self.saved = self.rng.bit_generator.state
+        self._take(self.rng.random(BLOCK))
+        return self.random(n)
+
+    def sync(self) -> None:
+        if self.saved is not None:
+            self.rng.bit_generator.state = self.saved
+            self.rng.random(self.pos)
+            self.saved, self.floats, self.pos = None, self.floats[:0], 0
+
+
 def decode(
     target: MarkovModel,
     lib: PhraseLibrary | None,
@@ -369,25 +427,34 @@ def decode(
     The final window is truncated so exactly total_len tokens are returned.
     Raises ValueError, before any draft, for sjd_pv mode without a library
     and LibraryVocabMismatch for a library wider than the model.
+
+    The decode reads rng only through ``random()`` and ``random(n)``, served
+    from blocks of one call each (``_Uniforms``), and rng ends as if each
+    uniform had been drawn on its own, also on an exception; a greedy
+    decode draws only for sjd_pv's phrase tests, so greedy jacobi and sjd
+    leave it untouched.
     """
     if total_len < 1:
         raise ValueError("total_len must be >= 1")
     _check_library(cfg, lib, target.vocab_size)
     # the begin row is row 0 of a one-slot window, whose draft is never read
     begin = target.evaluate((), (0,))
-    window = _draft(begin, begin.idx * cfg.window_size, cfg.greedy, rng)
-
+    uniforms = _Uniforms(rng)
     committed: list[TokenId] = []
     metrics = DecodeMetrics()
     guard = 10 * total_len
-    while len(committed) < total_len:
-        if metrics.nfe >= guard:
-            raise NonTermination(
-                f"no convergence after {metrics.nfe} iterations "
-                f"({len(committed)}/{total_len} tokens committed)"
-            )
-        out, window = verify_window(committed, window, target, lib, cfg, rng, metrics)
-        committed.extend(out)
+    try:
+        window = _draft(begin, begin.idx * cfg.window_size, cfg.greedy, uniforms)
+        while len(committed) < total_len:
+            if metrics.nfe >= guard:
+                raise NonTermination(
+                    f"no convergence after {metrics.nfe} iterations "
+                    f"({len(committed)}/{total_len} tokens committed)"
+                )
+            out, window = verify_window(committed, window, target, lib, cfg, uniforms, metrics)
+            committed.extend(out)
+    finally:
+        uniforms.sync()
 
     # truncate the final window's overshoot, keeping the per-iteration
     # accounting consistent with the emitted length

@@ -92,8 +92,6 @@ class ExperimentConfig:
             raise ConfigInvalid("decodes and total_len must be >= 1")
         if self.merges < 0:
             raise ConfigInvalid("merges must be >= 0")
-        if self.out_dir == "":
-            raise ConfigInvalid("out_dir must not be empty")
         if self.out_dir is not None:
             check_out_dir(self.out_dir)
         # the generator rules, checked only where a generator reads them;
@@ -362,14 +360,23 @@ def _run_grid(
     return model, points
 
 
-def check_out_dir(out_dir: str) -> None:
-    """Refuse an output directory that names a file or lies under one, which
-    os.makedirs would refuse only when the first report is written; nothing
-    is created."""
-    head = out_dir
+def file_in_the_way(path: str) -> str:
+    """The nearest of path and its ancestors that exists, if it is not a
+    directory, so that nothing can be created at path; else ''."""
+    head = path
     while head and not os.path.lexists(head):
         head = os.path.dirname(head)
-    if head and not os.path.isdir(head):
+    return head if head and not os.path.isdir(head) else ""
+
+
+def check_out_dir(out_dir: str) -> None:
+    """Refuse an empty output directory, or one that names a file or lies
+    under one, which os.makedirs would refuse only when the first report is
+    written; nothing is created."""
+    if out_dir == "":
+        raise ConfigInvalid("out_dir must not be empty")
+    head = file_in_the_way(out_dir)
+    if head:
         where = "exists and is" if head == out_dir else f"lies under {head!r}, which is"
         raise ConfigInvalid(f"out_dir {out_dir!r} {where} not a directory")
 

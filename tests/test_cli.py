@@ -380,6 +380,48 @@ def test_an_out_that_names_a_file_fails_before_any_work(tmp_path, capsys, monkey
     assert (tmp_path / "notadir").read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "path, code",
+    [
+        ("notadir/out", errno.ENOTDIR),
+        ("notadir/sub/out", errno.ENOTDIR),
+        ("missing/out", errno.ENOENT),
+        ("adir", errno.EISDIR),
+    ],
+    ids=["under-a-file", "deep-under-a-file", "missing-directory", "a-directory"],
+)
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["build-library", "--corpus", "corpus.txt", "--merges", "8", "--out", "{}"],
+        ["gen-model", "--model-out", "{}"],
+        ["gen-model", "--model-out", "m.psdm", "--corpus-out", "{}"],
+    ],
+    ids=["build-library", "gen-model-model", "gen-model-corpus"],
+)
+def test_an_unwritable_output_file_fails_before_any_work(
+    tmp_path, monkeypatch, capsys, verb, path, code
+):
+    # it used to fail with [Errno 20], [Errno 2] or [Errno 21] after the
+    # whole library, or the model and corpus, had been made
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "read_corpus", no_work)
+    monkeypatch.setattr(harness, "_resolve_model_and_corpus", no_work)
+    (tmp_path / "notadir").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    written = sorted(tmp_path.rglob("*"))
+    rc = main([arg.format(path) for arg in verb])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"phrasedec: error: {OSError(code, os.strerror(code), path)}\n"
+    assert sorted(tmp_path.rglob("*")) == written
+    assert (tmp_path / "notadir").read_text(encoding="utf-8") == "kept\n"
+
+
 DECODE = ["decode", "--model", "model.psdm", "--length", "8"]
 BUILD = ["build-library", "--corpus", "corpus.txt", "--out", "lib.psdl"]
 
