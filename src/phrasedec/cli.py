@@ -207,6 +207,11 @@ def _bench(args) -> int:
             f"{agg.mean_tokens_per_iteration:.2f} tokens/iteration, "
             f"acceleration {report.acceleration[mode]:.3f}x"
         )
+    print(f"vs ancestral: ancestral_sample {report.ancestral_us_per_token:.3f} us/token")
+    for mode, us in report.us_per_token.items():
+        latency = report.break_even_verifier_us[mode]
+        shown = "none (NFE per token >= 1)" if latency is None else f"{latency:.3f} us"
+        print(f"vs ancestral: {mode} {us:.3f} us/token, break-even verifier latency {shown}")
     return 0
 
 

@@ -23,6 +23,7 @@ from .decoder import DecodeMetrics, VerifyConfig, decode
 from .models import (
     MarkovModel,
     ancestral_corpus,
+    ancestral_sample,
     check_shape,
     context_codes,
     context_count,
@@ -293,10 +294,21 @@ class ModeAggregate:
 
 @dataclass
 class BenchmarkReport:
+    """A benchmark's aggregates.  The last three fields set wall clock
+    against ``ancestral_sample`` on the same model: its µs per token, each
+    mode's µs per token, and each mode's break-even verifier latency, the
+    per-call cost at which the NFE the mode saves pays for its overhead:
+    (µs per token - ancestral µs per token) / (1 - NFE per token).  That is
+    None where NFE per token is >= 1, and negative where the mode is
+    cheaper than ancestral sampling at any verifier latency."""
+
     report_version: int
     config: ExperimentConfig
     per_mode: dict[str, ModeAggregate]
     acceleration: dict[str, float]
+    ancestral_us_per_token: float
+    us_per_token: dict[str, float]
+    break_even_verifier_us: dict[str, float | None]
 
 
 def _rate(x: float, y: float) -> float:
@@ -399,12 +411,26 @@ def write_json(report: dict, out_dir: str, name: str) -> str:
 
 
 def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
-    """Matched-seed decodes for each configured mode over one target model."""
-    _, [(_, _, runs)] = _run_grid([cfg], cfg.modes)
+    """Matched-seed decodes for each configured mode over one target model,
+    then ``decodes`` timed ancestral samples of it on the streams
+    ``[seed, 2, run]``, disjoint from the decodes' ``[seed, 1, run]``."""
+    model, [(_, _, runs)] = _run_grid([cfg], cfg.modes)
     per_mode = {agg.mode: agg for agg, _ in runs}
     base_nfe = per_mode[cfg.modes[0]].mean_nfe
     acceleration = {mode: base_nfe / agg.mean_nfe for mode, agg in per_mode.items()}
-    report = BenchmarkReport(REPORT_VERSION, cfg, per_mode, acceleration)
+    start = time.perf_counter()
+    for run in range(cfg.decodes):
+        ancestral_sample(model, cfg.total_len, np.random.default_rng([cfg.seed, 2, run]))
+    tokens = cfg.decodes * cfg.total_len
+    ancestral_us = 1e6 * (time.perf_counter() - start) / tokens
+    us_per_token = {mode: 1e6 * agg.wall_clock_s / tokens for mode, agg in per_mode.items()}
+    break_even: dict[str, float | None] = {}
+    for mode, agg in per_mode.items():
+        saved = 1.0 - agg.mean_nfe / cfg.total_len
+        break_even[mode] = (us_per_token[mode] - ancestral_us) / saved if saved > 0.0 else None
+    report = BenchmarkReport(
+        REPORT_VERSION, cfg, per_mode, acceleration, ancestral_us, us_per_token, break_even
+    )
     _write_csv(cfg, "report.csv", [row for agg in per_mode.values() for row in agg.rows])
     if cfg.out_dir is not None:
         write_json(dataclasses.asdict(report), cfg.out_dir, "report.json")

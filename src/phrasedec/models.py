@@ -5,7 +5,8 @@ These stand in for a large autoregressive backbone at desk scale.  A model
 maps a prefix to a categorical conditional over the next token.  The decoder
 reads a model only through ``MarkovModel.evaluate``, one call per window
 (one NFE), which indexes the uncopied tables by a rolling context code, so
-its cost does not depend on prefix length; nor does ``ancestral_sample``'s.
+its cost does not depend on prefix length; nor does ``ancestral_sample``'s,
+which follows the context by one read of ``next_row`` per token.
 ``ancestral_corpus`` draws many independent samples in lockstep, one row
 gather per position, and ``exact_marginals`` gives the exact law of each
 position with no draw.
@@ -46,7 +47,8 @@ MODEL_FORMAT_VERSION = 1
 HEADER = "<HII"
 
 
-# the most entries a model table may hold: 2**26 float64s, 512 MiB
+# the most entries a model table may hold: 2**26 entries, 512 MiB each for
+# the float64 rows and breaks and 256 MiB for the int32 next_row, 1.25 GiB
 TABLE_LIMIT = 2**26
 
 
@@ -127,6 +129,10 @@ class MarkovModel:
     ``core.draw`` draws from u on the cumulative row, since fl(u * T) is
     monotone in u; its +inf last column is the clamp to V - 1.  Greedy
     decoding reads ``argmax``, the most likely token after each code.
+    ``next_row``, read-only int32 of ``rows.size`` entries, is what
+    ``ancestral_sample`` follows the context by: entry ``c * V + v`` is the
+    flat start, ``V`` times the code, of the row after appending token v to
+    code c.
     """
 
     def __init__(self, order: int, vocab_size: int, context_rows) -> None:
@@ -144,10 +150,23 @@ class MarkovModel:
         rows.setflags(write=False)
         breaks = breakpoints(rows.cumsum(axis=1))
         breaks.setflags(write=False)
+        # V * ((c * (V + 1) + v + 1) % contexts) for every (c, v) cell, in
+        # int32 with no wider temporary: c * (V + 1) + v + 1 is below
+        # 1.5 * rows.size <= 1.5 * TABLE_LIMIT < 2**31
+        contexts = np.int32(len(rows))
+        next_row = np.add.outer(
+            np.arange(contexts, dtype=np.int32) * np.int32(vocab_size + 1),
+            np.arange(1, vocab_size + 1, dtype=np.int32),
+        )
+        next_row %= contexts
+        next_row *= np.int32(vocab_size)
+        next_row = next_row.reshape(-1)
+        next_row.setflags(write=False)
         self.order = order
         self.vocab_size = vocab_size
         self.rows = rows
         self.breaks = breaks
+        self.next_row = next_row
         self.argmax = tuple(rows.argmax(axis=1).tolist())
 
     def context_code(self, prefix: TokenSequence) -> int:
@@ -190,21 +209,23 @@ def ancestral_sample(
     All uniforms come from one ``rng.random(length)`` call, the stream of
     ``length`` one-row draws.  Each token is the count of its context's
     ``breaks`` entries <= u: a binary search of the flat table between the
-    row's bounds.  The loop does only that per token: one ``bisect_right``
-    call, the append and the context-code update.
+    row's bounds, whose flat cell ``c * V + token`` indexes ``next_row`` at
+    the next context's row start.  The loop does only that per token: one
+    ``bisect_right`` call, the append of the cell less the row start and
+    one table read.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    V, base, contexts = model.vocab_size, model.vocab_size + 1, model.rows.shape[0]
+    V = model.vocab_size
     breaks = memoryview(model.breaks.reshape(-1))
+    next_row = memoryview(model.next_row)
     out: list[int] = []
     append = out.append
-    code = 0
+    lo = 0
     for u in rng.random(length).tolist():
-        lo = code * V
-        tok = bisect_right(breaks, u, lo, lo + V) - lo
-        append(tok)
-        code = (code * base + tok + 1) % contexts
+        cell = bisect_right(breaks, u, lo, lo + V)
+        append(cell - lo)
+        lo = next_row[cell]
     return tuple(out)
 
 

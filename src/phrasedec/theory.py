@@ -3,11 +3,18 @@
 Provides the expected acceptance rate of the accept-resample test, its
 token-wise product over a sequence, the phrase-level joint-ratio rate, and
 checks of the min-function inequality that orders the two.
-All positions are treated as independent; correlated drafting is out of scope.
+These rate oracles treat all positions as independent.
+
+The exact-law enumerators read a model only through ``evaluate``, and
+follow a decode's correlated drafting:
+``target_joint`` is its joint law of L-token sequences, and ``decoder_law``
+the exact law of the first L tokens a decode commits, both as flat arrays
+indexed by ``seq_index``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -157,3 +164,87 @@ def proposition1_sweep(
         if gap < -_GAP_TOL:
             summary.violations += 1
     return summary
+
+
+def seq_index(seq, vocab):
+    """The position of a sequence in a flat law: its tokens as base-V digits."""
+    n = 0
+    for tok in seq:
+        n = n * vocab + tok
+    return n
+
+
+def target_joint(model, length):
+    """The model's joint law of length-token sequences, one ``evaluate``
+    call per sequence: the probability of each token at its own row."""
+    out = np.empty(model.vocab_size**length)
+    for n, seq in enumerate(itertools.product(range(model.vocab_size), repeat=length)):
+        rows = model.evaluate((), seq)
+        out[n] = np.prod([rows.probs[i, v] for i, v in zip(rows.idx, seq)])
+    return out
+
+
+def decoder_law(model, mode, window, length, greedy=False):
+    """The exact law of the first length tokens ``decode`` commits in
+    ``mode`` ("sjd" or "jacobi") with the given window size."""
+    V, order = model.vocab_size, model.order
+    begin = model.evaluate((), (0,))
+    # per row: the law of a draft, or of a fixed-point rule's fresh draw
+    laws = (np.eye(V)[list(begin.argmax)] if greedy else begin.probs).tolist()
+    sjd = mode == "sjd" and not greedy
+
+    def ends(idx, drafts, codes):
+        """(committed tokens, probability) of every way one iteration ends."""
+        out, chunk, prob = [], (), 1.0
+        for t, d in enumerate(drafts):
+            p = laws[idx[t]]
+            if sjd:
+                q = laws[codes[t]]
+                keep = min(1.0, p[d] / q[d])
+                residual = [max(a - b, 0.0) for a, b in zip(p, q)]
+                # a rejection (probability 1 - keep) draws from the residual
+                scale = (1.0 - keep) / sum(residual) if keep < 1.0 else 0.0
+                stop = [scale * x for x in residual]
+            else:  # the fixed-point rule: the draft survives iff a fresh draw matches it
+                keep, stop = p[d], [0.0 if v == d else x for v, x in enumerate(p)]
+            out += [(chunk + (v,), prob * x) for v, x in enumerate(stop) if x > 0.0]
+            prob *= keep
+            chunk += (d,)
+            if prob == 0.0:
+                return out
+        return out + [(chunk, prob)]
+
+    iterations = {}  # (tail, codes, drafts) -> the iteration's rows and ends
+
+    def iteration(tail, codes, drafts):
+        if (tail, codes, drafts) not in iterations:
+            idx = model.evaluate(tail, drafts).idx
+            iterations[tail, codes, drafts] = idx, ends(idx, drafts, codes)
+        return iterations[tail, codes, drafts]
+
+    memo = {}
+
+    def law(r, tail, codes):
+        """The law of the next r committed tokens, as a flat array, when the
+        next window is drafted at codes and tail is the prefix."""
+        if (r, tail, codes) in memo:
+            return memo[r, tail, codes]
+        out = np.zeros(V**r)
+        for drafts in itertools.product(range(V), repeat=len(codes)):
+            q = np.prod([laws[c][d] for c, d in zip(codes, drafts)])
+            if q == 0.0:
+                continue
+            idx, outcomes = iteration(tail, codes, drafts)
+            for chunk, prob in outcomes:
+                n = len(chunk)
+                if n >= r:
+                    out[seq_index(chunk[:r], V)] += q * prob
+                    continue
+                refill = tuple(idx[n:] + idx[-1:] * n)
+                block = V ** (r - n)
+                start = seq_index(chunk, V) * block
+                out[start : start + block] += q * prob * law(r - n, (tail + chunk)[-order:], refill)
+        memo[r, tail, codes] = out
+        return out
+
+    return law(length, (), tuple(begin.idx * window))

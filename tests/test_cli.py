@@ -286,6 +286,23 @@ def test_bench(workspace, tmp_path, capsys):
     assert set(report["per_mode"]) == {"sjd"}
 
 
+def test_bench_prints_its_numbers_vs_ancestral(workspace, tmp_path, capsys):
+    _, corpus_path, model_path = workspace
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"model_path={model_path}\ncorpus_path={corpus_path}\ndecodes=1\ntotal_len=24\n"
+        "window_size=1\n",
+        encoding="utf-8",
+    )
+    assert main(["--config", str(cfg), "bench", "--modes", "sjd"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("vs ancestral: ancestral_sample ")
+    assert lines[1].endswith(" us/token")
+    # one token per call saves no NFE, so no verifier latency breaks even
+    assert lines[2].startswith("vs ancestral: sjd ")
+    assert lines[2].endswith("break-even verifier latency none (NFE per token >= 1)")
+
+
 def test_sweeps(workspace, tmp_path, capsys):
     _, corpus_path, model_path = workspace
     cfg = tmp_path / "exp.cfg"

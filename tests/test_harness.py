@@ -175,7 +175,10 @@ class TestRunBenchmark:
         cfg = small_cfg(out_dir=str(tmp_path))
         report = run_benchmark(cfg)
         data = json.loads((tmp_path / "report.json").read_text())
-        assert list(data) == ["report_version", "config", "per_mode", "acceleration"]
+        assert list(data) == [
+            "report_version", "config", "per_mode", "acceleration",
+            "ancestral_us_per_token", "us_per_token", "break_even_verifier_us",
+        ]
         assert data["report_version"] == 1
         assert data["config"]["seed"] == cfg.seed
         with open(tmp_path / "report.csv", newline="") as f:
@@ -190,6 +193,40 @@ class TestRunBenchmark:
             "mode,run,nfe,iterations,tokens_emitted,token_accepts,"
             "token_rejects,phrase_attempts,phrase_accepts"
         )
+
+    def test_break_even_latency_reproduces_from_the_report(self, tmp_path, monkeypatch):
+        cfg = small_cfg(out_dir=str(tmp_path))
+        seeds = []
+        sample = harness.ancestral_sample
+
+        def recording(model, length, rng):
+            seeds.append(rng.bit_generator.seed_seq.entropy)
+            return sample(model, length, rng)
+
+        monkeypatch.setattr(harness, "ancestral_sample", recording)
+        run_benchmark(cfg)
+        # one ancestral sample per decode, on its own stream
+        assert seeds == [[cfg.seed, 2, run] for run in range(cfg.decodes)]
+        data = json.loads((tmp_path / "report.json").read_text())
+        ancestral = data["ancestral_us_per_token"]
+        assert ancestral > 0.0
+        assert set(data["us_per_token"]) == set(data["break_even_verifier_us"]) == set(cfg.modes)
+        tokens = cfg.decodes * cfg.total_len
+        for mode, agg in data["per_mode"].items():
+            us = data["us_per_token"][mode]
+            assert us == pytest.approx(1e6 * agg["wall_clock_s"] / tokens, rel=1e-12)
+            expected = (us - ancestral) / (1.0 - agg["mean_nfe"] / cfg.total_len)
+            assert data["break_even_verifier_us"][mode] == pytest.approx(expected, rel=1e-12)
+
+    def test_break_even_latency_is_null_without_an_nfe_saving(self, tmp_path):
+        # one token per call: NFE per token is 1, and no latency breaks even
+        cfg = small_cfg(decodes=1, window_size=1, out_dir=str(tmp_path))
+        run_benchmark(cfg)
+        data = json.loads((tmp_path / "report.json").read_text())
+        for mode, agg in data["per_mode"].items():
+            assert agg["mean_nfe"] == cfg.total_len
+            assert data["break_even_verifier_us"][mode] is None
+            assert data["us_per_token"][mode] > 0.0
 
     def test_rerun_reproduces_numbers(self):
         cfg = small_cfg()

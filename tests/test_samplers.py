@@ -29,7 +29,16 @@ from phrasedec.core import (
     normalize_rows,
 )
 from phrasedec.harness import planted_phrase_corpus
-from phrasedec.models import MarkovModel, ancestral_sample, markov_contexts, random_markov
+from phrasedec.models import (
+    PAD,
+    MarkovModel,
+    ancestral_sample,
+    context_codes,
+    load_markov,
+    markov_contexts,
+    random_markov,
+    save_markov,
+)
 
 SEEDS = (0, 1, 7, 601)
 
@@ -119,6 +128,36 @@ def test_breaks_is_a_locked_table_shaped_like_rows(order, vocab):
     assert np.all(np.diff(breaks, axis=1) >= 0.0)
     for code, row in enumerate(model.rows):
         assert model.argmax[code] == int(np.argmax(row))
+
+
+@pytest.mark.parametrize("order, vocab", [(1, 5), (2, 4), (3, 3)])
+def test_next_row_is_a_locked_int32_table_of_next_row_starts(order, vocab, tmp_path):
+    model = sparse_model(order, vocab, 0.5, 1, seed=order)
+    next_row = model.next_row
+    assert not next_row.flags.writeable
+    with pytest.raises(ValueError):
+        next_row[0] = 0
+    assert next_row.dtype == np.int32
+    assert next_row.shape == (model.rows.size,)
+    base = vocab + 1
+    for code in range(len(model.rows)):
+        # the code's base-(V+1) digits, PAD as 0, unreachable codes included
+        digits = [code // base**k % base for k in reversed(range(order))]
+        for v in range(vocab):
+            after = 0
+            for digit in digits[1:] + [v + 1]:
+                after = after * base + digit
+            assert next_row[code * vocab + v] == vocab * after
+    # on every reachable context, the row context_code gives the context
+    # followed by v, PAD dropped as conditional drops it
+    for code, context in zip(context_codes(order, vocab), markov_contexts(order, vocab)):
+        tokens = tuple(tok for tok in context if tok != PAD)
+        for v in range(vocab):
+            assert next_row[code * vocab + v] == vocab * model.context_code(tokens + (v,))
+    path = tmp_path / "model.psdm"
+    save_markov(model, path)
+    loaded = load_markov(path).next_row
+    assert loaded.dtype == np.int32 and loaded.tobytes() == next_row.tobytes()
 
 
 TINY = float(np.finfo(float).tiny)
