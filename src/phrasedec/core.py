@@ -1,10 +1,12 @@
 """Shared primitives: token ids, categorical distributions, log-space helpers.
 
 Validated ``CategoricalDistribution`` objects are the type at file and API
-boundaries; the decoder's hot loop works on raw float64 rows, the
-uniform-space draw tables of ``breakpoints`` (read by ``locate``) and
-``log_ratio``.  Log-ratio arithmetic is floored at ``LOG_FLOOR`` so that
-"impossible" outcomes stay representable without NaNs.
+boundaries; the decoder's hot loop works on raw float64 rows and the
+uniform-space draw tables of ``breakpoints`` (read by ``locate``), and
+inlines ``log_ratio``'s checks and arithmetic.  ``log_ratio``, ``sample``
+and ``normalize`` serve the frozen reference oracles and ``theory``.
+Log-ratio arithmetic is floored at ``LOG_FLOOR`` so that "impossible"
+outcomes stay representable without NaNs.
 """
 
 from __future__ import annotations

@@ -364,8 +364,9 @@ BLOCK = 1024
 class _Uniforms:
     """One decode's uniform stream: ``random()`` and ``random(n)`` as the
     generator's, served from blocks drawn by one ``rng.random(BLOCK)`` call
-    each.  The first block is drawn at the first request, so a decode that
-    draws nothing, as greedy jacobi and sjd do, draws none.
+    each, or ``rng.random(n)`` for a request wider than BLOCK.  The first
+    block is drawn at the first request, so a decode that draws nothing, as
+    greedy jacobi and sjd do, draws none.
     ``Generator.random(n)`` yields the same doubles as n scalar calls, so
     the stream hands out exactly the uniforms one-by-one draws would:
     scalars as Python floats, vectors as read-only views of the block.
@@ -374,8 +375,7 @@ class _Uniforms:
     puts it back where one-by-one draws would leave it: it restores the
     state saved before the block and redraws the ``pos`` uniforms handed
     out.  ``decode`` syncs when it returns or raises, and ``random`` before
-    a request that outruns the block; one wider than BLOCK then bypasses
-    the blocks."""
+    a request that outruns the block."""
 
     __slots__ = ("rng", "saved", "block", "floats", "pos")
 
@@ -398,10 +398,8 @@ class _Uniforms:
             self.pos = pos + n
             return self.block[pos : pos + n]
         self.sync()
-        if n is not None and n > BLOCK:
-            return self.rng.random(n)
         self.saved = self.rng.bit_generator.state
-        self._take(self.rng.random(BLOCK))
+        self._take(self.rng.random(max(BLOCK, n or 0)))
         return self.random(n)
 
     def sync(self) -> None:

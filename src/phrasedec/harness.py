@@ -25,10 +25,10 @@ from .models import (
     ancestral_corpus,
     ancestral_sample,
     check_shape,
-    context_codes,
     context_count,
     exact_marginals,
     load_markov,
+    markov_contexts,
     random_markov,
 )
 from .phrase_lib import PhraseLibrary, build_library, read_corpus
@@ -248,10 +248,10 @@ def _planted_model(cfg: ExperimentConfig, rng: np.random.Generator) -> MarkovMod
 
     order = 2
     # one noise row per context, in markov_contexts order; a context's last
-    # token (PAD -> -1), its code's last digit less one, picks its successor
+    # token (PAD is -1) picks its successor
     alpha = np.full(vocab_size, cfg.concentration)
     rows = rng.dirichlet(alpha, size=context_count(order, vocab_size))
-    last = context_codes(order, vocab_size) % (vocab_size + 1) - 1
+    last = np.array([ctx[-1] for ctx in markov_contexts(order, vocab_size)])
     nxt = successor[last + 1]
     planted = np.flatnonzero(nxt >= 0)
     rows[planted] *= 1.0 - cfg.planting_rate

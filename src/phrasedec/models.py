@@ -48,7 +48,9 @@ HEADER = "<HII"
 
 
 # the most entries a model table may hold: 2**26 entries, 512 MiB each for
-# the float64 rows and breaks and 256 MiB for the int32 next_row, 1.25 GiB
+# the float64 rows and breaks and 256 MiB for the int32 next_row, 1.25 GiB,
+# plus the argmax tuple's 8 bytes per context (8/V per entry), at most
+# 134 MB (V=3, order 12)
 TABLE_LIMIT = 2**26
 
 
@@ -129,8 +131,9 @@ class MarkovModel:
     ``core.draw`` draws from u on the cumulative row, since fl(u * T) is
     monotone in u; its +inf last column is the clamp to V - 1.  Greedy
     decoding reads ``argmax``, the most likely token after each code.
-    ``next_row``, read-only int32 of ``rows.size`` entries, is what
-    ``ancestral_sample`` follows the context by: entry ``c * V + v`` is the
+    ``next_row``, read-only int32 of ``rows.size`` entries, is the step
+    table that ``ancestral_sample``, ``ancestral_corpus`` and
+    ``exact_marginals`` follow the context by: entry ``c * V + v`` is the
     flat start, ``V`` times the code, of the row after appending token v to
     code c.
     """
@@ -237,20 +240,22 @@ def ancestral_corpus(
 
     All uniforms come from one ``rng.random((sequences, length))`` call, the
     stream of ``sequences`` calls of ``ancestral_sample``, so the tokens and
-    the generator's final state are theirs too.  Each position gathers the
-    ``breaks`` rows of every sequence's context at once and applies
-    ``core.locate`` to them.
+    the generator's final state are theirs too.  It is ``ancestral_sample``'s
+    walk of ``next_row`` for every sequence at once: each position gathers
+    the ``breaks`` rows at the sequences' flat row starts, applies
+    ``core.locate`` to them and reads the next starts from ``next_row`` at
+    each start plus its token.
     """
     if sequences < 0 or length < 0:
         raise ValueError("sequences and length must be >= 0")
-    base, contexts = model.vocab_size + 1, model.rows.shape[0]
+    V = model.vocab_size
     u = rng.random((sequences, length))
     out = np.empty((sequences, length), dtype=np.intp)
-    codes = np.zeros(sequences, dtype=np.intp)
+    start = np.zeros(sequences, dtype=np.intp)
     for t in range(length):
-        tok = locate(model.breaks.take(codes, axis=0), u[:, t])
+        tok = locate(model.breaks.take(start // V, axis=0), u[:, t])
         out[:, t] = tok
-        codes = (codes * base + tok + 1) % contexts
+        start = model.next_row.take(start + tok)
     return [tuple(seq) for seq in out.tolist()]
 
 
@@ -261,14 +266,14 @@ def exact_marginals(model: MarkovModel, length: int) -> np.ndarray:
     Forward propagation over context codes, with no draw: the probability
     mass of every code starts on the begin context, code 0, and each step
     takes ``joint = mass[:, None] * rows``, reads the marginal as its column
-    sums and moves each cell's mass to the code its token leads to with one
-    ``bincount``.
+    sums and moves each cell's mass to the code its token leads to, its
+    ``next_row`` entry over V, with one ``bincount``.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     V, contexts = model.vocab_size, model.rows.shape[0]
-    # the code after appending token v to code c, for every (c, v) cell
-    dest = ((np.arange(contexts)[:, None] * (V + 1) + np.arange(V) + 1) % contexts).ravel()
+    # cast once: bincount would cast the int32 table at every step
+    dest = (model.next_row // V).astype(np.intp)
     mass = np.zeros(contexts)
     mass[0] = 1.0
     out = np.empty((length, V))

@@ -918,6 +918,18 @@ class TestDecode:
                 decode(model, lib, VerifyConfig(mode=mode), 8, np.random.default_rng(0))
         assert calls == []  # raised before the first NFE
 
+    def test_request_wider_than_the_block_is_a_read_only_view(self, monkeypatch):
+        """A request wider than BLOCK is served from a block of its own
+        width, read-only like every other, and sync still replays it."""
+        monkeypatch.setattr(decoder, "BLOCK", 7)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        stream = decoder._Uniforms(rng)
+        first, wide = stream.random(), stream.random(16)
+        assert not wide.flags.writeable
+        assert [first, *wide.tolist()] == [ref_rng.random() for _ in range(17)]
+        stream.sync()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_library_vocab_within_model(self):
         model = random_markov(1, 4, 0.5, np.random.default_rng(0))
         lib = PhraseLibrary(3, (), (Phrase((0, 2), 1, 1),))
