@@ -1,4 +1,5 @@
-"""Shared primitives: token ids, categorical distributions, log-space helpers.
+"""Shared primitives: token ids, categorical distributions, log-space helpers,
+and the integer check of size parameters.
 
 Validated ``CategoricalDistribution`` objects are the type at file and API
 boundaries; the decoder's hot loop works on raw float64 rows and the
@@ -12,6 +13,7 @@ outcomes stay representable without NaNs.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -26,6 +28,19 @@ LOG_FLOOR = -746.0
 
 # absolute tolerance on sum(probs) == 1
 PROB_SUM_TOL = 1e-9
+
+
+def count_at_least(value, least: int, name: str) -> int:
+    """``value`` as an int, if it is an integer (``operator.index`` takes
+    it: ints, bools and NumPy integers) of at least ``least``; otherwise
+    ValueError naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 class InvalidWeight(ValueError):

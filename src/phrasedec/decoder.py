@@ -34,6 +34,7 @@ from .core import (
     DrafterZeroProb,
     TokenId,
     TokenSequence,
+    count_at_least,
     draw,
     locate,
 )
@@ -85,12 +86,12 @@ class VerifyConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown decode mode {self.mode!r}: must be one of {MODES}")
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
+        count_at_least(self.window_size, 1, "window_size")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must be in (0, 1)")
-        if self.max_phrase_len < 2:
-            raise ValueError("max_phrase_len must be >= 2")
+        count_at_least(self.max_phrase_len, 2, "max_phrase_len")
+        if not isinstance(self.greedy, (bool, np.bool_)):
+            raise ValueError(f"greedy must be a bool, not {self.greedy!r}")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TokenId, TokenSequence
+from .core import TokenId, TokenSequence, count_at_least
 
 SymbolId = int
 
@@ -319,10 +319,11 @@ class _PairCounts:
     next pairs in score order that the one-pair-at-a-time loop would merge
     next, and one ``merge`` pass replaces them all.  A pass recounts only
     the pairs in windows around its sites, before and after the rewrite,
-    and adds the difference to the slots they name; ``_run_bounds`` finds
-    the windows' ends next to the sites.  ``x`` must start and end with a
-    separator, merges must create symbols in ascending order, and a
-    count << shift must fit in int64.
+    sums the two counts into one net change per distinct pair, and adds
+    the nonzero ones to their slots; ``_run_bounds`` finds the windows'
+    ends next to the sites.  ``x`` must start and end with a separator,
+    merges must create symbols in ascending order, and a count << shift
+    must fit in int64.
     """
 
     def __init__(self, x: np.ndarray, sep: int, base: int) -> None:
@@ -455,20 +456,31 @@ class _PairCounts:
         live = window != _DEAD
         window = window[live]
 
-        # pairs of the old windows leave the counts, pairs of the new enter
+        # pairs of the old windows leave the counts, pairs of the new enter:
+        # each code is tagged with its side in the low bit (build_library's
+        # LibraryTooLarge bound keeps codes below 2**62), so one sort runs
+        # each code's old then new occurrences, and a run's sum of -1s and
+        # +1s is the pair's net change
         pos, codes = _counted_pairs(window, sep, base)
         old = np.searchsorted(pos, np.count_nonzero(live[: ends[-1]]))
+        codes <<= 1
+        codes[old:] |= 1
+        codes.sort()
+        runs = np.flatnonzero(np.concatenate(([True], (codes[1:] ^ codes[:-1]) > 1)))
+        net = np.add.reduceat((codes & 1) * 2 - 1, runs)
+        changed = np.flatnonzero(net)
+        codes = codes[runs[changed]] >> 1
+        net = net[changed]
         keys = _slot_key(codes, base)
+        order = np.argsort(keys)
+        keys, codes, net = keys[order], codes[order], net[order]
+        # in key order, a pair not yet in the table comes after every other,
+        # since it holds a new symbol, and its net is its count; the pairs
+        # are distinct, so one plain add updates the known pairs' slots
         at = np.searchsorted(self.keys, keys)
-        step = 1 << self.shift
-        np.subtract.at(self.slots[1], at[:old], step)
-        # a pair not yet in the table holds a new symbol, so its slot sorts
-        # after every other
-        known = at[old:] < self.size
-        np.add.at(self.slots[1], at[old:][known], step)
-        fresh = ~known
-        keys, first, counts = np.unique(keys[old:][fresh], return_index=True, return_counts=True)
-        self._append(keys, codes[old:][fresh][first], counts)
+        known = np.searchsorted(at, self.size)
+        self.slots[1, at[:known]] += net[:known] << self.shift
+        self._append(keys[known:], codes[known:], net[known:])
 
 
 def _phrase_lengths(rules, vocab_size: int, limit: int) -> list[int]:
@@ -521,18 +533,19 @@ def build_library(
     make next (about 3.3 to a pass over the first 256 merges of the
     benchmark corpora, about 2 over 2048).  A pass finds each pair's sites
     among the cells of its larger symbol, recounts only the windows around
-    them, whose runs end near them, and updates only the pair slots those
-    windows name.  So a pass costs O(listed cells of its pairs' larger
-    symbols + touched cells) and one argmax over the pair slots per pair
-    and one more; only a raw token's first use and a run too long to follow
-    locally read the whole corpus.  Memory is a few arrays of corpus
-    length.  A corpus whose pair counts could overflow the slots' int64
-    scores raises LibraryTooLarge before any merge.
+    them, whose runs end near them, and updates only the slots of the pairs
+    whose count those windows change, once each by the pair's net change.
+    So a pass costs O(listed cells of its pairs' larger symbols + touched
+    cells), one sort of the windows' pair codes, and one argmax over the
+    pair slots per pair and one more; only a raw token's first use and a
+    run too long to follow locally read the whole corpus.  Memory is a few
+    arrays of corpus length.  A corpus whose pair counts could overflow the
+    slots' int64 scores raises LibraryTooLarge before any merge; a
+    ``merges`` or ``max_phrase_len`` that is not an integer, or is out of
+    range, raises ValueError before the corpus is read.
     """
-    if merges < 0:
-        raise ValueError("merges must be >= 0")
-    if max_phrase_len < 2:
-        raise ValueError("max_phrase_len must be >= 2")
+    merges = count_at_least(merges, 0, "merges")
+    max_phrase_len = count_at_least(max_phrase_len, 2, "max_phrase_len")
     seqs, vocab_size = _validate_corpus(corpus, vocab_size)
 
     # Dense symbol ids keep the (left, right) order: raw tokens by rank among

@@ -947,14 +947,22 @@ class TestConfigValidation:
             VerifyConfig(tau=0.0)
 
     def test_bad_window(self):
-        with pytest.raises(ValueError):
-            VerifyConfig(window_size=0)
+        for bad in (0, 2.5, "16", None):
+            with pytest.raises(ValueError, match="window_size"):
+                VerifyConfig(window_size=bad)
+        assert VerifyConfig(window_size=np.int64(3)).window_size == 3
 
     def test_bad_max_phrase_len(self):
-        for bad in (-1, 0, 1):
-            with pytest.raises(ValueError):
+        for bad in (-1, 0, 1, 2.5, "8"):
+            with pytest.raises(ValueError, match="max_phrase_len"):
                 VerifyConfig(max_phrase_len=bad)
         assert VerifyConfig(max_phrase_len=2).max_phrase_len == 2
+
+    def test_greedy_must_be_a_bool(self):
+        for bad in ("no", 0, 1, None):
+            with pytest.raises(ValueError, match="greedy must be a bool"):
+                VerifyConfig(greedy=bad)
+        assert VerifyConfig(greedy=np.bool_(True)).greedy
 
     @pytest.mark.parametrize("total_len", [0, -4])
     def test_nothing_to_decode_rejected_before_any_draw(self, total_len):

@@ -241,6 +241,8 @@ class TestRunBenchmark:
             run_benchmark(small_cfg(modes=("warp",)))
         with pytest.raises(ConfigInvalid):
             run_benchmark(small_cfg(model_path="/nonexistent/model.psdm"))
+        with pytest.raises(ConfigInvalid, match="window_size must be an integer"):
+            small_cfg(window_size=2.5)
 
 
 class TestSweeps:

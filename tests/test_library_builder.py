@@ -128,11 +128,18 @@ def test_zero_merges_is_the_empty_library():
     assert build_library([[1, 2]], 0, vocab_size=9) == PhraseLibrary(9, (), ())
     with pytest.raises(ValueError):
         build_library([[1, 2, 1, 2]], -1)
+    # refused before the corpus is read, whose bad token would say otherwise
+    for bad in (2.5, "3", None):
+        with pytest.raises(ValueError, match="merges must be an integer"):
+            build_library([[1, "x"]], bad)
 
 
 def test_phrases_shorter_than_two_tokens_rejected():
     with pytest.raises(ValueError, match="max_phrase_len must be >= 2"):
         build_library([[1, 2, 1, 2]], 8, max_phrase_len=1)
+    with pytest.raises(ValueError, match="max_phrase_len must be an integer"):
+        build_library([[1, 2, 1, 2]], 8, max_phrase_len=2.5)
+    assert build_library([[1, 2, 1, 2]], 1, max_phrase_len=np.int64(2)).phrases
 
 
 @pytest.mark.parametrize(
