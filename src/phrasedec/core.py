@@ -1,5 +1,5 @@
 """Shared primitives: token ids, categorical distributions, log-space helpers,
-and the integer check of size parameters.
+and the integer and bool checks of settings.
 
 Validated ``CategoricalDistribution`` objects are the type at file and API
 boundaries; the decoder's hot loop works on raw float64 rows and the
@@ -40,6 +40,13 @@ def count_at_least(value, least: int, name: str) -> int:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
+def check_bool(value, name: str):
+    """``value``, if a bool (Python or NumPy); else ValueError naming ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, not {value!r}")
     return value
 
 

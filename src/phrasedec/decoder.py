@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, fields
+from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from .core import (
     DrafterZeroProb,
     TokenId,
     TokenSequence,
+    check_bool,
     count_at_least,
     draw,
     locate,
@@ -87,11 +89,10 @@ class VerifyConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown decode mode {self.mode!r}: must be one of {MODES}")
         count_at_least(self.window_size, 1, "window_size")
-        if not 0.0 < self.tau < 1.0:
+        if not (isinstance(self.tau, Real) and 0.0 < self.tau < 1.0):
             raise ValueError("tau must be in (0, 1)")
         count_at_least(self.max_phrase_len, 2, "max_phrase_len")
-        if not isinstance(self.greedy, (bool, np.bool_)):
-            raise ValueError(f"greedy must be a bool, not {self.greedy!r}")
+        check_bool(self.greedy, "greedy")
 
 
 @dataclass
@@ -424,8 +425,8 @@ def decode(
     row a decode reads outside its NFE count, at most 1/total_len NFE per
     token.  Each iteration passes ``verify_window`` the whole committed prefix.
     The final window is truncated so exactly total_len tokens are returned.
-    Raises ValueError, before any draft, for sjd_pv mode without a library
-    and LibraryVocabMismatch for a library wider than the model.
+    Raises ValueError, before any draft, for a bad total_len or sjd_pv without
+    a library, and LibraryVocabMismatch for a library wider than the model.
 
     The decode reads rng only through ``random()`` and ``random(n)``, served
     from blocks of one call each (``_Uniforms``), and rng ends as if each
@@ -433,8 +434,7 @@ def decode(
     decode draws only for sjd_pv's phrase tests, so greedy jacobi and sjd
     leave it untouched.
     """
-    if total_len < 1:
-        raise ValueError("total_len must be >= 1")
+    total_len = count_at_least(total_len, 1, "total_len")
     _check_library(cfg, lib, target.vocab_size)
     # the begin row is row 0 of a one-slot window, whose draft is never read
     begin = target.evaluate((), (0,))

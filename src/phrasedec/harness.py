@@ -11,19 +11,20 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
-from .core import TokenSequence, normalize_rows
+from .core import TokenSequence, check_bool, count_at_least, normalize_rows
 from .decoder import DecodeMetrics, VerifyConfig, decode
 from .models import (
     MarkovModel,
     ancestral_corpus,
     ancestral_sample,
+    check_concentration,
     check_shape,
     context_count,
     exact_marginals,
@@ -78,65 +79,57 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigInvalid("seed must be >= 0")
+        try:
+            self._check()
+        except ConfigInvalid:
+            raise
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from exc
+
+    def _check(self) -> None:
+        count_at_least(self.seed, 0, "seed")
         if not self.modes:
             raise ConfigInvalid("at least one decode mode is required")
         for i, mode in enumerate(self.modes):
-            self._verify_config(mode)
+            VerifyConfig(mode, self.window_size, self.tau, self.max_phrase_len)
             if mode in self.modes[:i]:
                 raise ConfigInvalid(f"decode mode {mode!r} is repeated")
         for path in (self.model_path, self.corpus_path):
             if path is not None and not os.path.exists(path):
                 raise ConfigInvalid(f"referenced file does not exist: {path}")
-        if self.decodes < 1 or self.total_len < 1:
-            raise ConfigInvalid("decodes and total_len must be >= 1")
-        if self.merges < 0:
-            raise ConfigInvalid("merges must be >= 0")
+        count_at_least(self.decodes, 1, "decodes")
+        count_at_least(self.total_len, 1, "total_len")
+        count_at_least(self.merges, 0, "merges")
         if self.out_dir is not None:
             check_out_dir(self.out_dir)
         # the generator rules, checked only where a generator reads them;
         # planted_phrase_corpus checks its arguments through them too
         if self.model_path is None:
-            if self.planted:
+            check_shape(self.order, self.vocab_size)
+            check_concentration(self.concentration)
+            if check_bool(self.planted, "planted"):
                 if self.order != 2:
                     raise ConfigInvalid(
                         "the planted model is order 2; order applies only with planted=false"
                     )
-                if self.phrase_len < 2:
-                    raise ConfigInvalid("phrase_len must be >= 2")
-                if not 0.0 < self.planting_rate <= 1.0:
+                count_at_least(self.phrase_len, 2, "phrase_len")
+                if not (isinstance(self.planting_rate, Real) and 0.0 < self.planting_rate <= 1.0):
                     raise ConfigInvalid("planting_rate must be in (0, 1]")
-                if self.phrase_count < 0:
-                    raise ConfigInvalid("phrase_count must be >= 0")
+                count_at_least(self.phrase_count, 0, "phrase_count")
                 needed = self.phrase_count * self.phrase_len
                 if needed > self.vocab_size:
                     raise CapacityExceeded(
                         f"{needed} phrase tokens need disjoint blocks in a vocabulary of "
                         f"{self.vocab_size}"
                     )
-            # the model's shape rule, table size included
-            try:
-                check_shape(self.order, self.vocab_size)
-            except ValueError as exc:
-                raise ConfigInvalid(str(exc)) from exc
-            if not (math.isfinite(self.concentration) and self.concentration > 0):
-                raise ConfigInvalid("concentration must be finite and > 0")
         if self.corpus_path is None:
-            if self.corpus_sequences < 1 or self.corpus_seq_len < 1:
-                raise ConfigInvalid("sequences and seq_len must be >= 1")
+            count_at_least(self.corpus_sequences, 1, "corpus_sequences")
+            count_at_least(self.corpus_seq_len, 1, "corpus_seq_len")
             if self.corpus_sequences * self.corpus_seq_len > GENERATOR_LIMIT:
                 raise ConfigInvalid(
                     f"a corpus of {self.corpus_sequences} x {self.corpus_seq_len} tokens "
                     f"has more than {GENERATOR_LIMIT}"
                 )
-
-    def _verify_config(self, mode: str) -> VerifyConfig:
-        """The decoder settings of one mode; bad ones raise ConfigInvalid."""
-        try:
-            return VerifyConfig(mode, self.window_size, self.tau, self.max_phrase_len)
-        except ValueError as exc:
-            raise ConfigInvalid(str(exc)) from exc
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -319,7 +312,7 @@ def _rate(x: float, y: float) -> float:
 def _run_mode(
     model, lib: PhraseLibrary | None, cfg: ExperimentConfig, mode: str
 ) -> tuple[ModeAggregate, list[TokenSequence]]:
-    vcfg = cfg._verify_config(mode)
+    vcfg = VerifyConfig(mode, cfg.window_size, cfg.tau, cfg.max_phrase_len)
     rows: list[dict] = []
     outputs: list[TokenSequence] = []
     totals = DecodeMetrics()
@@ -527,11 +520,9 @@ def theory_check(
 ) -> dict:
     """JSON-ready report over the acceptance-rate oracles.
 
-    A negative trial count or seed raises ValueError before any trial runs."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if min_inequality_trials < 0:
-        raise ValueError(f"min_inequality_trials must be >= 0, got {min_inequality_trials}")
+    A bad trial count or seed raises ValueError before any trial runs."""
+    seed = count_at_least(seed, 0, "seed")
+    min_inequality_trials = count_at_least(min_inequality_trials, 0, "min_inequality_trials")
     rng = np.random.default_rng([seed, 3])
     summary = theory.proposition1_sweep(trials, v_max, l_max, rng)
     counts, edges = np.histogram(summary.gaps, bins=20)

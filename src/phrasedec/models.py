@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import struct
 from bisect import bisect_right
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from .core import (
     TokenSequence,
     _check_rows,
     breakpoints,
+    count_at_least,
     locate,
     normalize_rows,
 )
@@ -59,13 +61,11 @@ class UnsupportedModelFormat(ValueError):
 
 
 def check_shape(order: int, vocab_size: int) -> None:
-    """The one rule for a model's shape: ``order >= 1``, ``vocab_size >= 2``
-    and a table of ``(vocab_size + 1) ** order * vocab_size`` entries within
-    ``TABLE_LIMIT``; another shape raises ValueError."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if vocab_size < 2:
-        raise ValueError("vocab_size must be >= 2")
+    """The one rule for a model's shape: integers ``order >= 1`` and
+    ``vocab_size >= 2``, and a table of ``(vocab_size + 1) ** order *
+    vocab_size`` entries within ``TABLE_LIMIT``; another raises ValueError."""
+    order = count_at_least(order, 1, "order")
+    vocab_size = count_at_least(vocab_size, 2, "vocab_size")
     # any base >= 3 to the limit's bit length passes it, so the power is
     # capped there and a huge order builds no huge int
     power = min(order, TABLE_LIMIT.bit_length())
@@ -74,6 +74,12 @@ def check_shape(order: int, vocab_size: int) -> None:
             f"vocab_size={vocab_size}, order={order}: the model table "
             f"has more than {TABLE_LIMIT} entries"
         )
+
+
+def check_concentration(concentration: float) -> None:
+    """The one rule for a Dirichlet concentration: a finite real > 0; else ValueError."""
+    if not (isinstance(concentration, Real) and 0.0 < concentration < np.inf):
+        raise ValueError("concentration must be finite and > 0")
 
 
 def markov_contexts(order: int, vocab_size: int):
@@ -217,8 +223,7 @@ def ancestral_sample(
     ``bisect_right`` call, the append of the cell less the row start and
     one table read.
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
+    length = count_at_least(length, 0, "length")
     V = model.vocab_size
     breaks = memoryview(model.breaks.reshape(-1))
     next_row = memoryview(model.next_row)
@@ -246,8 +251,8 @@ def ancestral_corpus(
     ``core.locate`` to them and reads the next starts from ``next_row`` at
     each start plus its token.
     """
-    if sequences < 0 or length < 0:
-        raise ValueError("sequences and length must be >= 0")
+    sequences = count_at_least(sequences, 0, "sequences")
+    length = count_at_least(length, 0, "length")
     V = model.vocab_size
     u = rng.random((sequences, length))
     out = np.empty((sequences, length), dtype=np.intp)
@@ -269,8 +274,7 @@ def exact_marginals(model: MarkovModel, length: int) -> np.ndarray:
     sums and moves each cell's mass to the code its token leads to, its
     ``next_row`` entry over V, with one ``bincount``.
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
+    length = count_at_least(length, 0, "length")
     V, contexts = model.vocab_size, model.rows.shape[0]
     # cast once: bincount would cast the int32 table at every step
     dest = (model.next_row // V).astype(np.intp)
@@ -288,12 +292,10 @@ def random_markov(
     order: int, vocab_size: int, concentration: float, rng: np.random.Generator
 ) -> MarkovModel:
     """Random Markov model with symmetric-Dirichlet transition rows, drawn
-    in ``markov_contexts`` order by one ``dirichlet`` call."""
-    # the model's and the config's rules, checked before any draw (NaN
-    # fails both comparisons)
+    in ``markov_contexts`` order by one ``dirichlet`` call, after the
+    shape and concentration rules."""
     check_shape(order, vocab_size)
-    if not 0.0 < concentration < np.inf:
-        raise ValueError("concentration must be finite and > 0")
+    check_concentration(concentration)
     rows = rng.dirichlet(np.full(vocab_size, concentration), size=context_count(order, vocab_size))
     return MarkovModel(order, vocab_size, normalize_rows(rows))
 

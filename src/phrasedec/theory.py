@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CategoricalDistribution, normalize
+from .core import CategoricalDistribution, count_at_least, normalize
 
 # exact joint enumeration is capped at this many outcomes
 ENUMERATION_LIMIT = 10**7
@@ -80,8 +80,7 @@ def alpha_phr_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the phrase-level rate: (mean, standard error)."""
     _check_pairs(p_list, q_list)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = count_at_least(samples, 1, "samples")
     ratios = np.ones(samples)
     for p, q in zip(p_list, q_list):
         idx = rng.choice(q.vocab_size, size=samples, p=q.probs)
@@ -140,13 +139,13 @@ def proposition1_sweep(
 ) -> Proposition1Summary:
     """Draw random instances and count violations of alpha_phr >= alpha_seq.
 
-    A grid whose largest instance, ``v_max ** l_max`` joint outcomes, passes
-    ``ENUMERATION_LIMIT`` raises EnumerationTooLarge before rng is drawn from.
+    Before rng is drawn from, bad counts raise ValueError, and a grid whose
+    largest instance, ``v_max ** l_max`` joint outcomes, passes
+    ``ENUMERATION_LIMIT`` raises EnumerationTooLarge.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    if v_max < 2 or l_max < 1:
-        raise ValueError("need v_max >= 2 and l_max >= 1")
+    trials = count_at_least(trials, 0, "trials")
+    v_max = count_at_least(v_max, 2, "v_max")
+    l_max = count_at_least(l_max, 1, "l_max")
     # any v_max >= 2 to the limit's bit length passes it, so the power is
     # capped there and a huge l_max builds no huge int
     if v_max ** min(l_max, ENUMERATION_LIMIT.bit_length()) > ENUMERATION_LIMIT:

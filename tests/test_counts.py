@@ -1,0 +1,166 @@
+"""One rule for every count the package reads: ``core.count_at_least``.
+
+A count is an integer by ``operator.index`` (ints, bools, NumPy integers)
+of at least its minimum.  A float, 3.0 included, or a numeric string is
+refused with the entry point's typed error, ``ConfigInvalid`` from
+``ExperimentConfig`` and ``ValueError`` elsewhere, before any draw.  Real
+settings (``tau``, ``planting_rate``, ``concentration``) must be real
+numbers, and ``planted``, like ``greedy``, a bool.
+"""
+
+import numpy as np
+import pytest
+
+from phrasedec.core import CategoricalDistribution
+from phrasedec.decoder import VerifyConfig, decode
+from phrasedec.harness import ConfigInvalid, ExperimentConfig, theory_check
+from phrasedec.models import (
+    ancestral_corpus,
+    ancestral_sample,
+    check_concentration,
+    check_shape,
+    exact_marginals,
+    random_markov,
+)
+from phrasedec.phrase_lib import build_library
+from phrasedec.theory import alpha_phr_mc, proposition1_sweep
+
+MODEL = random_markov(1, 3, 1.0, np.random.default_rng(0))
+P = CategoricalDistribution([0.7, 0.3])
+Q = CategoricalDistribution([0.4, 0.6])
+RANDOM = {"planted": False}
+
+# (count's name, its minimum, the call with every other argument valid):
+# each call takes the count n and a generator it may draw from
+COUNTS = {
+    **{
+        f"ExperimentConfig.{name}": (
+            name,
+            least,
+            lambda n, rng, name=name, extra=extra: ExperimentConfig(**{name: n}, **extra),
+        )
+        for name, least, extra in [
+            ("seed", 0, {}),
+            ("decodes", 1, {}),
+            ("total_len", 1, {}),
+            ("merges", 0, {}),
+            ("phrase_len", 2, {}),
+            ("phrase_count", 0, {}),
+            ("corpus_sequences", 1, {}),
+            ("corpus_seq_len", 1, {}),
+            ("order", 1, RANDOM),
+            ("vocab_size", 2, RANDOM),
+            ("window_size", 1, {}),
+            ("max_phrase_len", 2, {}),
+        ]
+    },
+    "VerifyConfig.window_size": ("window_size", 1, lambda n, rng: VerifyConfig(window_size=n)),
+    "VerifyConfig.max_phrase_len": (
+        "max_phrase_len",
+        2,
+        lambda n, rng: VerifyConfig(max_phrase_len=n),
+    ),
+    "theory_check.trials": ("trials", 0, lambda n, rng: theory_check(n, 3, 2, 2)),
+    "theory_check.v_max": ("v_max", 2, lambda n, rng: theory_check(2, n, 2, 2)),
+    "theory_check.l_max": ("l_max", 1, lambda n, rng: theory_check(2, 3, n, 2)),
+    "theory_check.min_inequality_trials": (
+        "min_inequality_trials",
+        0,
+        lambda n, rng: theory_check(2, 3, 2, n),
+    ),
+    "theory_check.seed": ("seed", 0, lambda n, rng: theory_check(2, 3, 2, 2, n)),
+    "check_shape.order": ("order", 1, lambda n, rng: check_shape(n, 3)),
+    "check_shape.vocab_size": ("vocab_size", 2, lambda n, rng: check_shape(1, n)),
+    "random_markov.order": ("order", 1, lambda n, rng: random_markov(n, 3, 1.0, rng)),
+    "random_markov.vocab_size": ("vocab_size", 2, lambda n, rng: random_markov(1, n, 1.0, rng)),
+    "ancestral_sample.length": ("length", 0, lambda n, rng: ancestral_sample(MODEL, n, rng)),
+    "ancestral_corpus.sequences": (
+        "sequences",
+        0,
+        lambda n, rng: ancestral_corpus(MODEL, n, 4, rng),
+    ),
+    "ancestral_corpus.length": ("length", 0, lambda n, rng: ancestral_corpus(MODEL, 2, n, rng)),
+    "exact_marginals.length": ("length", 0, lambda n, rng: exact_marginals(MODEL, n)),
+    "decode.total_len": (
+        "total_len",
+        1,
+        lambda n, rng: decode(MODEL, None, VerifyConfig(), n, rng),
+    ),
+    "proposition1_sweep.trials": ("trials", 0, lambda n, rng: proposition1_sweep(n, 3, 2, rng)),
+    "proposition1_sweep.v_max": ("v_max", 2, lambda n, rng: proposition1_sweep(2, n, 2, rng)),
+    "proposition1_sweep.l_max": ("l_max", 1, lambda n, rng: proposition1_sweep(2, 3, n, rng)),
+    "alpha_phr_mc.samples": ("samples", 1, lambda n, rng: alpha_phr_mc([P], [Q], n, rng)),
+    "build_library.merges": ("merges", 0, lambda n, rng: build_library([[0, 1, 0, 1]], n)),
+    "build_library.max_phrase_len": (
+        "max_phrase_len",
+        2,
+        lambda n, rng: build_library([[0, 1, 0, 1]], 2, max_phrase_len=n),
+    ),
+}
+
+
+def _error(entry: str) -> type:
+    return ConfigInvalid if entry.startswith("ExperimentConfig.") else ValueError
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3"], ids=repr)
+@pytest.mark.parametrize("entry", COUNTS)
+def test_a_count_that_is_not_an_integer_is_refused_before_any_draw(entry, bad):
+    name, _, call = COUNTS[entry]
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(_error(entry), match=f"^{name} must be an integer, not {bad!r}$"):
+        call(bad, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_a_count_below_its_minimum_is_refused_before_any_draw(entry):
+    name, least, call = COUNTS[entry]
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(_error(entry), match=f"^{name} must be >= {least}$"):
+        call(least - 1, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_numpy_integers_and_bools_are_counts(entry):
+    # a NumPy integer draws what the int draws; True is the count 1
+    _, least, call = COUNTS[entry]
+    states = []
+    for n in (3, np.int64(3), np.int32(3)):
+        rng = np.random.default_rng(7)
+        call(n, rng)
+        states.append(rng.bit_generator.state)
+    assert states[1] == states[0] == states[2]
+    if least <= 1:
+        call(True, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("bad", ["0.1", 0.5j, None], ids=repr)
+def test_a_real_setting_that_is_not_a_real_number_is_refused(bad):
+    with pytest.raises(ValueError, match="tau must be in"):
+        VerifyConfig(tau=bad)
+    with pytest.raises(ValueError, match="concentration must be finite and > 0"):
+        check_concentration(bad)
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="concentration must be finite and > 0"):
+        random_markov(1, 3, bad, rng)
+    assert rng.bit_generator.state == state
+    for name, message in [
+        ("tau", "tau must be in"),
+        ("planting_rate", "planting_rate must be in"),
+        ("concentration", "concentration must be finite and > 0"),
+    ]:
+        with pytest.raises(ConfigInvalid, match=message):
+            ExperimentConfig(**{name: bad})
+
+
+def test_real_settings_take_numpy_scalars():
+    cfg = ExperimentConfig(
+        tau=np.float64(0.02), planting_rate=np.float32(0.5), concentration=np.int64(1)
+    )
+    assert cfg.tau == 0.02
+    assert VerifyConfig(tau=np.float32(0.25)).tau == 0.25

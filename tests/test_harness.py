@@ -501,6 +501,15 @@ class TestConfig:
             config_from_mapping({"seed": "-1"})
         assert ExperimentConfig(seed=0).seed == 0
 
+    def test_planted_must_be_a_bool(self):
+        # greedy's rule: the truthy string "no" would build a planted config;
+        # a config file's text is parsed to a bool first
+        for bad in ("no", "false", 0, 1, None):
+            with pytest.raises(ConfigInvalid, match=f"planted must be a bool, not {bad!r}"):
+                ExperimentConfig(planted=bad)
+        assert not ExperimentConfig(planted=np.bool_(False)).planted
+        assert config_from_mapping({"planted": "no"}).planted is False
+
     @pytest.mark.parametrize(
         "modes, repeated",
         [("sjd,sjd", "sjd"), ("sjd_pv,sjd,sjd_pv", "sjd_pv"), ("jacobi,sjd,sjd", "sjd")],
