@@ -86,36 +86,47 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from exc
 
+    def _count(self, name: str, least: int) -> None:
+        """Check the count ``name`` and keep it as a plain int, which the
+        report's config echo can write."""
+        object.__setattr__(self, name, count_at_least(getattr(self, name), least, name))
+
     def _check(self) -> None:
-        count_at_least(self.seed, 0, "seed")
+        self._count("seed", 0)
         if not self.modes:
             raise ConfigInvalid("at least one decode mode is required")
         for i, mode in enumerate(self.modes):
             VerifyConfig(mode, self.window_size, self.tau, self.max_phrase_len)
             if mode in self.modes[:i]:
                 raise ConfigInvalid(f"decode mode {mode!r} is repeated")
+        # each mode's VerifyConfig has checked these
+        self._count("window_size", 1)
+        self._count("max_phrase_len", 2)
         for path in (self.model_path, self.corpus_path):
             if path is not None and not os.path.exists(path):
                 raise ConfigInvalid(f"referenced file does not exist: {path}")
-        count_at_least(self.decodes, 1, "decodes")
-        count_at_least(self.total_len, 1, "total_len")
-        count_at_least(self.merges, 0, "merges")
+        self._count("decodes", 1)
+        self._count("total_len", 1)
+        self._count("merges", 0)
         if self.out_dir is not None:
             check_out_dir(self.out_dir)
         # the generator rules, checked only where a generator reads them;
         # planted_phrase_corpus checks its arguments through them too
         if self.model_path is None:
+            self._count("order", 1)
+            self._count("vocab_size", 2)
             check_shape(self.order, self.vocab_size)
             check_concentration(self.concentration)
-            if check_bool(self.planted, "planted"):
+            object.__setattr__(self, "planted", bool(check_bool(self.planted, "planted")))
+            if self.planted:
                 if self.order != 2:
                     raise ConfigInvalid(
                         "the planted model is order 2; order applies only with planted=false"
                     )
-                count_at_least(self.phrase_len, 2, "phrase_len")
+                self._count("phrase_len", 2)
                 if not (isinstance(self.planting_rate, Real) and 0.0 < self.planting_rate <= 1.0):
                     raise ConfigInvalid("planting_rate must be in (0, 1]")
-                count_at_least(self.phrase_count, 0, "phrase_count")
+                self._count("phrase_count", 0)
                 needed = self.phrase_count * self.phrase_len
                 if needed > self.vocab_size:
                     raise CapacityExceeded(
@@ -123,8 +134,8 @@ class ExperimentConfig:
                         f"{self.vocab_size}"
                     )
         if self.corpus_path is None:
-            count_at_least(self.corpus_sequences, 1, "corpus_sequences")
-            count_at_least(self.corpus_seq_len, 1, "corpus_seq_len")
+            self._count("corpus_sequences", 1)
+            self._count("corpus_seq_len", 1)
             if self.corpus_sequences * self.corpus_seq_len > GENERATOR_LIMIT:
                 raise ConfigInvalid(
                     f"a corpus of {self.corpus_sequences} x {self.corpus_seq_len} tokens "
@@ -242,7 +253,7 @@ def _planted_model(cfg: ExperimentConfig, rng: np.random.Generator) -> MarkovMod
     order = 2
     # one noise row per context, in markov_contexts order; a context's last
     # token (PAD is -1) picks its successor
-    alpha = np.full(vocab_size, cfg.concentration)
+    alpha = np.full(vocab_size, float(cfg.concentration))
     rows = rng.dirichlet(alpha, size=context_count(order, vocab_size))
     last = np.array([ctx[-1] for ctx in markov_contexts(order, vocab_size)])
     nxt = successor[last + 1]

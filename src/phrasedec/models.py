@@ -76,10 +76,18 @@ def check_shape(order: int, vocab_size: int) -> None:
         )
 
 
-def check_concentration(concentration: float) -> None:
-    """The one rule for a Dirichlet concentration: a finite real > 0; else ValueError."""
-    if not (isinstance(concentration, Real) and 0.0 < concentration < np.inf):
-        raise ValueError("concentration must be finite and > 0")
+def check_concentration(concentration: float) -> float:
+    """The one rule for a Dirichlet concentration: a real whose float is
+    finite and > 0, returned as that float; else ValueError.  An int too
+    large for a float is refused too."""
+    if isinstance(concentration, Real):
+        try:
+            value = float(concentration)
+        except OverflowError:
+            value = np.inf
+        if 0.0 < value < np.inf:
+            return value
+    raise ValueError("concentration must be finite and > 0")
 
 
 def markov_contexts(order: int, vocab_size: int):
@@ -295,8 +303,8 @@ def random_markov(
     in ``markov_contexts`` order by one ``dirichlet`` call, after the
     shape and concentration rules."""
     check_shape(order, vocab_size)
-    check_concentration(concentration)
-    rows = rng.dirichlet(np.full(vocab_size, concentration), size=context_count(order, vocab_size))
+    alpha = np.full(vocab_size, check_concentration(concentration))
+    rows = rng.dirichlet(alpha, size=context_count(order, vocab_size))
     return MarkovModel(order, vocab_size, normalize_rows(rows))
 
 

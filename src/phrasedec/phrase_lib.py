@@ -377,30 +377,41 @@ class _PairCounts:
     def batch(self, limit: int) -> list[int]:
         """Codes of the next merges, at most ``limit``: the most frequent
         pair (the smallest code on ties), then each next pair in score
-        order while it occurs twice, shares no symbol with the pairs taken,
-        and the pair taken before it is not a self-pair (a, a).  Empty when
-        no pair occurs twice.
+        order while it occurs twice, does not overlap a pair taken, and the
+        pair taken before it is not a self-pair (a, a).  A pair (c, d)
+        overlaps a taken (a, b) when c is b or d is a.  Empty when no pair
+        occurs twice.
 
-        A merge never raises the count of a pair that lacks its new symbol,
-        and each pair it creates counts at most the pair it replaced, which
-        has a smaller code and is not the merged pair unless that is (a, a).
-        So merging these one at a time, each would be the best pair in turn.
+        Merging (a, b) changes only the counts of pairs that end in a or
+        start with b, which overlap it: it lowers them, and creates pairs
+        (p, n) and (n, q) of its new symbol n, each counting at most the
+        pair (p, a) or (b, q) it replaced, which overlaps (a, b) and has a
+        smaller code.  A pair sharing a symbol on the same side, such as
+        (a, c), has sites disjoint from (a, b)'s and keeps its count.  The
+        taken pairs overlap none of each other, so no merge of the batch
+        changes another's count, and every pair a merge lowers or creates
+        ranks below the first overlapping pair, which ranks below them all.
+        After a self-pair (a, a) a created pair may count as much as the
+        pair it replaced, (a, a) itself, so the batch ends there.  So
+        merging these one at a time, each would be the best pair in turn.
         """
         scores = self.slots[1, : self.size]
         codes: list[int] = []
-        symbols: set[int] = set()
+        lefts: set[int] = set()
+        rights: set[int] = set()
         taken, kept = [], []  # slots masked to find the next pair, and their scores
         while self.size and len(codes) < limit:
             slot = int(scores.argmax())
             score = int(scores[slot])
             code = self.mask - (score & self.mask)
             a, b = divmod(code, self.base)
-            if score >> self.shift < 2 or a in symbols or b in symbols:
+            if score >> self.shift < 2 or a in rights or b in lefts:
                 break
             codes.append(code)
             if a == b:
                 break
-            symbols.update((a, b))
+            lefts.add(a)
+            rights.add(b)
             taken.append(slot)
             kept.append(score)
             scores[slot] = -1
@@ -409,7 +420,9 @@ class _PairCounts:
 
     def merge(self, codes: list[int], symbol: int) -> None:
         """Replace every counted occurrence of pair ``codes[k]`` with
-        ``symbol + k``, for pairs that share no symbol."""
+        ``symbol + k``, for pairs of which none overlaps another (see
+        ``batch``): no symbol is the left of one pair and the right of
+        another, so no cell lies in the sites of two pairs."""
         cells, nxt, prv, sep, base = self.cells, self.nxt, self.prv, self.sep, self.base
         sites = []
         for code in codes:
@@ -528,10 +541,11 @@ def build_library(
     The corpus is one flat int64 array with separators between sequences,
     rewritten in place.  Pairs are counted once.  Each pass then merges a
     batch: the best pair, then each next pair in score order while it
-    shares no symbol with the pairs taken and does not follow a self-pair
+    overlaps no pair taken (its left symbol is no taken pair's right, its
+    right no taken pair's left) and does not follow a self-pair
     (``_PairCounts.batch``), which are the merges the one-pair loop would
-    make next (about 3.3 to a pass over the first 256 merges of the
-    benchmark corpora, about 2 over 2048).  A pass finds each pair's sites
+    make next (about 4.5 to 5.2 to a pass over the first 256 merges of the
+    benchmark corpora, about 10 over 2048).  A pass finds each pair's sites
     among the cells of its larger symbol, recounts only the windows around
     them, whose runs end near them, and updates only the slots of the pairs
     whose count those windows change, once each by the pair's net change.

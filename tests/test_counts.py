@@ -8,12 +8,21 @@ settings (``tau``, ``planting_rate``, ``concentration``) must be real
 numbers, and ``planted``, like ``greedy``, a bool.
 """
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from phrasedec.core import CategoricalDistribution
 from phrasedec.decoder import VerifyConfig, decode
-from phrasedec.harness import ConfigInvalid, ExperimentConfig, theory_check
+from phrasedec.harness import (
+    ConfigInvalid,
+    ExperimentConfig,
+    planted_phrase_corpus,
+    run_benchmark,
+    theory_check,
+)
 from phrasedec.models import (
     ancestral_corpus,
     ancestral_sample,
@@ -164,3 +173,50 @@ def test_real_settings_take_numpy_scalars():
     )
     assert cfg.tau == 0.02
     assert VerifyConfig(tau=np.float32(0.25)).tau == 0.25
+
+
+def test_numpy_counts_write_the_config_echo_of_plain_ints(tmp_path):
+    # the config keeps each count, and planted, as the plain int or bool
+    # the report's JSON can hold, so the echo equals that of plain values
+    plain = dict(
+        seed=5, decodes=2, total_len=16, corpus_sequences=4, corpus_seq_len=32, merges=8, window_size=8
+    )
+    echoes = []
+    for name, count, flag in (("plain", int, bool), ("numpy", np.int64, np.bool_)):
+        out = tmp_path / name
+        counts = {key: count(value) for key, value in plain.items()}
+        cfg = ExperimentConfig(**counts, planted=flag(True), out_dir=str(out))
+        assert all(type(getattr(cfg, key)) is int for key in plain)
+        assert cfg.planted is True
+        run_benchmark(cfg)
+        config = json.loads((out / "report.json").read_text())["config"]
+        echoes.append({**config, "out_dir": None})
+    assert echoes[0] == echoes[1]
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["plus", "minus"])
+def test_a_concentration_no_float_holds_is_refused_before_any_draw(huge):
+    with pytest.raises(ValueError, match="concentration must be finite and > 0"):
+        check_concentration(huge)
+    with pytest.raises(ConfigInvalid, match="concentration must be finite and > 0"):
+        ExperimentConfig(concentration=huge, planted=False)
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="concentration must be finite and > 0"):
+        random_markov(1, 3, huge, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_a_real_concentration_draws_what_its_float_draws():
+    # a Fraction is a real number: both generators draw from its float
+    assert check_concentration(Fraction(3, 10)) == 0.3
+    models = [
+        random_markov(2, 4, concentration, np.random.default_rng(7)).rows
+        for concentration in (Fraction(3, 10), 0.3)
+    ]
+    assert np.array_equal(*models)
+    models = [
+        planted_phrase_corpus(8, 1, 2, 2, 4, 0.9, np.random.default_rng(7), concentration)[1].rows
+        for concentration in (Fraction(3, 10), 0.3)
+    ]
+    assert np.array_equal(*models)

@@ -82,15 +82,16 @@ def carried(counts: _PairCounts) -> Counter:
 
 def python_batch(counts):
     """The batch rule on fresh counts: pairs that occur twice, in order of
-    count then code, taken while each shares no symbol with those before it
-    and follows no self-pair; the first that fails ends the batch."""
+    count then code, taken while each overlaps none of those before it (its
+    left symbol is none of their right symbols, its right none of their
+    left) and follows no self-pair; the first that fails ends the batch."""
     ranked = sorted((p for p, c in counts.items() if c >= 2), key=lambda p: (-counts[p], p))
-    batch, symbols = [], set()
-    for pair in ranked:
-        if symbols & set(pair) or (batch and batch[-1][0] == batch[-1][1]):
+    batch = []
+    for a, b in ranked:
+        overlaps = any(a == right or b == left for left, right in batch)
+        if overlaps or (batch and batch[-1][0] == batch[-1][1]):
             break
-        batch.append(pair)
-        symbols.update(pair)
+        batch.append((a, b))
     return batch
 
 
@@ -110,15 +111,16 @@ def pair_counts(corpus, sep):
     return _PairCounts(np.array(x, dtype=np.int64), sep, sep + 1), x
 
 
-@given(seqs=st.lists(SEQUENCES, min_size=1, max_size=5))
-@settings(max_examples=150, deadline=None)
-def test_carried_counts_equal_a_fresh_count_after_every_merge(seqs):
+def merge_to_exhaustion(seqs, vocab):
+    """Run the merges of sequences over symbols below vocab to exhaustion,
+    one pass per batch, checking the counts and every batch member against
+    a fresh count of the corpus merged so far; return the batches."""
     tokens = sum(map(len, seqs))
-    symbol = 4
+    symbol = vocab
     sep = symbol + tokens // 2
     counts, x = pair_counts(seqs, sep)
     assert carried(counts) == python_counts(x, sep)
-    # run the merges to exhaustion, one pass per batch
+    batches = []
     while batch := counts.batch(sep):
         pairs = [divmod(code, counts.base) for code in batch]
         assert pairs == python_batch(python_counts(x, sep))
@@ -133,15 +135,61 @@ def test_carried_counts_equal_a_fresh_count_after_every_merge(seqs):
             symbol += 1
         counts.merge(batch, first)
         check_slots(counts, x, sep)
+        batches.append(pairs)
     assert max(python_counts(x, sep).values(), default=0) < 2
     assert symbol <= sep
+    return batches
 
 
-def test_a_batch_stops_at_the_first_pair_that_shares_a_symbol():
-    # (1, 2) shares 1 with (0, 1); (3, 4) shares nothing but comes after it
-    corpus = [[0, 1]] * 5 + [[1, 2]] * 4 + [[3, 4]] * 3
+def same_side(pairs):
+    """Whether two pairs of a batch share their left or their right symbol."""
+    lefts, rights = zip(*pairs)
+    return len(set(lefts)) < len(pairs) or len(set(rights)) < len(pairs)
+
+
+@given(seqs=st.lists(SEQUENCES, min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_carried_counts_equal_a_fresh_count_after_every_merge(seqs):
+    merge_to_exhaustion(seqs, 4)
+
+
+def test_batches_of_random_corpora_take_same_side_pairs_and_stay_exact():
+    # small vocabularies make many pairs share a symbol: same-side pairs
+    # must join batches, and every batch must still be exact
+    rng = np.random.default_rng(11)
+    same = 0
+    for _ in range(60):
+        vocab = int(rng.integers(2, 7))
+        seqs = [rng.integers(0, vocab, int(n)).tolist() for n in rng.integers(1, 40, 4)]
+        same += sum(map(same_side, merge_to_exhaustion(seqs, vocab)))
+        want = ref.build_library(seqs, 64, vocab_size=vocab)
+        assert build_library(seqs, 64, vocab_size=vocab) == want
+    assert same >= 10
+
+
+@pytest.mark.parametrize(
+    "second", [[1, 2], [2, 0]], ids=["starts_with_a_taken_right", "ends_with_a_taken_left"]
+)
+def test_a_batch_stops_at_the_first_overlapping_pair(second):
+    # (1, 2) starts with the right symbol of (0, 1), and (2, 0) ends with
+    # its left; (3, 4) overlaps nothing but comes after either
+    corpus = [[0, 1]] * 5 + [second] * 4 + [[3, 4]] * 3
     counts, _ = pair_counts(corpus, 9)
     assert counts.batch(9) == [0 * 10 + 1]
+    assert build_library(corpus, 8) == ref.build_library(corpus, 8)
+
+
+def test_pairs_sharing_a_side_merge_in_one_batch():
+    # (0, 2) shares its left symbol with (0, 1), and (3, 2) its right with
+    # (0, 2); none overlaps another, so one pass merges all three
+    corpus = [[0, 1]] * 5 + [[0, 2]] * 4 + [[3, 2]] * 3
+    counts, x = pair_counts(corpus, 9)
+    assert counts.batch(9) == [0 * 10 + 1, 0 * 10 + 2, 3 * 10 + 2]
+    counts.merge([1, 2, 32], 4)
+    for k, (a, b) in enumerate([(0, 1), (0, 2), (3, 2)]):
+        x = python_merge(x, a, b, 4 + k)
+    check_slots(counts, x, 9)
+    assert counts.batch(9) == []
     assert build_library(corpus, 8) == ref.build_library(corpus, 8)
 
 
