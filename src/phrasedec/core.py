@@ -4,8 +4,8 @@ and the integer and bool checks of settings.
 Validated ``CategoricalDistribution`` objects are the type at file and API
 boundaries; the decoder's hot loop works on raw float64 rows and the
 uniform-space draw tables of ``breakpoints`` (read by ``locate``), and
-inlines ``log_ratio``'s checks and arithmetic.  ``log_ratio``, ``sample``
-and ``normalize`` serve the frozen reference oracles and ``theory``.
+inlines ``log_ratio``'s checks and arithmetic.  ``log_ratio`` and
+``normalize`` serve the frozen reference oracles and ``theory``.
 Log-ratio arithmetic is floored at ``LOG_FLOOR`` so that "impossible"
 outcomes stay representable without NaNs.
 """
@@ -158,12 +158,6 @@ def log_ratio(pv: float, qv: float) -> float:
     if pv == 0.0:
         return LOG_FLOOR
     return max(math.log(pv) - math.log(qv), LOG_FLOOR)
-
-
-def sample(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw of one token from a non-negative row ``probs`` of
-    shape ``(V,)``.  See ``draw``."""
-    return draw(probs.cumsum(), rng)
 
 
 def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:

@@ -120,15 +120,6 @@ class DecodeMetrics:
         return len(self.tokens_per_iteration)
 
 
-def in_neighborhood(
-    p: np.ndarray, j: int, v: TokenId, drafted: TokenId, tau: float
-) -> bool:
-    """Whether token v lies in the neighborhood of a drafted token under row
-    j of the model table p: |p[j, v] - p[j, drafted]| strictly below tau.
-    ``_find_phrase`` applies this test inline."""
-    return abs(p.item(j, v) - p.item(j, drafted)) < tau
-
-
 def phrase_acceptance_score(
     probs: np.ndarray, t: int, codes: Sequence[int], drafter: Sequence[int], phrase: Phrase
 ) -> float:
@@ -223,14 +214,14 @@ def _find_phrase(
     cfg: VerifyConfig,
 ) -> Phrase | None:
     """The first phrase, in trial order, that starts at slot t, fits the
-    window and has every token inside its slot's neighborhood, read from
-    the row ``probs[codes[j]]`` of each slot j.
+    window and has every token inside its slot's neighborhood: token v at
+    slot j is inside iff |p[v] - p[drafts[j]]| < tau, strictly, on the row
+    p = ``probs[codes[j]]``.
 
     A walk of drafts[t]'s trie: each node reached costs one neighborhood
-    test, ``in_neighborhood``'s, with the drafted token's probability read
-    once per sibling group; a failed test prunes every phrase below the
-    node, and a subtree whose best rank cannot beat the phrase found so far
-    is skipped.
+    test, with the drafted token's probability read once per sibling
+    group; a failed test prunes every phrase below the node, and a subtree
+    whose best rank cannot beat the phrase found so far is skipped.
     """
     root = lib.trie.get(drafts[t])
     if root is None:

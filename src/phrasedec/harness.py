@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -48,6 +49,19 @@ class ConfigInvalid(ValueError):
 
 class CapacityExceeded(ConfigInvalid):
     """Requested phrases do not fit the vocabulary's transition contexts."""
+
+
+def _plain(value):
+    """A bool, integer or real ``value``, NumPy's scalars included, as the
+    equal Python bool, int (``operator.index``) or float; any other value
+    as given."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, Integral):
+        return operator.index(value)
+    if isinstance(value, Real):
+        return float(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -85,10 +99,14 @@ class ExperimentConfig:
             raise
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from exc
+        # every number, read by a rule or not, as the equal plain Python
+        # value, which the report's config echo can write
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _plain(getattr(self, f.name)))
 
     def _count(self, name: str, least: int) -> None:
-        """Check the count ``name`` and keep it as a plain int, which the
-        report's config echo can write."""
+        """Check the count ``name`` and keep it as a plain int, so the checks
+        after it compute with Python ints."""
         object.__setattr__(self, name, count_at_least(getattr(self, name), least, name))
 
     def _check(self) -> None:
@@ -117,7 +135,7 @@ class ExperimentConfig:
             self._count("vocab_size", 2)
             check_shape(self.order, self.vocab_size)
             check_concentration(self.concentration)
-            object.__setattr__(self, "planted", bool(check_bool(self.planted, "planted")))
+            check_bool(self.planted, "planted")
             if self.planted:
                 if self.order != 2:
                     raise ConfigInvalid(

