@@ -1,5 +1,5 @@
 """Shared primitives: token ids, categorical distributions, log-space helpers,
-and the integer and bool checks of settings.
+the integer and bool checks of settings, and the package's two file formats.
 
 Validated ``CategoricalDistribution`` objects are the type at file and API
 boundaries; the decoder's hot loop works on raw float64 rows and the
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +50,52 @@ def check_bool(value, name: str):
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a bool, not {value!r}")
     return value
+
+
+def text_lines(path, error: type[Exception]):
+    """The stripped lines of the UTF-8 text file at path as ``(number, line)``,
+    numbered from 1 as text mode splits them, skipping blank and '#' lines.
+    Each line is checked when reached (a byte that is not UTF-8 is read as a
+    lone surrogate), so a caller rejects a line before a later non-UTF-8
+    byte raises error; the file closes with the iterator."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for number, line in enumerate(f, 1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}: not a UTF-8 text file ({exc.reason})") from exc
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield number, line
+
+
+class Container(NamedTuple):
+    """The binary file format of PSDM models and PSDL libraries: the 4-byte
+    magic, then ``<HII`` (the format version and two fields), then a body.
+    A file that is not one raises error, naming kind."""
+
+    magic: bytes
+    version: int
+    kind: str
+    error: type[Exception]
+
+    def write(self, path, fields: tuple[int, int], body) -> None:
+        with open(path, "wb") as f:
+            f.write(self.magic + struct.pack("<HII", self.version, *fields))
+            f.write(body)
+
+    def read(self, path) -> tuple[int, int, memoryview]:
+        """The two fields and the uncopied body of the file at path."""
+        with open(path, "rb") as f:
+            data = f.read()
+        if data[:4] != self.magic:
+            raise self.error(f"not a {self.magic.decode()} {self.kind} file")
+        if len(data) < 14:  # the magic and the header
+            raise self.error(f"{self.kind} file is truncated")
+        version, first, second = struct.unpack_from("<HII", data, 4)
+        if version != self.version:
+            raise self.error(f"unknown {self.kind} format version {version}")
+        return first, second, memoryview(data)[14:]
 
 
 class InvalidWeight(ValueError):

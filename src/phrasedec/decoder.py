@@ -365,10 +365,11 @@ class _Uniforms:
     scalars as Python floats, vectors as read-only views of the block.
 
     Only the generator runs ahead, by the block's unused tail.  ``sync``
-    puts it back where one-by-one draws would leave it: it restores the
-    state saved before the block and redraws the ``pos`` uniforms handed
-    out.  ``decode`` syncs when it returns or raises, and ``random`` before
-    a request that outruns the block."""
+    puts it back where one-by-one draws would leave it: if part of the
+    block is unused, it restores the state saved before the block and
+    redraws the ``pos`` uniforms handed out; a block handed out whole has
+    left the generator there already.  ``decode`` syncs when it returns or
+    raises, and ``random`` before a request that outruns the block."""
 
     __slots__ = ("rng", "saved", "block", "floats", "pos")
 
@@ -396,10 +397,10 @@ class _Uniforms:
         return self.random(n)
 
     def sync(self) -> None:
-        if self.saved is not None:
+        if self.pos < len(self.floats):
             self.rng.bit_generator.state = self.saved
             self.rng.random(self.pos)
-            self.saved, self.floats, self.pos = None, self.floats[:0], 0
+        self.floats, self.pos = self.floats[:0], 0
 
 
 def decode(

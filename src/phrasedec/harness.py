@@ -19,7 +19,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .core import TokenSequence, check_bool, count_at_least, normalize_rows
+from .core import TokenSequence, check_bool, count_at_least, normalize_rows, text_lines
 from .decoder import DecodeMetrics, VerifyConfig, decode
 from .models import (
     MarkovModel,
@@ -165,21 +165,14 @@ def load_config_file(path) -> dict[str, str]:
     """Parse a flat key=value config file; '#' lines are comments, and a key is set once.
     A file that is not UTF-8 raises ConfigInvalid."""
     entries: dict[str, tuple[int, str]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigInvalid(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = (part.strip() for part in line.partition("="))
-                if key in entries:
-                    first = entries[key][0]
-                    raise ConfigInvalid(f"{path}:{lineno}: key {key!r} repeats line {first}")
-                entries[key] = lineno, value
-        except UnicodeDecodeError as exc:
-            raise ConfigInvalid(f"{path}: not a UTF-8 text file ({exc.reason})") from exc
+    for lineno, line in text_lines(path, ConfigInvalid):
+        if "=" not in line:
+            raise ConfigInvalid(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in entries:
+            first = entries[key][0]
+            raise ConfigInvalid(f"{path}:{lineno}: key {key!r} repeats line {first}")
+        entries[key] = lineno, value
     return {key: value for key, (_, value) in entries.items()}
 
 
@@ -461,7 +454,9 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
 
 def _empirical_marginals(seqs, vocab_size: int) -> np.ndarray:
     """The ``(L, V)`` token frequencies, per position, of a set of
-    equal-length sequences."""
+    equal-length sequences; another set raises ValueError."""
+    if len({len(seq) for seq in seqs}) > 1:
+        raise ValueError("the sequences of a set must share a common length")
     a = np.asarray(seqs)
     return np.array([np.bincount(col, minlength=vocab_size) for col in a.T]) / a.shape[0]
 

@@ -22,7 +22,6 @@ column is the clamp.
 from __future__ import annotations
 
 import itertools
-import struct
 from bisect import bisect_right
 from numbers import Real
 from typing import NamedTuple
@@ -31,6 +30,7 @@ import numpy as np
 
 from .core import (
     CategoricalDistribution,
+    Container,
     TokenSequence,
     _check_rows,
     breakpoints,
@@ -43,11 +43,6 @@ from .core import (
 # vocabulary stays identical to the phrase library's symbol space
 PAD = -1
 
-MODEL_MAGIC = b"PSDM"
-MODEL_FORMAT_VERSION = 1
-# format version, order, vocab_size
-HEADER = "<HII"
-
 
 # the most entries a model table may hold: 2**26 entries, 512 MiB each for
 # the float64 rows and breaks and 256 MiB for the int32 next_row, 1.25 GiB,
@@ -58,6 +53,9 @@ TABLE_LIMIT = 2**26
 
 class UnsupportedModelFormat(ValueError):
     """Model file has a bad magic or an unknown format version."""
+
+
+MODEL_FILE = Container(b"PSDM", 1, "model", UnsupportedModelFormat)
 
 
 def check_shape(order: int, vocab_size: int) -> None:
@@ -311,10 +309,7 @@ def random_markov(
 def save_markov(model: MarkovModel, path) -> None:
     """Write a Markov model in the versioned PSDM binary format."""
     rows = model.rows[context_codes(model.order, model.vocab_size)]
-    with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack(HEADER, MODEL_FORMAT_VERSION, model.order, model.vocab_size))
-        f.write(rows.astype("<f8").tobytes())
+    MODEL_FILE.write(path, (model.order, model.vocab_size), rows.astype("<f8").tobytes())
 
 
 def load_markov(path) -> MarkovModel:
@@ -325,22 +320,13 @@ def load_markov(path) -> MarkovModel:
     UnsupportedModelFormat; rows that are not probability vectors raise
     InvalidWeight.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != MODEL_MAGIC:
-        raise UnsupportedModelFormat("not a PSDM model file")
-    offset = len(MODEL_MAGIC) + struct.calcsize(HEADER)
-    if len(data) < offset:
-        raise UnsupportedModelFormat("model file header is truncated")
-    version, order, vocab_size = struct.unpack_from(HEADER, data, len(MODEL_MAGIC))
-    if version != MODEL_FORMAT_VERSION:
-        raise UnsupportedModelFormat(f"unknown model format version {version}")
+    order, vocab_size, body = MODEL_FILE.read(path)
     try:
         check_shape(order, vocab_size)
     except ValueError as exc:
         raise UnsupportedModelFormat(f"invalid model shape: {exc}") from exc
     contexts = context_count(order, vocab_size)
-    if offset + contexts * vocab_size * 8 != len(data):
+    if contexts * vocab_size * 8 != len(body):
         raise UnsupportedModelFormat("model file has trailing or missing bytes")
-    rows = np.frombuffer(data, dtype="<f8", offset=offset).reshape(contexts, vocab_size)
+    rows = np.frombuffer(body, dtype="<f8").reshape(contexts, vocab_size)
     return MarkovModel(order, vocab_size, rows)

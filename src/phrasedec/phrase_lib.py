@@ -17,12 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TokenId, TokenSequence, count_at_least
+from .core import Container, TokenId, TokenSequence, count_at_least, text_lines
 
 SymbolId = int
-
-LIBRARY_MAGIC = b"PSDL"
-LIBRARY_FORMAT_VERSION = 1
 
 DEFAULT_MAX_PHRASE_LEN = 8
 
@@ -39,6 +36,9 @@ class InvalidToken(ValueError):
 class UnsupportedLibraryFormat(ValueError):
     """Library file has a bad magic, an unknown format version, is truncated,
     or holds rules or phrases that no build could have produced."""
+
+
+LIBRARY_FILE = Container(b"PSDL", 1, "library", UnsupportedLibraryFormat)
 
 
 class LibraryTooLarge(ValueError):
@@ -619,10 +619,7 @@ def save_library(lib: PhraseLibrary, path) -> None:
     longest = max(map(len, lib.phrases), default=0)
     if longest > 0xFFFF:
         raise LibraryTooLarge(f"a phrase of {longest} tokens is longer than 65535")
-    parts = [
-        LIBRARY_MAGIC,
-        struct.pack("<HII", LIBRARY_FORMAT_VERSION, lib.vocab_size, len(lib.rules)),
-    ]
+    parts = []
     for rule in lib.rules:
         parts.append(struct.pack("<III", rule.left, rule.right, rule.result))
     parts.append(struct.pack("<I", len(lib.phrases)))
@@ -630,8 +627,7 @@ def save_library(lib: PhraseLibrary, path) -> None:
         parts.append(struct.pack("<H", len(phrase.tokens)))
         parts.append(struct.pack(f"<{len(phrase.tokens)}I", *phrase.tokens))
         parts.append(struct.pack("<IQ", phrase.source_rank, phrase.corpus_count))
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    LIBRARY_FILE.write(path, (lib.vocab_size, len(lib.rules)), b"".join(parts))
 
 
 def load_library(path) -> PhraseLibrary:
@@ -640,25 +636,18 @@ def load_library(path) -> PhraseLibrary:
     A truncated file, or one whose rules or phrases could not have come from
     build_library, raises UnsupportedLibraryFormat.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != LIBRARY_MAGIC:
-        raise UnsupportedLibraryFormat("not a PSDL library file")
     try:
-        return _parse_library(data)
+        return _parse_library(*LIBRARY_FILE.read(path))
     except struct.error as exc:
         raise UnsupportedLibraryFormat("library file is truncated") from exc
 
 
-def _parse_library(data: bytes) -> PhraseLibrary:
+def _parse_library(vocab_size: int, rule_count: int, data: memoryview) -> PhraseLibrary:
     """Rules must each merge earlier symbols; each stored phrase must name a
     rule whose length it has and whose spelling it is, and no rule's phrase
     may be stored twice.  Time and memory are linear in the file: one length
     per rule, and one walk per phrase."""
-    version, vocab_size, rule_count = struct.unpack_from("<HII", data, 4)
-    if version != LIBRARY_FORMAT_VERSION:
-        raise UnsupportedLibraryFormat(f"unknown library format version {version}")
-    offset = 4 + struct.calcsize("<HII")
+    offset = 0
     rules = []
     for rank in range(1, rule_count + 1):
         left, right, result = struct.unpack_from("<III", data, offset)
@@ -701,18 +690,11 @@ def read_corpus(path) -> list[TokenSequence]:
     digits alone (a sign, an underscore or another script's digit) or a
     file that is not UTF-8 raises InvalidToken."""
     corpus: list[TokenSequence] = []
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                tokens = line.split()
-                if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-                    raise InvalidToken(f"bad token in corpus line {line!r}")
-                corpus.append(tuple(map(int, tokens)))
-        except UnicodeDecodeError as exc:
-            raise InvalidToken(f"{path}: not a UTF-8 text file ({exc.reason})") from exc
+    for _, line in text_lines(path, InvalidToken):
+        tokens = line.split()
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise InvalidToken(f"bad token in corpus line {line!r}")
+        corpus.append(tuple(map(int, tokens)))
     return corpus
 
 

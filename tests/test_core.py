@@ -1,10 +1,13 @@
+import builtins
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phrasedec import core
 from phrasedec.core import (
     LOG_FLOOR,
     AllZeroWeights,
@@ -16,7 +19,11 @@ from phrasedec.core import (
     log_ratio,
     normalize,
     normalize_rows,
+    text_lines,
 )
+from phrasedec.harness import ConfigInvalid, load_config_file
+from phrasedec.models import UnsupportedModelFormat, load_markov
+from phrasedec.phrase_lib import InvalidToken, UnsupportedLibraryFormat, load_library, read_corpus
 from reference_models import sample
 
 
@@ -261,3 +268,90 @@ class TestSampleOneRowPath:
         row = np.zeros(3)
         assert sample(row, FixedRng(0.5)) == 2
         assert batch_draw(row[None], FixedRng(0.5)).tolist() == [2]
+
+
+# a file's lines around three payload slots: comments, a comment after
+# leading spaces, whitespace-only lines and a payload with spaces around it
+SKELETON = ["# a comment", "{}", "   ", "  # after spaces", "\t", "{}", "  {}  ", ""]
+
+
+class TestTextLines:
+    """The one reader of the text convention, shared by configs and corpora."""
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_config_and_a_corpus_skip_the_same_lines(self, tmp_path, end):
+        def write(name, payload):
+            path = tmp_path / name
+            slots = iter(payload(i) for i in (1, 5, 6))
+            lines = [line.format(next(slots)) if "{}" in line else line for line in SKELETON]
+            path.write_bytes(end.join(lines).encode("utf-8"))
+            return path
+
+        config = write("c.cfg", lambda i: f"k{i} = {i}")
+        corpus = write("c.txt", lambda i: f"{i} {i}")
+        assert list(text_lines(config, ValueError)) == [(2, "k1 = 1"), (6, "k5 = 5"), (7, "k6 = 6")]
+        assert load_config_file(config) == {"k1": "1", "k5": "5", "k6": "6"}
+        assert read_corpus(corpus) == [(1, 1), (5, 5), (6, 6)]
+
+    @pytest.mark.parametrize(
+        "read, data, error, match",
+        [
+            (load_config_file, b"seed=1\nnot a pair\n\xff\n", ConfigInvalid, ":2: expected key=value"),
+            (read_corpus, b"1 2\n1 x\n\xff\n", InvalidToken, "bad token in corpus line '1 x'"),
+            (load_config_file, b"\xff\nnot a pair\n", ConfigInvalid, "not a UTF-8 text file"),
+            (read_corpus, b"\xff\n1 x\n", InvalidToken, "not a UTF-8 text file"),
+        ],
+        ids=["config_line_first", "corpus_line_first", "config_byte_first", "corpus_byte_first"],
+    )
+    def test_the_first_fault_is_reported(self, tmp_path, monkeypatch, read, data, error, match):
+        # a rejected line before a non-UTF-8 byte used to be hidden by the
+        # byte, which text mode decoded with the line's chunk
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(builtins.open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(core, "open", recording_open, raising=False)
+        path = tmp_path / "f"
+        path.write_bytes(data)
+        with pytest.raises(error, match=re.escape(match)):
+            read(path)
+        assert len(opened) == 1 and opened[0].closed
+
+    @given(data=st.binary(max_size=40) | st.lists(
+        st.sampled_from([b"\n", b"\r", b"\r\n", b" ", b"#", b"7", b"\xc3\xa9", b"\xe2\x82",
+                         b"\xff", b"\xed\xa0\x80", b"\xef\xbb\xbf"]), max_size=20).map(b"".join))
+    @settings(max_examples=300, deadline=None)
+    def test_text_mode_lines_and_reasons(self, tmp_path_factory, data):
+        # the oracle is the reader both callers had: text mode, strict UTF-8
+        path = tmp_path_factory.mktemp("lines") / "f"
+        path.write_bytes(data)
+        try:
+            with open(path, encoding="utf-8") as f:
+                stripped = [(n, line.strip()) for n, line in enumerate(f, 1)]
+        except UnicodeDecodeError as exc:
+            with pytest.raises(ValueError, match=re.escape(f"not a UTF-8 text file ({exc.reason})")):
+                list(text_lines(path, ValueError))
+        else:
+            expected = [(n, line) for n, line in stripped if line and not line.startswith("#")]
+            assert list(text_lines(path, ValueError)) == expected
+
+
+@pytest.mark.parametrize(
+    "load, magic, kind, error",
+    [(load_markov, b"PSDM", "model", UnsupportedModelFormat),
+     (load_library, b"PSDL", "library", UnsupportedLibraryFormat)],
+    ids=["model", "library"],
+)
+def test_the_container_header_rules(tmp_path, load, magic, kind, error):
+    """Models and libraries share the container's header checks and wording."""
+    path = tmp_path / "f"
+    for data, message in [
+        (b"NOPE" + bytes(10), f"not a {magic.decode()} {kind} file"),
+        (magic + bytes(9), f"{kind} file is truncated"),
+        (magic + bytes([2, 0]) + bytes(8), f"unknown {kind} format version 2"),
+    ]:
+        path.write_bytes(data)
+        with pytest.raises(error, match=f"^{message}$"):
+            load(path)

@@ -61,17 +61,26 @@ def test_greedy_law_is_the_argmax_path(model, mode, window):
     assert law.sum() == 1.0
 
 
-def test_sampled_sjd_decodes_follow_the_computed_law():
+def sampled_decodes_follow_the_law(mode, stream):
     # the engine's draws against the law above, one cell per 5-token
     # sequence, with the bounds of TestSjdExactMarginals
     model, runs = random_model(), 4000
-    law = decoder_law(model, "sjd", 3, LENGTH)
-    cfg = VerifyConfig(mode="sjd", window_size=3)
+    law = decoder_law(model, mode, 3, LENGTH)
+    cfg = VerifyConfig(mode=mode, window_size=3)
     cells = [
-        [seq_index(decode(model, None, cfg, LENGTH, np.random.default_rng([23, r]))[0], 3)]
+        [seq_index(decode(model, None, cfg, LENGTH, np.random.default_rng([stream, r]))[0], 3)]
         for r in range(runs)
     ]
     mean_ratio, z_max, impossible = chi2_against(cells, law[None])
     assert impossible == 0
     assert mean_ratio < 1.4
     assert z_max < 5.5
+
+
+def test_sampled_sjd_decodes_follow_the_computed_law():
+    sampled_decodes_follow_the_law("sjd", 23)
+
+
+def test_sampled_jacobi_decodes_follow_the_computed_law():
+    # non-greedy jacobi's draw-and-match walk, which pool-drafted chains reuse
+    sampled_decodes_follow_the_law("jacobi", 24)

@@ -580,6 +580,14 @@ class TestMarginalTv:
         with pytest.raises(ValueError, match="sequence sets must share a common length"):
             marginal_tv([(0, 1)], [(0, 1, 1)], 2)
 
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_different_lengths_within_a_set_rejected(self, which):
+        # it used to fail inside np.asarray with NumPy's inhomogeneous-shape error
+        ragged, even = [(0, 1), (0, 1, 1)], [(0, 1), (1, 1)]
+        sets = (ragged, even) if which == "first" else (even, ragged)
+        with pytest.raises(ValueError, match="the sequences of a set must share a common length"):
+            marginal_tv(*sets, 2)
+
 
 class TestTheoryCheck:
     def test_report_shape(self):
