@@ -7,8 +7,9 @@ global flags it reads and its handler.
 The config file is a flat key=value text file whose keys mirror
 ExperimentConfig.  Bad input (unreadable files, an output file path that
 is empty, names a directory or lies in a missing directory or under a
-file, an empty --out or one that is or lies under a file, malformed
-models, libraries, corpora or configs) ends with one
+file, an empty --out or one that is or lies under a file, gen-model's
+--model-out and --corpus-out naming one file, malformed models,
+libraries, corpora or configs) ends with one
 ``phrasedec: error: ...`` line on stderr and exit status 1, before the
 generator draws if a planted setting or corpus size is bad; bad arguments
 (a grid token that is not a number, or a global flag the verb does not
@@ -252,6 +253,11 @@ def _theory_check(args) -> int:
 
 def _gen_model(args) -> int:
     _check_output_paths(args.model_out, args.corpus_out)
+    # the corpus, written second, would silently replace the model
+    if args.corpus_out is not None and (
+        os.path.realpath(args.model_out) == os.path.realpath(args.corpus_out)
+    ):
+        raise ValueError(f"--model-out and --corpus-out name one file: {args.corpus_out}")
     # the model and corpus bench resolves for the same config
     model, corpus = harness._resolve_model_and_corpus(_experiment_config(args))
     save_markov(model, args.model_out)

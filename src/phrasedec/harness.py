@@ -93,6 +93,13 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        # before any check reads them: each path as the str the report's
+        # config echo can write, and modes as a tuple, so no list leaves
+        # the frozen config mutable
+        for name in ("model_path", "corpus_path", "out_dir"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, os.fspath(getattr(self, name)))
+        object.__setattr__(self, "modes", tuple(self.modes))
         try:
             self._check()
         except ConfigInvalid:
@@ -417,11 +424,14 @@ def _write_csv(cfg: ExperimentConfig, name: str, rows: list[dict]) -> list[dict]
 
 
 def write_json(report: dict, out_dir: str, name: str) -> str:
-    """Write report, indented JSON and a newline, to the file name in out_dir; return its path."""
+    """Write report, indented JSON and a newline, to the file name in out_dir;
+    return its path.  A report JSON cannot hold raises before anything is
+    created."""
+    text = json.dumps(report, indent=2) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(report, indent=2) + "\n")
+        f.write(text)
     return path
 
 

@@ -6,10 +6,12 @@ checks of the min-function inequality that orders the two.
 These rate oracles treat all positions as independent.
 
 The exact-law enumerators read a model only through ``evaluate``, and
-follow a decode's correlated drafting:
-``target_joint`` is its joint law of L-token sequences, and ``decoder_law``
-the exact law of the first L tokens a decode commits, both as flat arrays
-indexed by ``seq_index``.
+follow a decode's correlated drafting: ``target_joint`` is its joint law
+of L-token sequences, and ``decoder_law(model, cfg, L)`` the law of the
+first L tokens ``decode(model, None, cfg, L, rng)`` commits (ValueError for
+any mode but sjd and jacobi), both flat arrays indexed by ``seq_index``.
+They and ``proposition1_sweep`` raise EnumerationTooLarge, before any
+``evaluate`` call or draw, for more than ``ENUMERATION_LIMIT`` outcomes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +35,14 @@ _GAP_TOL = 1e-12
 
 class EnumerationTooLarge(ValueError):
     """V^L exceeds the exact-enumeration guard."""
+
+
+def _check_enumeration(base: int, power: int, what: str) -> None:
+    """Raise EnumerationTooLarge if base ** power passes ENUMERATION_LIMIT."""
+    # any base >= 2 to the limit's bit length passes it, so the power is
+    # capped there and a huge power builds no huge int
+    if base ** min(power, ENUMERATION_LIMIT.bit_length()) > ENUMERATION_LIMIT:
+        raise EnumerationTooLarge(f"{what} has more than {ENUMERATION_LIMIT} joint outcomes")
 
 
 def _rate(p: np.ndarray, q: np.ndarray) -> float:
@@ -146,13 +156,7 @@ def proposition1_sweep(
     trials = count_at_least(trials, 0, "trials")
     v_max = count_at_least(v_max, 2, "v_max")
     l_max = count_at_least(l_max, 1, "l_max")
-    # any v_max >= 2 to the limit's bit length passes it, so the power is
-    # capped there and a huge l_max builds no huge int
-    if v_max ** min(l_max, ENUMERATION_LIMIT.bit_length()) > ENUMERATION_LIMIT:
-        raise EnumerationTooLarge(
-            f"v_max={v_max}, l_max={l_max}: the largest instance has more than "
-            f"{ENUMERATION_LIMIT} joint outcomes"
-        )
+    _check_enumeration(v_max, l_max, f"v_max={v_max}, l_max={l_max}: the largest instance")
     summary = Proposition1Summary(trials=trials, violations=0)
     for _ in range(trials):
         vocab_size = int(rng.integers(2, v_max + 1))
@@ -176,6 +180,7 @@ def seq_index(seq, vocab):
 def target_joint(model, length):
     """The model's joint law of length-token sequences, one ``evaluate``
     call per sequence: the probability of each token at its own row."""
+    _check_enumeration(model.vocab_size, length, f"the joint law of {length} tokens")
     out = np.empty(model.vocab_size**length)
     for n, seq in enumerate(itertools.product(range(model.vocab_size), repeat=length)):
         rows = model.evaluate((), seq)
@@ -183,14 +188,21 @@ def target_joint(model, length):
     return out
 
 
-def decoder_law(model, mode, window, length, greedy=False):
-    """The exact law of the first length tokens ``decode`` commits in
-    ``mode`` ("sjd" or "jacobi") with the given window size."""
+def decoder_law(model, cfg, length):
+    """The exact law of the first length tokens ``decode(model, None, cfg,
+    length, rng)`` commits, for cfg.mode "sjd" or "jacobi"."""
+    if cfg.mode not in ("sjd", "jacobi"):
+        raise ValueError(
+            f"no exact law of mode {cfg.mode!r}: only sjd and jacobi are "
+            "enumerated (sjd_pv's phrase branches are ROADMAP item 8)"
+        )
     V, order = model.vocab_size, model.order
+    _check_enumeration(V, length, f"the law of {length} tokens")
+    _check_enumeration(V, cfg.window_size, f"a window of {cfg.window_size} drafts")
     begin = model.evaluate((), (0,))
     # per row: the law of a draft, or of a fixed-point rule's fresh draw
-    laws = (np.eye(V)[list(begin.argmax)] if greedy else begin.probs).tolist()
-    sjd = mode == "sjd" and not greedy
+    laws = (np.eye(V)[list(begin.argmax)] if cfg.greedy else begin.probs).tolist()
+    sjd = cfg.mode == "sjd" and not cfg.greedy
 
     def ends(idx, drafts, codes):
         """(committed tokens, probability) of every way one iteration ends."""
@@ -213,21 +225,15 @@ def decoder_law(model, mode, window, length, greedy=False):
                 return out
         return out + [(chunk, prob)]
 
-    iterations = {}  # (tail, codes, drafts) -> the iteration's rows and ends
+    @cache
+    def iteration(tail, codes, drafts):  # the iteration's rows and ends
+        idx = model.evaluate(tail, drafts).idx
+        return idx, ends(idx, drafts, codes)
 
-    def iteration(tail, codes, drafts):
-        if (tail, codes, drafts) not in iterations:
-            idx = model.evaluate(tail, drafts).idx
-            iterations[tail, codes, drafts] = idx, ends(idx, drafts, codes)
-        return iterations[tail, codes, drafts]
-
-    memo = {}
-
+    @cache
     def law(r, tail, codes):
         """The law of the next r committed tokens, as a flat array, when the
         next window is drafted at codes and tail is the prefix."""
-        if (r, tail, codes) in memo:
-            return memo[r, tail, codes]
         out = np.zeros(V**r)
         for drafts in itertools.product(range(V), repeat=len(codes)):
             q = np.prod([laws[c][d] for c, d in zip(codes, drafts)])
@@ -243,7 +249,6 @@ def decoder_law(model, mode, window, length, greedy=False):
                 block = V ** (r - n)
                 start = seq_index(chunk, V) * block
                 out[start : start + block] += q * prob * law(r - n, (tail + chunk)[-order:], refill)
-        memo[r, tail, codes] = out
         return out
 
-    return law(length, (), tuple(begin.idx * window))
+    return law(length, (), tuple(begin.idx * cfg.window_size))

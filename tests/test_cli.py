@@ -730,6 +730,30 @@ def test_gen_model_rejects_an_oversized_generator(tmp_path, capsys, settings):
     assert not model_out.exists() and not corpus_out.exists()
 
 
+@pytest.mark.parametrize(
+    "corpus_out",
+    ["m.psdm", "sub/../m.psdm", "link.psdm"],
+    ids=["same-path", "same-file", "symlink"],
+)
+def test_gen_model_refuses_one_file_for_both_outputs(tmp_path, monkeypatch, capsys, corpus_out):
+    # the corpus used to overwrite the model, with exit status 0 and
+    # "wrote" printed for both
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "_resolve_model_and_corpus", no_work)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.psdm").symlink_to("m.psdm")
+    written = sorted(tmp_path.rglob("*"))
+    rc = main(["gen-model", "--model-out", "m.psdm", "--corpus-out", corpus_out])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"phrasedec: error: --model-out and --corpus-out name one file: {corpus_out}\n"
+    assert sorted(tmp_path.rglob("*")) == written
+
+
 def test_gen_model(tmp_path, capsys):
     # the default config's planted model and corpus, byte for byte as before
     # gen-model and bench shared one resolver (NumPy's Dirichlet and

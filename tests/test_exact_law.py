@@ -17,8 +17,14 @@ import pytest
 from test_decoder import chi2_against
 from phrasedec.decoder import VerifyConfig, decode
 from phrasedec.harness import planted_phrase_corpus
-from phrasedec.models import random_markov
-from phrasedec.theory import decoder_law, seq_index, target_joint
+from phrasedec.models import MarkovModel, random_markov
+from phrasedec.theory import (
+    ENUMERATION_LIMIT,
+    EnumerationTooLarge,
+    decoder_law,
+    seq_index,
+    target_joint,
+)
 
 LENGTH = 5
 
@@ -44,7 +50,7 @@ def model(request):
 @pytest.mark.parametrize("mode", ["sjd", "jacobi"])
 def test_law_is_the_joint(model, mode, window):
     joint = target_joint(model, LENGTH)
-    law = decoder_law(model, mode, window, LENGTH)
+    law = decoder_law(model, VerifyConfig(mode=mode, window_size=window), LENGTH)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
     assert 0.5 * np.abs(law - joint).sum() < 1e-12
 
@@ -56,17 +62,58 @@ def test_greedy_law_is_the_argmax_path(model, mode, window):
     for _ in range(LENGTH):
         rows = model.evaluate(path, (0,))
         path += (rows.argmax[rows.idx[0]],)
-    law = decoder_law(model, mode, window, LENGTH, greedy=True)
+    cfg = VerifyConfig(mode=mode, window_size=window, greedy=True)
+    law = decoder_law(model, cfg, LENGTH)
     assert law[seq_index(path, model.vocab_size)] == 1.0
     assert law.sum() == 1.0
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """Every ``MarkovModel.evaluate`` call's arguments, in order."""
+    calls = []
+    evaluate = MarkovModel.evaluate
+
+    def spy(self, prefix, drafts):
+        calls.append((prefix, drafts))
+        return evaluate(self, prefix, drafts)
+
+    monkeypatch.setattr(MarkovModel, "evaluate", spy)
+    return calls
+
+
+def test_sjd_pv_has_no_law_yet(evaluate_calls):
+    # the phrase branches are not enumerated; before, any mode but "sjd"
+    # silently gave jacobi's law
+    with pytest.raises(ValueError, match="'sjd_pv'.*ROADMAP item 8"):
+        decoder_law(random_model(), VerifyConfig(mode="sjd_pv", window_size=3), LENGTH)
+    assert evaluate_calls == []
+
+
+def test_a_law_past_the_limit_is_refused_before_any_evaluate(evaluate_calls):
+    # 40**12 outcomes; NumPy used to fail allocating them
+    model = random_markov(1, 40, 0.3, np.random.default_rng(0))
+    message = f"the (joint )?law of 12 tokens has more than {ENUMERATION_LIMIT} joint outcomes"
+    with pytest.raises(EnumerationTooLarge, match=message):
+        target_joint(model, 12)
+    with pytest.raises(EnumerationTooLarge, match=message):
+        decoder_law(model, VerifyConfig(mode="sjd", window_size=3), 12)
+    assert evaluate_calls == []
+
+
+def test_a_window_past_the_limit_is_refused_before_any_evaluate(evaluate_calls):
+    # 3**15 draft vectors for the first window, at a law of only 3**2 cells
+    assert 3**14 < ENUMERATION_LIMIT < 3**15
+    with pytest.raises(EnumerationTooLarge, match="a window of 15 drafts"):
+        decoder_law(random_model(), VerifyConfig(mode="jacobi", window_size=15), 2)
+    assert evaluate_calls == []
 
 
 def sampled_decodes_follow_the_law(mode, stream):
     # the engine's draws against the law above, one cell per 5-token
     # sequence, with the bounds of TestSjdExactMarginals
-    model, runs = random_model(), 4000
-    law = decoder_law(model, mode, 3, LENGTH)
-    cfg = VerifyConfig(mode=mode, window_size=3)
+    model, runs, cfg = random_model(), 4000, VerifyConfig(mode=mode, window_size=3)
+    law = decoder_law(model, cfg, LENGTH)
     cells = [
         [seq_index(decode(model, None, cfg, LENGTH, np.random.default_rng([stream, r]))[0], 3)]
         for r in range(runs)

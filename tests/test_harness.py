@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from phrasedec.harness import (
     run_merge_sweep,
     run_tau_sweep,
     theory_check,
+    write_json,
 )
 from phrasedec.models import MarkovModel, markov_contexts, random_markov, save_markov
 from phrasedec.phrase_lib import build_library, write_corpus
@@ -184,6 +186,37 @@ class TestRunBenchmark:
         with open(tmp_path / "report.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == cfg.decodes * len(cfg.modes)
+
+    def test_path_settings_write_the_config_echo_of_str_settings(self, tmp_path):
+        # a Path used to stay in the config: report.csv was written, then
+        # report.json was left empty when json.dumps met the Path
+        model_path, corpus_path = tmp_path / "model.psdm", tmp_path / "corpus.txt"
+        model, corpus = harness._resolve_model_and_corpus(small_cfg(corpus_sequences=4))
+        save_markov(model, model_path)
+        write_corpus(corpus, corpus_path)
+        settings = dict(decodes=1, total_len=8, corpus_sequences=4, corpus_seq_len=16, merges=4)
+        echoes = []
+        for name, kind in (("str", str), ("path", Path)):
+            out = tmp_path / name
+            cfg = ExperimentConfig(
+                **settings, model_path=kind(model_path), corpus_path=kind(corpus_path),
+                out_dir=kind(out),
+            )
+            assert (cfg.model_path, cfg.corpus_path, cfg.out_dir) == (
+                str(model_path), str(corpus_path), str(out)
+            )
+            run_benchmark(cfg)
+            config = json.loads((out / "report.json").read_text())["config"]
+            assert config["out_dir"] == str(out)
+            echoes.append({**config, "out_dir": None})
+        assert echoes[0] == echoes[1]
+
+    def test_a_report_json_cannot_hold_writes_nothing(self, tmp_path):
+        # the file used to be opened first and left empty
+        out = tmp_path / "out"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json({"where": object()}, str(out), "report.json")
+        assert not out.exists()
 
     def test_report_csv_columns(self, tmp_path):
         # the column list README's "Report schemas" documents, in its order
@@ -493,6 +526,16 @@ class TestConfig:
             cfg.tau = 0.5
         # order applies with planted=false
         assert ExperimentConfig(planted=False, order=3).order == 3
+
+    def test_a_mode_list_is_kept_as_a_tuple(self):
+        # the list used to be kept: it could grow after every check had run,
+        # and hash(cfg) raised TypeError
+        modes = ["sjd"]
+        cfg = ExperimentConfig(modes=modes)
+        modes.append("bogus")
+        assert cfg.modes == ("sjd",)
+        assert hash(cfg) == hash(ExperimentConfig(modes=("sjd",)))
+        assert cfg == ExperimentConfig(modes=("sjd",))
 
     def test_negative_seed(self):
         with pytest.raises(ConfigInvalid, match="seed must be >= 0"):
