@@ -88,11 +88,23 @@ class VerifyConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown decode mode {self.mode!r}: must be one of {MODES}")
-        count_at_least(self.window_size, 1, "window_size")
-        if not (isinstance(self.tau, Real) and 0.0 < self.tau < 1.0):
+        window_size = count_at_least(self.window_size, 1, "window_size")
+        # the float too: a Fraction just below 1 rounds to 1.0
+        if not (isinstance(self.tau, Real) and 0.0 < self.tau < 1.0 and 0.0 < float(self.tau) < 1.0):
             raise ValueError("tau must be in (0, 1)")
-        count_at_least(self.max_phrase_len, 2, "max_phrase_len")
+        max_phrase_len = count_at_least(self.max_phrase_len, 2, "max_phrase_len")
         check_bool(self.greedy, "greedy")
+        # each setting as the plain Python value the hot loop computes with:
+        # under NumPy 2's promotion rules a float32 tau would run the
+        # neighborhood test in float32, and drop a neighbor at 0.00999999975
+        # from tau = float32(0.01) that the float64 test keeps
+        for name, value in (
+            ("window_size", window_size),
+            ("tau", float(self.tau)),
+            ("max_phrase_len", max_phrase_len),
+            ("greedy", bool(self.greedy)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -131,13 +143,17 @@ def phrase_acceptance_score(
     Raises ValueError for a phrase that does not fit the window at slot t.
 
     One pass over the phrase, each term ``core.log_ratio``'s checks and
-    arithmetic inline."""
-    if not 0 <= t <= min(len(codes), len(drafter)) - len(phrase):
-        raise ValueError(f"a phrase of {len(phrase)} tokens at slot {t} runs past the window")
-    item, log = probs.item, math.log
+    arithmetic inline, with no Python-level call but the table reads and
+    logs: the bounds check reads the tokens' length once, and each floor is
+    a comparison."""
+    tokens = phrase.tokens
+    end = t + len(tokens)
+    if t < 0 or end > len(codes) or end > len(drafter):
+        raise ValueError(f"a phrase of {len(tokens)} tokens at slot {t} runs past the window")
+    item, log, floor = probs.item, math.log, LOG_FLOOR
     score = 0.0
     impossible = False
-    for j, v in enumerate(phrase.tokens, t):
+    for j, v in enumerate(tokens, t):
         qv = item(drafter[j], v)
         if qv == 0.0:
             raise DrafterZeroProb("drafted token has zero drafter probability")
@@ -145,8 +161,10 @@ def phrase_acceptance_score(
         if pv == 0.0:
             impossible = True
         else:
-            score += max(log(pv) - log(qv), LOG_FLOOR)
-    return LOG_FLOOR if impossible else max(score, LOG_FLOOR)
+            # max(term, floor), which returns term unless floor is larger
+            term = log(pv) - log(qv)
+            score += floor if floor > term else term
+    return floor if impossible or floor > score else score
 
 
 def verify_phrase(score: float, rng: np.random.Generator) -> bool:
@@ -221,37 +239,51 @@ def _find_phrase(
     A walk of drafts[t]'s trie: each node reached costs one neighborhood
     test, with the drafted token's probability read once per sibling
     group; a failed test prunes every phrase below the node, and a subtree
-    whose best rank cannot beat the phrase found so far is skipped.
+    whose best rank cannot beat the phrase found so far is skipped.  The
+    walk holds the group it is in and keeps a stack of later siblings only
+    once a node with children has any: most walks never make one.
     """
     root = lib.trie.get(drafts[t])
     if root is None:
         return None
-    limit = min(len(drafts) - t, cfg.max_phrase_len)
+    limit = len(drafts) - t
+    if limit > cfg.max_phrase_len:
+        limit = cfg.max_phrase_len
     tau = cfg.tau
-    # the root is drafts[t], always inside its own neighborhood
-    found, found_rank = root.phrase, root.rank
-    # sibling groups still to walk, each with its tokens' offset from t
-    stack = [(1, root.children)]
-    while stack:
-        k, siblings = stack.pop()
-        if k >= limit:
-            continue
-        j = codes[t + k]
-        p_drafted = probs.item(j, drafts[t + k])
-        i = 0
-        for token, best, rank, phrase, children in siblings:
-            i += 1
-            if best >= found_rank:
-                break  # siblings come in ascending best rank
-            if abs(probs.item(j, token) - p_drafted) < tau:
-                if rank < found_rank:
-                    found, found_rank = phrase, rank
-                if children:
-                    # depth first: this node's subtree before its later siblings
-                    stack.append((k, siblings[i:]))
-                    stack.append((k + 1, children))
-                    break
-    return found
+    item = probs.item
+    # the root is drafts[t], always inside its own neighborhood; its fields
+    # in one unpacking, not three named reads
+    _, _, found_rank, found, siblings = root
+    # the sibling group being walked is at offset k from t; later holds the
+    # later siblings of the nodes above it, each group with its offset
+    k, later = 1, None
+    while True:
+        if k < limit:
+            j = codes[t + k]
+            p_drafted = item(j, drafts[t + k])
+            deeper = None
+            i = 0
+            for token, best, rank, phrase, children in siblings:
+                i += 1
+                if best >= found_rank:
+                    break  # siblings come in ascending best rank
+                if abs(item(j, token) - p_drafted) < tau:
+                    if rank < found_rank:
+                        found, found_rank = phrase, rank
+                    if children:
+                        deeper = children
+                        break
+            if deeper is not None:
+                # depth first: this node's subtree before its later siblings
+                if i < len(siblings):
+                    if later is None:
+                        later = []
+                    later.append((k, siblings[i:]))
+                k, siblings = k + 1, deeper
+                continue
+        if not later:
+            return found
+        k, siblings = later.pop()
 
 
 def _check_library(cfg: VerifyConfig, lib: PhraseLibrary | None, vocab_size: int) -> None:
@@ -318,8 +350,9 @@ def verify_window(
                     accepted = False  # non-verifiable: fall back to the token path
                 if accepted:
                     metrics.phrase_accepts += 1
-                    committed.extend(phrase.tokens)
-                    t += len(phrase)
+                    tokens = phrase.tokens
+                    committed.extend(tokens)
+                    t += len(tokens)
                     continue
 
         drafted = drafts[t]

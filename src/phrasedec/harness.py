@@ -93,12 +93,13 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        # before any check reads them: each path as the str the report's
-        # config echo can write, and modes as a tuple, so no list leaves
-        # the frozen config mutable
+        # before any check reads them: each path, a str, Path or bytes, as
+        # the str the report's config echo can write and the report paths
+        # join with, and modes as a tuple, so no list leaves the frozen
+        # config mutable
         for name in ("model_path", "corpus_path", "out_dir"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, os.fspath(getattr(self, name)))
+                object.__setattr__(self, name, os.fsdecode(getattr(self, name)))
         object.__setattr__(self, "modes", tuple(self.modes))
         try:
             self._check()

@@ -994,6 +994,88 @@ class TestDecode:
         assert len(seq) == 8
 
 
+class TestPlainSettings:
+    """VerifyConfig keeps each setting as the plain Python value the hot
+    loop computes with, whatever scalar it was given."""
+
+    def test_numpy_scalars_are_stored_as_python_values(self):
+        cfg = VerifyConfig("sjd_pv", np.int64(4), np.float32(0.01), np.int32(3), np.bool_(True))
+        stored = (cfg.window_size, cfg.tau, cfg.max_phrase_len, cfg.greedy)
+        assert [type(value) for value in stored] == [int, float, int, bool]
+        assert stored == (4, float(np.float32(0.01)), 3, True)
+
+    def test_float32_tau_keeps_a_neighbor_the_float64_test_keeps(self):
+        # the phrase's token 1 lies 0.00999999975 from the drafted token 2:
+        # inside tau = float(float32(0.01)) = 0.0099999997765 in float64,
+        # as the harness stores tau, while float32(0.00999999975) equals
+        # float32(0.01), so a float32 test (NumPy 2's rule for a float32
+        # tau) drops it
+        phrase = Phrase((0, 1), 1, 1)
+        lib = PhraseLibrary(3, (), (phrase,))
+        probs = np.array([[1.0, 0.0, 0.0], [0.99000000025, 0.00999999975, 0.0]])
+        assert 0.00999999975 < float(np.float32(0.01))
+        for tau in (np.float32(0.01), float(np.float32(0.01))):
+            cfg = VerifyConfig("sjd_pv", 2, tau)
+            assert decoder._find_phrase(lib, (0, 2), 0, probs, [0, 1], cfg) is phrase
+
+
+class TestSeams:
+    """perfbench's PhraseWatch rebuilds each phrase decision from the calls
+    it observes: one ``verify_window`` per iteration, one ``verify_token``
+    per token test, and one ``phrase_acceptance_score`` then, unless the
+    score raised DrafterZeroProb, one ``verify_phrase`` per phrase test.
+    Each seam is counted through the module attribute the tracer patches,
+    so a seam inlined into its caller goes uncounted."""
+
+    SEAMS = ("verify_window", "verify_token", "phrase_acceptance_score", "verify_phrase")
+
+    @staticmethod
+    def inputs(build):
+        """A model, a 256-merge library of its corpus, and a tau; the sparse
+        model's zeros make some phrase scores raise DrafterZeroProb."""
+        if build == "planted":
+            corpus, model = planted_phrase_corpus(32, 6, 5, 40, 192, 0.95, np.random.default_rng(21))
+            return model, build_library(corpus, 256, vocab_size=32), 0.01
+        if build == "random":
+            model = random_markov(2, 8, 0.3, np.random.default_rng(5))
+        else:
+            model = sparse_markov(2, 6, 0.3, 0)
+        corpus = [ancestral_sample(model, 192, np.random.default_rng([5, k])) for k in range(40)]
+        tau = 0.01 if build == "random" else 0.2
+        return model, build_library(corpus, 256, vocab_size=model.vocab_size), tau
+
+    @pytest.mark.parametrize("build", ["planted", "random", "sparse"])
+    def test_each_test_calls_its_seam_once(self, monkeypatch, build):
+        model, lib, tau = self.inputs(build)
+        calls = dict.fromkeys(self.SEAMS, 0)
+        returned = dict.fromkeys(self.SEAMS, 0)
+
+        def counted(name, fn):
+            def seam(*args, **kwargs):
+                calls[name] += 1
+                result = fn(*args, **kwargs)
+                returned[name] += 1
+                return result
+            return seam
+
+        for name in self.SEAMS:
+            monkeypatch.setattr(decoder, name, counted(name, getattr(decoder, name)))
+        accepts = raised = 0
+        for run in range(4):
+            for name in self.SEAMS:
+                calls[name] = returned[name] = 0
+            cfg = VerifyConfig(mode="sjd_pv", window_size=16, tau=tau)
+            _, metrics = decode(model, lib, cfg, 192, np.random.default_rng(run))
+            assert calls["verify_window"] == metrics.nfe
+            assert calls["verify_token"] == metrics.token_accepts + metrics.token_rejects
+            assert calls["phrase_acceptance_score"] == metrics.phrase_attempts
+            assert calls["verify_phrase"] == returned["phrase_acceptance_score"]
+            accepts += metrics.phrase_accepts
+            raised += calls["phrase_acceptance_score"] - returned["phrase_acceptance_score"]
+        assert accepts > 0
+        assert raised > 0 if build == "sparse" else raised == 0
+
+
 class TestConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):

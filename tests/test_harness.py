@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -189,14 +190,17 @@ class TestRunBenchmark:
 
     def test_path_settings_write_the_config_echo_of_str_settings(self, tmp_path):
         # a Path used to stay in the config: report.csv was written, then
-        # report.json was left empty when json.dumps met the Path
+        # report.json was left empty when json.dumps met the Path; bytes
+        # stayed too: a bytes out_dir failed joining report.csv's path, and
+        # a bytes model_path failed in report.json's config echo, each after
+        # every decode ran
         model_path, corpus_path = tmp_path / "model.psdm", tmp_path / "corpus.txt"
         model, corpus = harness._resolve_model_and_corpus(small_cfg(corpus_sequences=4))
         save_markov(model, model_path)
         write_corpus(corpus, corpus_path)
         settings = dict(decodes=1, total_len=8, corpus_sequences=4, corpus_seq_len=16, merges=4)
         echoes = []
-        for name, kind in (("str", str), ("path", Path)):
+        for name, kind in (("str", str), ("path", Path), ("bytes", os.fsencode)):
             out = tmp_path / name
             cfg = ExperimentConfig(
                 **settings, model_path=kind(model_path), corpus_path=kind(corpus_path),
@@ -209,7 +213,7 @@ class TestRunBenchmark:
             config = json.loads((out / "report.json").read_text())["config"]
             assert config["out_dir"] == str(out)
             echoes.append({**config, "out_dir": None})
-        assert echoes[0] == echoes[1]
+        assert echoes[0] == echoes[1] == echoes[2]
 
     def test_a_report_json_cannot_hold_writes_nothing(self, tmp_path):
         # the file used to be opened first and left empty
