@@ -1,5 +1,7 @@
 """Shared primitives: token ids, categorical distributions, log-space helpers,
-the integer and bool checks of settings, and the package's two file formats.
+the checks of settings and ``plain``, the one rule by which both configs
+settle every field, by its kind (the type of its default), before any check
+reads it, so a real is judged on its float, and the package's two file formats.
 
 Validated ``CategoricalDistribution`` objects are the type at file and API
 boundaries; the decoder's hot loop works on raw float64 rows and the
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +35,25 @@ LOG_FLOOR = -746.0
 PROB_SUM_TOL = 1e-9
 
 
+def plain(value, kind: type):
+    """``value`` as the plain Python value of a setting whose default is of
+    type ``kind``: a real (NumPy's included) as its float where the setting
+    is real or the value no integer, unless no double holds it (``10**400``
+    stays, for the setting's check to refuse); else a bool (Python or NumPy)
+    as ``bool`` but for an int setting, an integer as its ``operator.index``,
+    and anything else as given."""
+    if isinstance(value, Real) and (kind is float or not isinstance(value, Integral)):
+        try:
+            return float(value)
+        except OverflowError:
+            return value
+    if isinstance(value, (bool, np.bool_)) and kind is not int:
+        return bool(value)
+    if isinstance(value, Integral):
+        return operator.index(value)
+    return value
+
+
 def count_at_least(value, least: int, name: str) -> int:
     """``value`` as an int, if it is an integer (``operator.index`` takes
     it: ints, bools and NumPy integers) of at least ``least``; otherwise
@@ -45,11 +67,10 @@ def count_at_least(value, least: int, name: str) -> int:
     return value
 
 
-def check_bool(value, name: str):
-    """``value``, if a bool (Python or NumPy); else ValueError naming ``name``."""
-    if not isinstance(value, (bool, np.bool_)):
+def check_bool(value, name: str) -> None:
+    """ValueError naming ``name`` unless the settled ``value`` is a bool."""
+    if not isinstance(value, bool):
         raise ValueError(f"{name} must be a bool, not {value!r}")
-    return value
 
 
 def text_lines(path, error: type[Exception]):

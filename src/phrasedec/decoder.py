@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, fields
-from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +38,7 @@ from .core import (
     count_at_least,
     draw,
     locate,
+    plain,
 )
 from .models import MarkovModel, Rows
 from .phrase_lib import DEFAULT_MAX_PHRASE_LEN, Phrase, PhraseLibrary
@@ -86,25 +86,17 @@ class VerifyConfig:
     greedy: bool = False
 
     def __post_init__(self) -> None:
+        # settled first, so the hot loop computes with the values checked (a
+        # float32 tau would run the float64 neighborhood test in float32)
+        for f in fields(self):
+            object.__setattr__(self, f.name, plain(getattr(self, f.name), type(f.default)))
         if self.mode not in MODES:
             raise ValueError(f"unknown decode mode {self.mode!r}: must be one of {MODES}")
-        window_size = count_at_least(self.window_size, 1, "window_size")
-        # the float too: a Fraction just below 1 rounds to 1.0
-        if not (isinstance(self.tau, Real) and 0.0 < self.tau < 1.0 and 0.0 < float(self.tau) < 1.0):
+        count_at_least(self.window_size, 1, "window_size")
+        if not (isinstance(self.tau, float) and 0.0 < self.tau < 1.0):
             raise ValueError("tau must be in (0, 1)")
-        max_phrase_len = count_at_least(self.max_phrase_len, 2, "max_phrase_len")
+        count_at_least(self.max_phrase_len, 2, "max_phrase_len")
         check_bool(self.greedy, "greedy")
-        # each setting as the plain Python value the hot loop computes with:
-        # under NumPy 2's promotion rules a float32 tau would run the
-        # neighborhood test in float32, and drop a neighbor at 0.00999999975
-        # from tau = float32(0.01) that the float64 test keeps
-        for name, value in (
-            ("window_size", window_size),
-            ("tau", float(self.tau)),
-            ("max_phrase_len", max_phrase_len),
-            ("greedy", bool(self.greedy)),
-        ):
-            object.__setattr__(self, name, value)
 
 
 @dataclass

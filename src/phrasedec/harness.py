@@ -11,15 +11,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import operator
 import os
 import time
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
-from .core import TokenSequence, check_bool, count_at_least, normalize_rows, text_lines
+from .core import TokenSequence, check_bool, count_at_least, normalize_rows, plain, text_lines
 from .decoder import DecodeMetrics, VerifyConfig, decode
 from .models import (
     MarkovModel,
@@ -49,19 +47,6 @@ class ConfigInvalid(ValueError):
 
 class CapacityExceeded(ConfigInvalid):
     """Requested phrases do not fit the vocabulary's transition contexts."""
-
-
-def _plain(value):
-    """A bool, integer or real ``value``, NumPy's scalars included, as the
-    equal Python bool, int (``operator.index``) or float; any other value
-    as given."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, Integral):
-        return operator.index(value)
-    if isinstance(value, Real):
-        return float(value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -95,52 +80,48 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # before any check reads them: each path, a str, Path or bytes, as
         # the str the report's config echo can write and the report paths
-        # join with, and modes as a tuple, so no list leaves the frozen
-        # config mutable
+        # join with, modes as a tuple, so no list leaves the frozen config
+        # mutable, and every number as the plain Python value of its kind
         for name in ("model_path", "corpus_path", "out_dir"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, os.fsdecode(getattr(self, name)))
+        if isinstance(self.modes, str):
+            raise ConfigInvalid(f"modes must be a sequence of mode names, not {self.modes!r}")
         object.__setattr__(self, "modes", tuple(self.modes))
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, plain(getattr(self, f.name), type(f.default)))
         try:
             self._check()
         except ConfigInvalid:
             raise
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from exc
-        # every number, read by a rule or not, as the equal plain Python
-        # value, which the report's config echo can write
-        for f in dataclasses.fields(self):
-            object.__setattr__(self, f.name, _plain(getattr(self, f.name)))
 
-    def _count(self, name: str, least: int) -> None:
-        """Check the count ``name`` and keep it as a plain int, so the checks
-        after it compute with Python ints."""
-        object.__setattr__(self, name, count_at_least(getattr(self, name), least, name))
+    def verify_config(self, mode: str) -> VerifyConfig:
+        """The decode settings of mode under this config."""
+        return VerifyConfig(
+            mode=mode, window_size=self.window_size, tau=self.tau, max_phrase_len=self.max_phrase_len
+        )
 
     def _check(self) -> None:
-        self._count("seed", 0)
+        count_at_least(self.seed, 0, "seed")
         if not self.modes:
             raise ConfigInvalid("at least one decode mode is required")
         for i, mode in enumerate(self.modes):
-            VerifyConfig(mode, self.window_size, self.tau, self.max_phrase_len)
+            self.verify_config(mode)
             if mode in self.modes[:i]:
                 raise ConfigInvalid(f"decode mode {mode!r} is repeated")
-        # each mode's VerifyConfig has checked these
-        self._count("window_size", 1)
-        self._count("max_phrase_len", 2)
         for path in (self.model_path, self.corpus_path):
             if path is not None and not os.path.exists(path):
                 raise ConfigInvalid(f"referenced file does not exist: {path}")
-        self._count("decodes", 1)
-        self._count("total_len", 1)
-        self._count("merges", 0)
+        count_at_least(self.decodes, 1, "decodes")
+        count_at_least(self.total_len, 1, "total_len")
+        count_at_least(self.merges, 0, "merges")
         if self.out_dir is not None:
             check_out_dir(self.out_dir)
         # the generator rules, checked only where a generator reads them;
         # planted_phrase_corpus checks its arguments through them too
         if self.model_path is None:
-            self._count("order", 1)
-            self._count("vocab_size", 2)
             check_shape(self.order, self.vocab_size)
             check_concentration(self.concentration)
             check_bool(self.planted, "planted")
@@ -149,10 +130,10 @@ class ExperimentConfig:
                     raise ConfigInvalid(
                         "the planted model is order 2; order applies only with planted=false"
                     )
-                self._count("phrase_len", 2)
-                if not (isinstance(self.planting_rate, Real) and 0.0 < self.planting_rate <= 1.0):
+                count_at_least(self.phrase_len, 2, "phrase_len")
+                if not (isinstance(self.planting_rate, float) and 0.0 < self.planting_rate <= 1.0):
                     raise ConfigInvalid("planting_rate must be in (0, 1]")
-                self._count("phrase_count", 0)
+                count_at_least(self.phrase_count, 0, "phrase_count")
                 needed = self.phrase_count * self.phrase_len
                 if needed > self.vocab_size:
                     raise CapacityExceeded(
@@ -160,8 +141,8 @@ class ExperimentConfig:
                         f"{self.vocab_size}"
                     )
         if self.corpus_path is None:
-            self._count("corpus_sequences", 1)
-            self._count("corpus_seq_len", 1)
+            count_at_least(self.corpus_sequences, 1, "corpus_sequences")
+            count_at_least(self.corpus_seq_len, 1, "corpus_seq_len")
             if self.corpus_sequences * self.corpus_seq_len > GENERATOR_LIMIT:
                 raise ConfigInvalid(
                     f"a corpus of {self.corpus_sequences} x {self.corpus_seq_len} tokens "
@@ -272,7 +253,7 @@ def _planted_model(cfg: ExperimentConfig, rng: np.random.Generator) -> MarkovMod
     order = 2
     # one noise row per context, in markov_contexts order; a context's last
     # token (PAD is -1) picks its successor
-    alpha = np.full(vocab_size, float(cfg.concentration))
+    alpha = np.full(vocab_size, cfg.concentration)
     rows = rng.dirichlet(alpha, size=context_count(order, vocab_size))
     last = np.array([ctx[-1] for ctx in markov_contexts(order, vocab_size)])
     nxt = successor[last + 1]
@@ -342,7 +323,7 @@ def _rate(x: float, y: float) -> float:
 def _run_mode(
     model, lib: PhraseLibrary | None, cfg: ExperimentConfig, mode: str
 ) -> tuple[ModeAggregate, list[TokenSequence]]:
-    vcfg = VerifyConfig(mode, cfg.window_size, cfg.tau, cfg.max_phrase_len)
+    vcfg = cfg.verify_config(mode)
     rows: list[dict] = []
     outputs: list[TokenSequence] = []
     totals = DecodeMetrics()

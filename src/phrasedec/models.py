@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +36,7 @@ from .core import (
     count_at_least,
     locate,
     normalize_rows,
+    plain,
 )
 
 # begin-of-sequence padding context symbol; deliberately outside [0, V) so the
@@ -75,16 +75,12 @@ def check_shape(order: int, vocab_size: int) -> None:
 
 
 def check_concentration(concentration: float) -> float:
-    """The one rule for a Dirichlet concentration: a real whose float is
-    finite and > 0, returned as that float; else ValueError.  An int too
-    large for a float is refused too."""
-    if isinstance(concentration, Real):
-        try:
-            value = float(concentration)
-        except OverflowError:
-            value = np.inf
-        if 0.0 < value < np.inf:
-            return value
+    """The one rule for a Dirichlet concentration: a real whose float
+    (``core.plain``) is finite and > 0, returned as that float; else
+    ValueError.  An int too large for a float is refused too."""
+    value = plain(concentration, float)
+    if isinstance(value, float) and 0.0 < value < np.inf:
+        return value
     raise ValueError("concentration must be finite and > 0")
 
 

@@ -557,12 +557,14 @@ def build_library(
     pair slots per pair and one more; only a raw token's first use and a
     run too long to follow locally read the whole corpus.  Memory is a few
     arrays of corpus length.  A corpus whose pair counts could overflow the
-    slots' int64 scores raises LibraryTooLarge before any merge; a
-    ``merges`` or ``max_phrase_len`` that is not an integer, or is out of
-    range, raises ValueError before the corpus is read.
+    slots' int64 scores raises LibraryTooLarge before any merge; a ``merges``,
+    ``max_phrase_len`` or given ``vocab_size`` that is not an integer, or is
+    out of range, raises ValueError before the corpus is read.
     """
     merges = count_at_least(merges, 0, "merges")
     max_phrase_len = count_at_least(max_phrase_len, 2, "max_phrase_len")
+    if vocab_size is not None:
+        vocab_size = count_at_least(vocab_size, 0, "vocab_size")
     seqs, vocab_size = _validate_corpus(corpus, vocab_size)
 
     # Dense symbol ids keep the (left, right) order: raw tokens by rank among

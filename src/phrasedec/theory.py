@@ -10,8 +10,9 @@ follow a decode's correlated drafting: ``target_joint`` is its joint law
 of L-token sequences, and ``decoder_law(model, cfg, L)`` the law of the
 first L tokens ``decode(model, None, cfg, L, rng)`` commits (ValueError for
 any mode but sjd and jacobi), both flat arrays indexed by ``seq_index``.
-They and ``proposition1_sweep`` raise EnumerationTooLarge, before any
-``evaluate`` call or draw, for more than ``ENUMERATION_LIMIT`` outcomes.
+A bad count raises ValueError, and they and ``proposition1_sweep`` raise
+EnumerationTooLarge for more than ``ENUMERATION_LIMIT`` outcomes, before
+any ``evaluate`` call or draw.
 """
 
 from __future__ import annotations
@@ -136,7 +137,10 @@ def random_instance(
     vocab_size: int, length: int, rng: np.random.Generator
 ) -> tuple[list[CategoricalDistribution], list[CategoricalDistribution]]:
     """Random (p_i, q_i) pairs from symmetric Dirichlets whose concentration
-    is drawn log-uniform in [0.1, 10], spanning peaked and flat regimes."""
+    is drawn log-uniform in [0.1, 10], spanning peaked and flat regimes; a
+    bad count raises ValueError before rng is drawn from."""
+    vocab_size = count_at_least(vocab_size, 1, "vocab_size")
+    length = count_at_least(length, 0, "length")
     conc = float(10.0 ** rng.uniform(-1.0, 1.0))
     alpha_vec = np.full(vocab_size, conc)
     p_list = [normalize(rng.dirichlet(alpha_vec)) for _ in range(length)]
@@ -180,6 +184,7 @@ def seq_index(seq, vocab):
 def target_joint(model, length):
     """The model's joint law of length-token sequences, one ``evaluate``
     call per sequence: the probability of each token at its own row."""
+    length = count_at_least(length, 1, "length")
     _check_enumeration(model.vocab_size, length, f"the joint law of {length} tokens")
     out = np.empty(model.vocab_size**length)
     for n, seq in enumerate(itertools.product(range(model.vocab_size), repeat=length)):
@@ -191,6 +196,7 @@ def target_joint(model, length):
 def decoder_law(model, cfg, length):
     """The exact law of the first length tokens ``decode(model, None, cfg,
     length, rng)`` commits, for cfg.mode "sjd" or "jacobi"."""
+    length = count_at_least(length, 0, "length")
     if cfg.mode not in ("sjd", "jacobi"):
         raise ValueError(
             f"no exact law of mode {cfg.mode!r}: only sjd and jacobi are "

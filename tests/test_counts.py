@@ -5,9 +5,12 @@ of at least its minimum.  A float, 3.0 included, or a numeric string is
 refused with the entry point's typed error, ``ConfigInvalid`` from
 ``ExperimentConfig`` and ``ValueError`` elsewhere, before any draw.  Real
 settings (``tau``, ``planting_rate``, ``concentration``) must be real
-numbers, and ``planted``, like ``greedy``, a bool.
+numbers, judged on their float, and ``planted``, like ``greedy``, a bool.
+Both configs settle every setting by its kind (``core.plain``) before
+any check reads it.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from phrasedec.harness import (
     planted_phrase_corpus,
     run_benchmark,
     theory_check,
+    write_json,
 )
 from phrasedec.models import (
     ancestral_corpus,
@@ -33,7 +37,13 @@ from phrasedec.models import (
     save_markov,
 )
 from phrasedec.phrase_lib import build_library
-from phrasedec.theory import alpha_phr_mc, proposition1_sweep
+from phrasedec.theory import (
+    alpha_phr_mc,
+    decoder_law,
+    proposition1_sweep,
+    random_instance,
+    target_joint,
+)
 
 MODEL = random_markov(1, 3, 1.0, np.random.default_rng(0))
 P = CategoricalDistribution([0.7, 0.3])
@@ -106,6 +116,19 @@ COUNTS = {
         2,
         lambda n, rng: build_library([[0, 1, 0, 1]], 2, max_phrase_len=n),
     ),
+    "build_library.vocab_size": (
+        "vocab_size",
+        0,
+        lambda n, rng: build_library([[0, 0, 0]], 2, vocab_size=n),
+    ),
+    "target_joint.length": ("length", 1, lambda n, rng: target_joint(MODEL, n)),
+    "decoder_law.length": (
+        "length",
+        0,
+        lambda n, rng: decoder_law(MODEL, VerifyConfig(window_size=2), n),
+    ),
+    "random_instance.vocab_size": ("vocab_size", 1, lambda n, rng: random_instance(n, 2, rng)),
+    "random_instance.length": ("length", 0, lambda n, rng: random_instance(3, n, rng)),
 }
 
 
@@ -174,6 +197,45 @@ def test_real_settings_take_numpy_scalars():
     )
     assert cfg.tau == 0.02
     assert VerifyConfig(tau=np.float32(0.25)).tau == 0.25
+
+
+# the NumPy scalar of each kind of numeric setting
+NUMPY_KIND = {int: np.int64, float: np.float32, bool: np.bool_}
+
+
+@pytest.mark.parametrize("config", [VerifyConfig, ExperimentConfig], ids=lambda c: c.__name__)
+def test_every_numeric_setting_is_stored_as_the_python_value_of_its_kind(config, tmp_path):
+    # no setting is listed anywhere: one added later is settled too
+    defaults = {
+        f.name: f.default for f in dataclasses.fields(config) if type(f.default) in NUMPY_KIND
+    }
+    cfg = config(**{name: NUMPY_KIND[type(value)](value) for name, value in defaults.items()})
+    assert {name: type(getattr(cfg, name)) for name in defaults} == {
+        name: type(value) for name, value in defaults.items()
+    }
+    write_json(dataclasses.asdict(cfg), str(tmp_path), "report.json")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("tau", Fraction(1, 10**400)),  # its float is 0.0
+        ("tau", Fraction(10**20 - 1, 10**20)),  # its float is 1.0
+        ("planting_rate", Fraction(1, 10**400)),
+        ("concentration", Fraction(1, 10**400)),
+    ],
+)
+def test_a_real_whose_float_leaves_its_interval_is_refused(name, value):
+    # planting_rate used to be judged on its exact value, and built a
+    # config whose generator plants nothing
+    with pytest.raises(ConfigInvalid, match=f"^{name} must be"):
+        ExperimentConfig(**{name: value})
+
+
+def test_an_integer_given_for_a_real_setting_is_stored_as_its_float():
+    cfg = ExperimentConfig(planting_rate=1, concentration=True)
+    assert type(cfg.planting_rate) is type(cfg.concentration) is float
+    assert cfg.planting_rate == cfg.concentration == 1.0
 
 
 def test_numpy_counts_write_the_config_echo_of_plain_ints(tmp_path):

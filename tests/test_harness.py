@@ -541,6 +541,12 @@ class TestConfig:
         assert hash(cfg) == hash(ExperimentConfig(modes=("sjd",)))
         assert cfg == ExperimentConfig(modes=("sjd",))
 
+    def test_a_mode_string_is_refused(self):
+        # it used to be iterated into characters: unknown decode mode 's'
+        message = "^modes must be a sequence of mode names, not 'sjd_pv'$"
+        with pytest.raises(ConfigInvalid, match=message):
+            ExperimentConfig(modes="sjd_pv")
+
     def test_negative_seed(self):
         with pytest.raises(ConfigInvalid, match="seed must be >= 0"):
             ExperimentConfig(seed=-1)
