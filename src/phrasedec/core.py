@@ -1,15 +1,15 @@
 """Shared primitives: token ids, categorical distributions, log-space helpers,
-the checks of settings and ``plain``, the one rule by which both configs
-settle every field, by its kind (the type of its default), before any check
-reads it, so a real is judged on its float, and the package's two file formats.
-
-Validated ``CategoricalDistribution`` objects are the type at file and API
-boundaries; the decoder's hot loop works on raw float64 rows and the
-uniform-space draw tables of ``breakpoints`` (read by ``locate``), and
-inlines ``log_ratio``'s checks and arithmetic.  ``log_ratio`` and
-``normalize`` serve the frozen reference oracles and ``theory``.
-Log-ratio arithmetic is floored at ``LOG_FLOOR`` so that "impossible"
-outcomes stay representable without NaNs.
+the checks of settings and the package's two file formats.  Both configs
+settle every field with ``plain`` before any check reads it, so a real is
+judged on its float, and after their range checks refuse with
+``check_kinds`` a field not of its kind: the type of its default, or a str
+or None where that is None.  ``CategoricalDistribution`` is the theory
+oracles' input and ``MarkovModel.conditional``'s return; the decoder's hot
+loop works on raw float64 rows and the uniform-space draw tables of
+``breakpoints`` (read by ``locate``), and inlines ``log_ratio``'s checks and
+arithmetic.  ``log_ratio`` and ``normalize`` serve the frozen reference
+oracles and ``theory``.  Log-ratio arithmetic is floored at ``LOG_FLOOR`` so
+that "impossible" outcomes stay representable without NaNs.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from dataclasses import fields
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -39,7 +40,7 @@ def plain(value, kind: type):
     """``value`` as the plain Python value of a setting whose default is of
     type ``kind``: a real (NumPy's included) as its float where the setting
     is real or the value no integer, unless no double holds it (``10**400``
-    stays, for the setting's check to refuse); else a bool (Python or NumPy)
+    stays, for the kind check to refuse); else a bool (Python or NumPy)
     as ``bool`` but for an int setting, an integer as its ``operator.index``,
     and anything else as given."""
     if isinstance(value, Real) and (kind is float or not isinstance(value, Integral)):
@@ -67,10 +68,15 @@ def count_at_least(value, least: int, name: str) -> int:
     return value
 
 
-def check_bool(value, name: str) -> None:
-    """ValueError naming ``name`` unless the settled ``value`` is a bool."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be a bool, not {value!r}")
+def check_kinds(config) -> None:
+    """ValueError naming the first field of the dataclass config not of its
+    kind: the type of its default, or a str or None where that is None."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = str if f.default is None and value is not None else type(f.default)
+        if not isinstance(value, kind):
+            word = {int: "an integer", float: "a real number"}.get(kind, f"a {kind.__name__}")
+            raise ValueError(f"{f.name} must be {word}, not {value!r}")
 
 
 def text_lines(path, error: type[Exception]):
@@ -159,17 +165,6 @@ class CategoricalDistribution:
 
     def prob(self, v: TokenId) -> float:
         return float(self.probs[v])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CategoricalDistribution):
-            return NotImplemented
-        return np.array_equal(self.probs, other.probs)
-
-    def __hash__(self) -> int:
-        return hash(self.probs.tobytes())
-
-    def __repr__(self) -> str:
-        return f"CategoricalDistribution({self.probs.tolist()!r})"
 
 
 def normalize(weights) -> CategoricalDistribution:

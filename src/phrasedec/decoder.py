@@ -34,7 +34,7 @@ from .core import (
     DrafterZeroProb,
     TokenId,
     TokenSequence,
-    check_bool,
+    check_kinds,
     count_at_least,
     draw,
     locate,
@@ -96,7 +96,7 @@ class VerifyConfig:
         if not (isinstance(self.tau, float) and 0.0 < self.tau < 1.0):
             raise ValueError("tau must be in (0, 1)")
         count_at_least(self.max_phrase_len, 2, "max_phrase_len")
-        check_bool(self.greedy, "greedy")
+        check_kinds(self)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TokenSequence, check_bool, count_at_least, normalize_rows, plain, text_lines
+from .core import TokenSequence, check_kinds, count_at_least, normalize_rows, plain, text_lines
 from .decoder import DecodeMetrics, VerifyConfig, decode
 from .models import (
     MarkovModel,
@@ -78,20 +78,22 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        # before any check reads them: each path, a str, Path or bytes, as
-        # the str the report's config echo can write and the report paths
-        # join with, modes as a tuple, so no list leaves the frozen config
-        # mutable, and every number as the plain Python value of its kind
+        # before any check reads them: each path (a str, Path or bytes) as the
+        # str the report echoes and joins, modes as a tuple, so no list leaves
+        # the config mutable, and every number as the plain value of its kind
         for name in ("model_path", "corpus_path", "out_dir"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, os.fsdecode(getattr(self, name)))
-        if isinstance(self.modes, str):
+            value = getattr(self, name)
+            if not isinstance(value, (str, bytes, os.PathLike, type(None))):
+                raise ConfigInvalid(f"{name} must be a path, not {value!r}")
+            object.__setattr__(self, name, value if value is None else os.fsdecode(value))
+        if isinstance(self.modes, str) or not hasattr(self.modes, "__iter__"):
             raise ConfigInvalid(f"modes must be a sequence of mode names, not {self.modes!r}")
         object.__setattr__(self, "modes", tuple(self.modes))
         for f in dataclasses.fields(self):
             object.__setattr__(self, f.name, plain(getattr(self, f.name), type(f.default)))
         try:
             self._check()
+            check_kinds(self)
         except ConfigInvalid:
             raise
         except ValueError as exc:
@@ -124,7 +126,6 @@ class ExperimentConfig:
         if self.model_path is None:
             check_shape(self.order, self.vocab_size)
             check_concentration(self.concentration)
-            check_bool(self.planted, "planted")
             if self.planted:
                 if self.order != 2:
                     raise ConfigInvalid(
@@ -475,12 +476,12 @@ def run_tau_sweep(cfg: ExperimentConfig, taus) -> list[dict]:
     ``seq_divergence`` is the mean, over positions, of the total-variation
     distance between the decodes' empirical marginals and the model's exact
     marginals (``exact_marginals``); no reference sequence is drawn."""
-    taus = list(taus)
-    if not taus:
+    grid = [dataclasses.replace(cfg, tau=tau) for tau in taus]
+    if not grid:
         raise ConfigInvalid("tau grid must be non-empty")
-    if any(b <= a for a, b in zip(taus, taus[1:])):
+    if any(b.tau <= a.tau for a, b in zip(grid, grid[1:])):
         raise ConfigInvalid("tau grid must be strictly ascending")
-    model, points = _run_grid([dataclasses.replace(cfg, tau=tau) for tau in taus], ("sjd_pv",))
+    model, points = _run_grid(grid, ("sjd_pv",))
     exact = exact_marginals(model, cfg.total_len)
     rows = [
         {

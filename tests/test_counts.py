@@ -7,11 +7,13 @@ refused with the entry point's typed error, ``ConfigInvalid`` from
 settings (``tau``, ``planting_rate``, ``concentration``) must be real
 numbers, judged on their float, and ``planted``, like ``greedy``, a bool.
 Both configs settle every setting by its kind (``core.plain``) before
-any check reads it.
+any check reads it, and after their checks refuse any setting not of its
+kind (``core.check_kinds``), whether or not a check reads it.
 """
 
 import dataclasses
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -309,3 +311,62 @@ def test_a_real_concentration_draws_what_its_float_draws():
         for concentration in (Fraction(3, 10), 0.3)
     ]
     assert np.array_equal(*models)
+
+
+# values of another kind, by the kind of a setting's default
+WRONG_KIND = {
+    int: [Decimal(3), b"3"],
+    float: [Decimal("0.3"), Fraction(10**400), "0.3"],
+    bool: [1, "yes", None],
+    str: [5, b"sjd"],
+    tuple: [5, None],
+    type(None): [5],
+}
+
+
+@pytest.mark.parametrize(
+    "config, files",
+    [(VerifyConfig, False), (ExperimentConfig, False), (ExperimentConfig, True)],
+    ids=["VerifyConfig", "ExperimentConfig", "ExperimentConfig-files"],
+)
+def test_every_setting_of_another_kind_is_refused_naming_it(config, files, tmp_path):
+    # no setting is listed anywhere: one added later is checked too.  With
+    # files, a model file and a corpus file leave the generator's settings
+    # and the corpus sizes to the kind check alone
+    error = ConfigInvalid if config is ExperimentConfig else ValueError
+    paths = {}
+    if files:
+        for name in ("model_path", "corpus_path"):
+            paths[name] = str(tmp_path / name)
+            open(paths[name], "w").close()
+    for f in dataclasses.fields(config):
+        for bad in WRONG_KIND[type(f.default)]:
+            with pytest.raises(error, match=rf"\b{f.name}\b"):
+                config(**{**paths, f.name: bad})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("concentration", Fraction(10**400)),
+        ("concentration", Decimal("0.3")),
+        ("vocab_size", Decimal(3)),
+        ("vocab_size", b"x"),
+    ],
+    ids=["fraction", "decimal-real", "decimal-count", "bytes"],
+)
+def test_a_setting_no_check_reads_is_refused_when_built(name, value, tmp_path, monkeypatch):
+    # beside a model file no check reads the generator's settings: each of
+    # these used to build, run every decode and write report.csv, and only
+    # then fail in report.json's config echo
+    model_path = str(tmp_path / "model.psdm")
+    save_markov(MODEL, model_path)
+    out = tmp_path / "out"
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ConfigInvalid, match=f"^{name} must be"):
+        ExperimentConfig(model_path=model_path, out_dir=str(out), **{name: value})
+    assert not out.exists()

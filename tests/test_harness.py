@@ -334,13 +334,20 @@ class TestSweeps:
             return decode(*args)
 
         monkeypatch.setattr(harness, "decode", counting)
+        built = []
+        resolve = harness._resolve_model_and_corpus
+        monkeypatch.setattr(
+            harness, "_resolve_model_and_corpus", lambda cfg: built.append(cfg) or resolve(cfg)
+        )
         for sweep, grid, message in (
             (run_tau_sweep, [0.01, 1.5], r"tau must be in \(0, 1\)"),
+            # the ascending check used to compare the text with a float
+            (run_tau_sweep, [0.01, "x"], r"tau must be in \(0, 1\)"),
             (run_merge_sweep, [16, -1], "merges must be >= 0"),
         ):
             with pytest.raises(ConfigInvalid, match=message):
                 sweep(small_cfg(decodes=2), grid)
-        assert decodes == []
+        assert decodes == built == []
 
     @pytest.mark.parametrize(
         "run, builds",
@@ -546,6 +553,20 @@ class TestConfig:
         message = "^modes must be a sequence of mode names, not 'sjd_pv'$"
         with pytest.raises(ConfigInvalid, match=message):
             ExperimentConfig(modes="sjd_pv")
+
+    @pytest.mark.parametrize(
+        "name, value, what",
+        [
+            ("model_path", 5, "a path"),
+            ("out_dir", 5, "a path"),
+            ("modes", 5, "a sequence of mode names"),
+            ("modes", None, "a sequence of mode names"),
+        ],
+    )
+    def test_a_path_or_modes_of_another_type_is_refused(self, name, value, what):
+        # each used to raise a bare TypeError from os.fsdecode or tuple()
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be {what}, not {value!r}$"):
+            ExperimentConfig(**{name: value})
 
     def test_negative_seed(self):
         with pytest.raises(ConfigInvalid, match="seed must be >= 0"):
