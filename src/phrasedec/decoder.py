@@ -14,6 +14,11 @@ accept-resample test.
 its ``evaluate`` call reads, and refuses any other before any draw; both of
 ``_draft``'s rules pick a token of positive probability under its row.
 
+Each rule of an iteration has one home, which ``theory.decoder_law`` reads
+too: ``window_codes`` gives the drafter rows of every window drafted, the
+first and each refill, and ``residual_row`` the row a rejected token test
+draws from.
+
 ``decode`` serves every uniform of a decode from blocks of one generator
 call each (``_Uniforms``), handing out, and leaving the generator as, one
 call per uniform would.
@@ -167,22 +172,14 @@ def verify_phrase(score: float, rng: np.random.Generator) -> bool:
     return math.exp(score) > rng.random()
 
 
-def verify_token(
-    p: np.ndarray, q: np.ndarray, drafted: TokenId, rng: np.random.Generator
-) -> tuple[bool, TokenId]:
-    """Accept-resample test on verifier row p and drafter row q: keep the
-    draft with probability min(1, p/q), otherwise emit a token from the
-    residual normalize(max(0, p - q)).
-
-    The accept test reads two scalars; only a rejection builds a row, the
-    residual, in one new buffer, so p and q may be rows of the model table.
-    The residual is drawn in that buffer by ``core.draw`` on its cumulative
-    sum, taken in place, whose total ``draw`` reads as a Python float."""
-    qd = q.item(drafted)
-    if qd == 0.0:
-        raise DrafterZeroProb(f"drafted token {drafted} has zero drafter probability")
-    if rng.random() < p.item(drafted) / qd:
-        return True, drafted
+def residual_row(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The accept-resample residual max(0, p - q) of verifier row p and
+    drafter row q, in one new buffer, so p and q may be rows of the model
+    table; divided by its total unless that is within PROB_SUM_TOL of 1.
+    ``verify_token`` draws a rejection's token from it with ``core.draw``,
+    whose law is the row divided by its cumulative total.  A row of total 0
+    (p <= q everywhere, so no rejection was possible) raises
+    DegenerateResidual."""
     residual = np.subtract(p, q)
     np.maximum(residual, 0.0, out=residual)
     total = float(np.add.reduce(residual))
@@ -190,8 +187,35 @@ def verify_token(
         raise DegenerateResidual("rejection with p == q; arithmetic fault")
     if abs(total - 1.0) > PROB_SUM_TOL:
         residual /= total
-    # the cumulative sum in place: np.cumsum's wrapper with out= costs more
-    return False, draw(np.add.accumulate(residual, out=residual), rng)
+    return residual
+
+
+def verify_token(
+    p: np.ndarray, q: np.ndarray, drafted: TokenId, rng: np.random.Generator
+) -> tuple[bool, TokenId]:
+    """Accept-resample test on verifier row p and drafter row q: keep the
+    draft with probability min(1, p/q), otherwise emit a token from
+    ``residual_row(p, q)``.
+
+    The accept test reads two scalars; only a rejection builds a row.  The
+    residual is drawn by ``core.draw`` on its cumulative sum, whose total
+    ``draw`` reads as a Python float."""
+    qd = q.item(drafted)
+    if qd == 0.0:
+        raise DrafterZeroProb(f"drafted token {drafted} has zero drafter probability")
+    if rng.random() < p.item(drafted) / qd:
+        return True, drafted
+    return False, draw(np.add.accumulate(residual_row(p, q)), rng)
+
+
+def window_codes(idx: Sequence[int], t: int, width: int) -> tuple[int, ...]:
+    """The drafter rows of the next window, the one rule for every window
+    the decoder drafts: after slots [0, t) of a window at rows idx commit,
+    its surviving slots are re-drafted from their rows ``idx[t:]``, and the
+    slots appended to fill ``width`` reuse the last row computed,
+    ``idx[-1]``.  The first window is the begin row's, ``width`` times:
+    ``window_codes(begin.idx, 0, W)``."""
+    return tuple(idx[t:]) + (idx[-1],) * (width - len(idx) + t)
 
 
 def _draft(rows: Rows, codes: Sequence[int], greedy: bool, rng: np.random.Generator) -> JacobiWindow:
@@ -370,9 +394,7 @@ def verify_window(
     metrics.nfe += 1
     metrics.tokens_emitted += n
     metrics.tokens_per_iteration.append(n)
-    # Jacobi refill: surviving slots are re-drafted from the rows this call
-    # computed; appended slots reuse the last one
-    return tuple(committed), _draft(rows, tuple(idx[t:]) + (idx[-1],) * t, greedy, rng)
+    return tuple(committed), _draft(rows, window_codes(idx, t, W), greedy, rng)
 
 
 # uniforms a decode draws from its generator per call; see _Uniforms
@@ -460,7 +482,7 @@ def decode(
     metrics = DecodeMetrics()
     guard = 10 * total_len
     try:
-        window = _draft(begin, begin.idx * cfg.window_size, cfg.greedy, uniforms)
+        window = _draft(begin, window_codes(begin.idx, 0, cfg.window_size), cfg.greedy, uniforms)
         while len(committed) < total_len:
             if metrics.nfe >= guard:
                 raise NonTermination(

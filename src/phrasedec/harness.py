@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import time
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +87,10 @@ class ExperimentConfig:
             if not isinstance(value, (str, bytes, os.PathLike, type(None))):
                 raise ConfigInvalid(f"{name} must be a path, not {value!r}")
             object.__setattr__(self, name, value if value is None else os.fsdecode(value))
-        if isinstance(self.modes, str) or not hasattr(self.modes, "__iter__"):
+        # modes[0] is the benchmark's base, and a Set promises no order (a
+        # set's is its hash order, which for strings changes from one
+        # process to the next): any Set is refused, as a string is
+        if isinstance(self.modes, (str, Set)) or not hasattr(self.modes, "__iter__"):
             raise ConfigInvalid(f"modes must be a sequence of mode names, not {self.modes!r}")
         object.__setattr__(self, "modes", tuple(self.modes))
         for f in dataclasses.fields(self):

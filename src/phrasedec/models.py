@@ -4,12 +4,15 @@ and ancestral sampling.
 These stand in for a large autoregressive backbone at desk scale.  A model
 maps a prefix to a categorical conditional over the next token.  The decoder
 reads a model only through ``MarkovModel.evaluate``, one call per window
-(one NFE), which indexes the uncopied tables by a rolling context code, so
-its cost does not depend on prefix length; nor does ``ancestral_sample``'s,
-which follows the context by one read of ``next_row`` per token.
+(one NFE), which returns the uncopied tables and the row of each window
+slot.  The rule that appends a token to a context is written once, where
+the step table ``next_row`` (and ``context_codes``, the codes of the
+enumerated contexts) is built; every walk from a prefix to a row reads that
+table, one entry per token: ``context_code`` and ``evaluate``, so a
+window's cost does not depend on prefix length, and ``ancestral_sample``.
 ``ancestral_corpus`` draws many independent samples in lockstep, one row
 gather per position, and ``exact_marginals`` gives the exact law of each
-position with no draw.
+position with no draw; both move every context through ``next_row`` too.
 
 Every draw from a model compares a raw uniform u with a row of its
 ``breaks`` table (``core.breakpoints``), with no multiply and no clamp: the
@@ -140,10 +143,12 @@ class MarkovModel:
     monotone in u; its +inf last column is the clamp to V - 1.  Greedy
     decoding reads ``argmax``, the most likely token after each code.
     ``next_row``, read-only int32 of ``rows.size`` entries, is the step
-    table that ``ancestral_sample``, ``ancestral_corpus`` and
-    ``exact_marginals`` follow the context by: entry ``c * V + v`` is the
-    flat start, ``V`` times the code, of the row after appending token v to
-    code c.
+    table every context walk follows, the one home of the append rule:
+    entry ``c * V + v`` is the flat start, ``V`` times the code, of the row
+    after appending token v to code c.  ``steps``, a memoryview of it that
+    reads each entry as a Python int, is what ``context_code``, ``evaluate``
+    and ``ancestral_sample`` read; ``ancestral_corpus`` and
+    ``exact_marginals`` read the array.
     """
 
     def __init__(self, order: int, vocab_size: int, context_rows) -> None:
@@ -168,40 +173,45 @@ class MarkovModel:
         next_row = np.add.outer(
             np.arange(contexts, dtype=np.int32) * np.int32(vocab_size + 1),
             np.arange(1, vocab_size + 1, dtype=np.int32),
-        )
+        ).reshape(-1)
         next_row %= contexts
         next_row *= np.int32(vocab_size)
-        next_row = next_row.reshape(-1)
         next_row.setflags(write=False)
         self.order = order
         self.vocab_size = vocab_size
         self.rows = rows
         self.breaks = breaks
         self.next_row = next_row
+        self.steps = memoryview(next_row)
         self.argmax = tuple(rows.argmax(axis=1).tolist())
 
     def context_code(self, prefix: TokenSequence) -> int:
         """Code of the context of the last ``order`` tokens of prefix, the one
-        rule from prefix to row: a token read outside [0, V) raises ValueError."""
-        V, code = self.vocab_size, 0
+        rule from prefix to row: ``next_row``'s walk from the begin code 0,
+        where a token read outside [0, V) raises ValueError."""
+        V, steps, start = self.vocab_size, self.steps, 0
         for tok in prefix[-self.order :]:
             if not 0 <= tok < V:
                 raise ValueError(f"prefix token {tok} is outside [0, {V})")
-            code = code * (V + 1) + tok + 1
-        return code
+            start = steps[start + tok]
+        return start // V
 
     def evaluate(self, prefix: TokenSequence, drafts: TokenSequence) -> Rows:
         """The rows of a draft window, in one call (one NFE): ``idx[j]`` is
-        the row of the context prefix + drafts[:j], by ``context_code``.
+        the row of the context prefix + drafts[:j], ``context_code``'s walk
+        of ``next_row`` continued along the drafts.
         Raises ValueError for an empty window or a prefix token outside
         [0, V); the decoder checks the drafts where a window enters it."""
         if not drafts:
             raise ValueError("draft window must contain at least one token")
-        base, contexts, code = self.vocab_size + 1, len(self.rows), self.context_code(prefix)
+        code = self.context_code(prefix)
+        V, steps, start = self.vocab_size, self.steps, code * self.vocab_size
         idx = [code]
+        # the walk carries the flat row start, as ancestral_sample's does:
+        # per slot one table read and one division, no multiply
         for tok in drafts[:-1]:
-            code = (code * base + tok + 1) % contexts
-            idx.append(code)
+            start = steps[start + tok]
+            idx.append(start // V)
         # Rows(...) without its Python-level __new__, once per NFE
         return tuple.__new__(Rows, (self.rows, self.breaks, self.argmax, idx))
 
@@ -226,12 +236,10 @@ def ancestral_sample(
     one table read.
     """
     length = count_at_least(length, 0, "length")
-    V = model.vocab_size
+    V, next_row, lo = model.vocab_size, model.steps, 0
     breaks = memoryview(model.breaks.reshape(-1))
-    next_row = memoryview(model.next_row)
     out: list[int] = []
     append = out.append
-    lo = 0
     for u in rng.random(length).tolist():
         cell = bisect_right(breaks, u, lo, lo + V)
         append(cell - lo)

@@ -10,6 +10,11 @@ follow a decode's correlated drafting: ``target_joint`` is its joint law
 of L-token sequences, and ``decoder_law(model, cfg, L)`` the law of the
 first L tokens ``decode(model, None, cfg, L, rng)`` commits (ValueError for
 any mode but sjd and jacobi), both flat arrays indexed by ``seq_index``.
+``decoder_law`` holds only its enumeration, its memoised recursion and the
+probabilities of the decoder's comparisons (``min(1, p/q)``, and ``p[d]``
+for the fixed-point rule); the codes of each window and the residual a
+rejection draws from are the decoder's own, read from
+``decoder.window_codes`` and ``decoder.residual_row``.
 A bad count raises ValueError, and they and ``proposition1_sweep`` raise
 EnumerationTooLarge for more than ``ENUMERATION_LIMIT`` outcomes, before
 any ``evaluate`` call or draw.
@@ -25,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import decoder
 from .core import CategoricalDistribution, count_at_least, normalize
 
 # exact joint enumeration is capped at this many outcomes
@@ -195,7 +201,10 @@ def target_joint(model, length):
 
 def decoder_law(model, cfg, length):
     """The exact law of the first length tokens ``decode(model, None, cfg,
-    length, rng)`` commits, for cfg.mode "sjd" or "jacobi"."""
+    length, rng)`` commits, for cfg.mode "sjd" or "jacobi".  A rejection
+    draws ``core.draw`` on the cumulative sum of ``decoder.residual_row``,
+    so its law is that row divided by its cumulative total: the row itself
+    is left undivided when its sum is within ``PROB_SUM_TOL`` of 1."""
     length = count_at_least(length, 0, "length")
     if cfg.mode not in ("sjd", "jacobi"):
         raise ValueError(
@@ -210,31 +219,29 @@ def decoder_law(model, cfg, length):
     laws = (np.eye(V)[list(begin.argmax)] if cfg.greedy else begin.probs).tolist()
     sjd = cfg.mode == "sjd" and not cfg.greedy
 
-    def ends(idx, drafts, codes):
-        """(committed tokens, probability) of every way one iteration ends."""
+    @cache
+    def iteration(tail, codes, drafts):
+        """The iteration's rows, and (committed tokens, probability) of every
+        way it ends."""
+        idx = model.evaluate(tail, drafts).idx
         out, chunk, prob = [], (), 1.0
         for t, d in enumerate(drafts):
             p = laws[idx[t]]
-            if sjd:
-                q = laws[codes[t]]
-                keep = min(1.0, p[d] / q[d])
-                residual = [max(a - b, 0.0) for a, b in zip(p, q)]
-                # a rejection (probability 1 - keep) draws from the residual
-                scale = (1.0 - keep) / sum(residual) if keep < 1.0 else 0.0
-                stop = [scale * x for x in residual]
-            else:  # the fixed-point rule: the draft survives iff a fresh draw matches it
+            if not sjd:  # the fixed-point rule: the draft survives iff a fresh draw matches it
                 keep, stop = p[d], [0.0 if v == d else x for v, x in enumerate(p)]
+            else:
+                keep, stop = min(1.0, p[d] / laws[codes[t]][d]), ()
+                if keep < 1.0:
+                    # a rejection draws from the decoder's residual row, whose
+                    # law is the row divided by its cumulative total
+                    row = decoder.residual_row(begin.probs[idx[t]], begin.probs[codes[t]])
+                    stop = ((1.0 - keep) / np.add.accumulate(row)[-1] * row).tolist()
             out += [(chunk + (v,), prob * x) for v, x in enumerate(stop) if x > 0.0]
             prob *= keep
             chunk += (d,)
             if prob == 0.0:
-                return out
-        return out + [(chunk, prob)]
-
-    @cache
-    def iteration(tail, codes, drafts):  # the iteration's rows and ends
-        idx = model.evaluate(tail, drafts).idx
-        return idx, ends(idx, drafts, codes)
+                return idx, out
+        return idx, out + [(chunk, prob)]
 
     @cache
     def law(r, tail, codes):
@@ -251,10 +258,8 @@ def decoder_law(model, cfg, length):
                 if n >= r:
                     out[seq_index(chunk[:r], V)] += q * prob
                     continue
-                refill = tuple(idx[n:] + idx[-1:] * n)
-                block = V ** (r - n)
-                start = seq_index(chunk, V) * block
-                out[start : start + block] += q * prob * law(r - n, (tail + chunk)[-order:], refill)
+                rest = law(r - n, (tail + chunk)[-order:], decoder.window_codes(idx, n, len(idx)))
+                out.reshape(V**n, -1)[seq_index(chunk, V)] += q * prob * rest
         return out
 
-    return law(length, (), tuple(begin.idx * cfg.window_size))
+    return law(length, (), decoder.window_codes(begin.idx, 0, cfg.window_size))

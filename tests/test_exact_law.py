@@ -5,7 +5,9 @@ joint law.
 the first window from the begin row, and in each iteration makes one
 ``evaluate`` call, enumerates every way the token tests can end (each
 accept, and each token a rejected slot can emit) and every refill, and sums
-the probability of each committed sequence.  The law of the next r tokens
+the probability of each committed sequence; each window's codes and each
+rejection's residual row are the decoder's own (``window_codes``,
+``residual_row``).  The law of the next r tokens
 depends only on r, the last ``order`` committed tokens and the codes the
 next window is drafted from, so it is computed once per such state.
 ``sjd`` and non-greedy ``jacobi`` are lossless: their law is the joint.
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from test_decoder import chi2_against
+from phrasedec import decoder
 from phrasedec.decoder import VerifyConfig, decode
 from phrasedec.harness import planted_phrase_corpus
 from phrasedec.models import MarkovModel, random_markov
@@ -80,6 +83,30 @@ def evaluate_calls(monkeypatch):
 
     monkeypatch.setattr(MarkovModel, "evaluate", spy)
     return calls
+
+
+def test_the_law_reads_the_decoders_window_and_residual_rules(monkeypatch):
+    # each rule is counted through the decoder's module attribute, as
+    # test_decoder's TestSeams counts the seams: the decode and the law both
+    # call the decoder's functions, so neither holds a copy of its own
+    calls = dict.fromkeys(("window_codes", "residual_row"), 0)
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(decoder, name, counted(name, getattr(decoder, name)))
+    model, cfg = random_model(), VerifyConfig(mode="sjd", window_size=3)
+    _, metrics = decode(model, None, cfg, 40, np.random.default_rng(7))
+    # the first window and one refill per iteration; one residual per rejection
+    assert calls == {"window_codes": metrics.nfe + 1, "residual_row": metrics.token_rejects}
+    assert metrics.token_rejects > 0
+    calls.update(window_codes=0, residual_row=0)
+    decoder_law(model, cfg, LENGTH)
+    assert calls["window_codes"] > 0 and calls["residual_row"] > 0
 
 
 def test_sjd_pv_has_no_law_yet(evaluate_calls):

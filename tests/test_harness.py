@@ -555,6 +555,23 @@ class TestConfig:
             ExperimentConfig(modes="sjd_pv")
 
     @pytest.mark.parametrize(
+        "modes",
+        [
+            {"sjd", "sjd_pv", "jacobi"},
+            frozenset({"sjd"}),
+            dict.fromkeys(["sjd_pv", "sjd"]).keys(),
+        ],
+    )
+    def test_an_unordered_mode_collection_is_refused(self, modes):
+        # a set was kept in hash order, so modes[0], the benchmark's base,
+        # changed with PYTHONHASHSEED; lists, tuples and config text build
+        with pytest.raises(ConfigInvalid, match="^modes must be a sequence of mode names, not "):
+            ExperimentConfig(modes=modes)
+        assert ExperimentConfig(modes=["sjd_pv", "sjd"]).modes == ("sjd_pv", "sjd")
+        assert ExperimentConfig(modes=("sjd_pv", "sjd")).modes == ("sjd_pv", "sjd")
+        assert config_from_mapping({"modes": "sjd_pv,sjd"}).modes == ("sjd_pv", "sjd")
+
+    @pytest.mark.parametrize(
         "name, value, what",
         [
             ("model_path", 5, "a path"),

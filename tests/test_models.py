@@ -165,6 +165,13 @@ class TestContextRule:
                 code = model.context_code(prefix)
                 assert code == self.digits_code(prefix[-order:], vocab)
                 assert model.evaluate(prefix, (0,)).idx[0] == code
+                # and every later slot j is the row of prefix + drafts[:j]
+                for drafts in (tuple(range(vocab)) * 2, (vocab - 1,) * (order + 2)):
+                    idx = model.evaluate(prefix, drafts).idx
+                    for j, row in enumerate(idx):
+                        context = prefix + drafts[:j]
+                        assert row == model.context_code(context)
+                        assert row == self.digits_code(context[-order:], vocab)
 
     @pytest.mark.parametrize(
         "order, prefix, token", [(1, (-3,), -3), (1, (9,), 9), (2, (1, PAD), PAD)]
