@@ -312,6 +312,9 @@ def _check_library(cfg: VerifyConfig, lib: PhraseLibrary | None, vocab_size: int
         raise LibraryVocabMismatch(msg)
 
 
+_NOT_DRAFTED = "the window was not drafted by the decoder from this model"
+
+
 def verify_window(
     prefix: TokenSequence,
     window: JacobiWindow,
@@ -335,17 +338,22 @@ def verify_window(
     sjd_pv mode without lib (LibraryVocabMismatch for a library wider than
     target), and for any window the decoder did not draft from target's
     table: built by hand, rebuilt from a drafted one, or drafted from
-    another model, even an equal one.  So the window ``decode`` drafts first
-    and each one ``verify_window`` returns are the only windows it verifies.
+    another model, even an equal one, whose drafts may lie past target's
+    tables.  So the window ``decode`` drafts first and each one
+    ``verify_window`` returns are the only windows it verifies.
     """
     mode = cfg.mode
     phrases = mode == "sjd_pv"
     if phrases:
         _check_library(cfg, lib, target.vocab_size)
-    rows = target.evaluate(prefix, window.drafts)
+    try:
+        rows = target.evaluate(prefix, window.drafts)
+    except IndexError:
+        # a draft past the target's tables, which no window drafted from them holds
+        raise ValueError(_NOT_DRAFTED) from None
     probs, breaks, argmax, idx = rows
     if getattr(window, "table", None) is not probs:
-        raise ValueError("the window was not drafted by the decoder from this model")
+        raise ValueError(_NOT_DRAFTED)
     drafts, drafter = window
     W = len(drafts)
     greedy = cfg.greedy

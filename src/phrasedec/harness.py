@@ -305,11 +305,12 @@ class ModeAggregate:
 class BenchmarkReport:
     """A benchmark's aggregates.  The last three fields set wall clock
     against ``ancestral_sample`` on the same model: its µs per token, each
-    mode's µs per token, and each mode's break-even verifier latency, the
-    per-call cost at which the NFE the mode saves pays for its overhead:
-    (µs per token - ancestral µs per token) / (1 - NFE per token).  That is
-    None where NFE per token is >= 1, and negative where the mode is
-    cheaper than ancestral sampling at any verifier latency."""
+    mode's µs per token, both timing only the sample and decode calls (every
+    generator is seeded before the clock starts), and each mode's break-even
+    verifier latency, the per-call cost at which the NFE the mode saves pays
+    for its overhead: (µs per token - ancestral µs per token) / (1 - NFE per
+    token).  That is None where NFE per token is >= 1, and negative where
+    the mode is cheaper than ancestral sampling at any verifier latency."""
 
     report_version: int
     config: ExperimentConfig
@@ -325,23 +326,26 @@ def _rate(x: float, y: float) -> float:
     return x / y if y else 0.0
 
 
+def _timed(cfg: ExperimentConfig, stream: int, sample) -> tuple[list, float]:
+    """``sample(rng)`` on each generator ``[seed, stream, run]``, all built
+    before the clock starts: the outputs, and the seconds the calls took."""
+    rngs = [np.random.default_rng([cfg.seed, stream, run]) for run in range(cfg.decodes)]
+    start = time.perf_counter()
+    outputs = [sample(rng) for rng in rngs]
+    return outputs, time.perf_counter() - start
+
+
 def _run_mode(
     model, lib: PhraseLibrary | None, cfg: ExperimentConfig, mode: str
 ) -> tuple[ModeAggregate, list[TokenSequence]]:
     vcfg = cfg.verify_config(mode)
-    rows: list[dict] = []
-    outputs: list[TokenSequence] = []
-    totals = DecodeMetrics()
-    start = time.perf_counter()
-    for run in range(cfg.decodes):
-        rng = np.random.default_rng([cfg.seed, 1, run])
-        seq, metrics = decode(model, lib, vcfg, cfg.total_len, rng)
-        outputs.append(seq)
+    decodes, wall = _timed(cfg, 1, lambda rng: decode(model, lib, vcfg, cfg.total_len, rng))
+    totals, rows = DecodeMetrics(), []
+    for run, (_, metrics) in enumerate(decodes):
         totals.merge(metrics)
         # the counters follow; nfe keeps its place ahead of iterations
         row = {"mode": mode, "run": run, "nfe": metrics.nfe, "iterations": metrics.iterations}
         rows.append(row | metrics.counts())
-    wall = time.perf_counter() - start
     agg = ModeAggregate(
         mode=mode,
         runs=cfg.decodes,
@@ -354,7 +358,7 @@ def _run_mode(
         wall_clock_s=wall,
         rows=rows,
     )
-    return agg, outputs
+    return agg, [seq for seq, _ in decodes]
 
 
 def _run_grid(
@@ -430,11 +434,9 @@ def run_benchmark(cfg: ExperimentConfig) -> BenchmarkReport:
     per_mode = {agg.mode: agg for agg, _ in runs}
     base_nfe = per_mode[cfg.modes[0]].mean_nfe
     acceleration = {mode: base_nfe / agg.mean_nfe for mode, agg in per_mode.items()}
-    start = time.perf_counter()
-    for run in range(cfg.decodes):
-        ancestral_sample(model, cfg.total_len, np.random.default_rng([cfg.seed, 2, run]))
+    _, ancestral_s = _timed(cfg, 2, lambda rng: ancestral_sample(model, cfg.total_len, rng))
     tokens = cfg.decodes * cfg.total_len
-    ancestral_us = 1e6 * (time.perf_counter() - start) / tokens
+    ancestral_us = 1e6 * ancestral_s / tokens
     us_per_token = {mode: 1e6 * agg.wall_clock_s / tokens for mode, agg in per_mode.items()}
     break_even: dict[str, float | None] = {}
     for mode, agg in per_mode.items():
@@ -550,10 +552,8 @@ def theory_check(
 
     failures = 0
     for _ in range(min_inequality_trials):
-        length = int(rng.integers(1, 9))
-        ratios = 10.0 ** rng.uniform(-6.0, 6.0, size=length)
-        if not theory.min_inequality_check(ratios).holds:
-            failures += 1
+        ratios = 10.0 ** rng.uniform(-6.0, 6.0, size=int(rng.integers(1, 9)))
+        failures += not theory.min_inequality_check(ratios).holds
 
     return {
         "trials": summary.trials,

@@ -768,6 +768,15 @@ def test_gen_model(tmp_path, capsys):
     }
 
 
+def test_gen_model_without_a_corpus_path_writes_only_the_model(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-model", "--model-out", "gen.psdm"]) == 0
+    assert capsys.readouterr().out == "wrote gen.psdm\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["gen.psdm"]
+    digest = hashlib.sha256((tmp_path / "gen.psdm").read_bytes()).hexdigest()
+    assert digest == "b03dbd18e101c4fc3a55e432790f232b1ec2212d87fccca57c8a5d254b64abbe"
+
+
 def test_gen_model_writes_what_bench_uses(tmp_path, capsys):
     # a random order-3 model: bench on the written files decodes exactly
     # as bench on the config that generated them (the phrase settings fit

@@ -433,6 +433,8 @@ class TestWindowBoundary:
             (lambda: JacobiWindow((1, 2), [0, -1]), NOT_DRAFTED),
             (lambda: JacobiWindow((1, 2), [0, 4]), NOT_DRAFTED),
             (lambda: JacobiWindow((0, 2), [0, 1]), NOT_DRAFTED),
+            # a draft past the target's tables, which evaluate cannot read
+            (lambda: JacobiWindow((10**6, 0), [0, 1]), NOT_DRAFTED),
             (lambda: JacobiWindow(*drafted(BOUNDARY_MODEL, [0, 1, 2], False)), NOT_DRAFTED),
             # rebuilt from a drafted window, unchanged: still a _DrawnWindow
             (lambda: drafted(BOUNDARY_MODEL, [0, 1, 2], False)._replace(), NOT_DRAFTED),
@@ -446,14 +448,19 @@ class TestWindowBoundary:
              NOT_DRAFTED),
             (lambda: drafted(MarkovModel(1, 3, [[0.0, 1.0, 0.0]] * 4), [0, 1, 2], True),
              NOT_DRAFTED),
+            # order 1, V=8, drafting token 7 from every row: its drafts
+            # (7, 7, 7) walk past the target's tables
+            (lambda: drafted(MarkovModel(1, 8, [[0.0] * 7 + [1.0]] * 9), [0] * 3, True),
+             NOT_DRAFTED),
             # drafted from a second, equal instance of the target
             (lambda: drafted(MarkovModel(1, 3, BOUNDARY_ROWS), [0, 1, 2], False), NOT_DRAFTED),
         ],
         ids=[
             "hand-empty", "hand-more-drafts", "hand-more-codes", "hand-negative-token",
             "hand-token-past-vocab", "hand-negative-code", "hand-code-past-rows",
-            "hand-zero-drafter-prob", "hand-valid", "replaced", "foreign-code-past-rows",
-            "foreign-zero-drafter-prob", "foreign-valid", "equal-target",
+            "hand-zero-drafter-prob", "hand-token-past-tables", "hand-valid", "replaced",
+            "foreign-code-past-rows", "foreign-zero-drafter-prob", "foreign-valid",
+            "foreign-token-past-tables", "equal-target",
         ],
     )
     def test_undrafted_window_is_refused(self, build, message):

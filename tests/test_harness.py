@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,6 +255,43 @@ class TestRunBenchmark:
             assert us == pytest.approx(1e6 * agg["wall_clock_s"] / tokens, rel=1e-12)
             expected = (us - ancestral) / (1.0 - agg["mean_nfe"] / cfg.total_len)
             assert data["break_even_verifier_us"][mode] == pytest.approx(expected, rel=1e-12)
+
+    def test_every_generator_of_a_timed_batch_is_seeded_before_the_clock(self, monkeypatch):
+        # each batch, the decodes of one mode or the ancestral reference,
+        # builds all its generators, then starts the clock, makes its calls
+        # and stops the clock: no seeding is timed
+        cfg = small_cfg(decodes=3, modes=("sjd", "jacobi"))
+        events = []
+        default_rng, perf_counter = np.random.default_rng, harness.time.perf_counter
+        real_decode, real_sample = harness.decode, harness.ancestral_sample
+
+        def seeding(seed):
+            events.append(("seed", seed))
+            return default_rng(seed)
+
+        def clock():
+            events.append("clock")
+            return perf_counter()
+
+        def decoding(model, lib, vcfg, length, rng):
+            events.append(("decode", rng.bit_generator.seed_seq.entropy))
+            return real_decode(model, lib, vcfg, length, rng)
+
+        def sampling(model, length, rng):
+            events.append(("ancestral_sample", rng.bit_generator.seed_seq.entropy))
+            return real_sample(model, length, rng)
+
+        monkeypatch.setattr(np.random, "default_rng", seeding)
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=clock))
+        monkeypatch.setattr(harness, "decode", decoding)
+        monkeypatch.setattr(harness, "ancestral_sample", sampling)
+        run_benchmark(cfg)
+        expected = [("seed", [cfg.seed, 0])]  # the model's
+        for call, stream in [("decode", 1)] * len(cfg.modes) + [("ancestral_sample", 2)]:
+            streams = [[cfg.seed, stream, run] for run in range(cfg.decodes)]
+            expected += [("seed", s) for s in streams] + ["clock"]
+            expected += [(call, s) for s in streams] + ["clock"]
+        assert events == expected
 
     def test_break_even_latency_is_null_without_an_nfe_saving(self, tmp_path):
         # one token per call: NFE per token is 1, and no latency breaks even

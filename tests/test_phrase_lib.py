@@ -208,6 +208,13 @@ class TestSerialization:
         assert loaded == lib
         assert loaded.index == lib.index
 
+    def test_a_library_equals_no_other_kind_of_value(self):
+        lib = build_library([[1, 2, 1, 2, 3]], merges=1)
+        assert lib == PhraseLibrary(lib.vocab_size, lib.rules, lib.phrases)
+        assert lib.__eq__(object()) is NotImplemented
+        assert (lib == object()) is False
+        assert lib != (lib.vocab_size, lib.rules, lib.phrases)
+
     def test_largest_ids_the_format_stores(self, tmp_path):
         path = tmp_path / "lib.psdl"
         top = 2**32 - 1
